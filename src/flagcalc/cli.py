@@ -18,6 +18,7 @@ from .dismantling import (
     dismantles_onto,
     greedy_dismantling_certificate,
     move_error,
+    replay,
     s_collapse_search,
     ws_reduction_search,
 )
@@ -139,13 +140,10 @@ def cmd_map(args) -> int:
 def cmd_certify(args) -> int:
     start = _load("graph", args.start)
     moves = textio.parse_moves(_read(args.certificate))
-    cur = start
-    for i, move in enumerate(moves):
-        err = move_error(cur, move)
-        if err:
-            print(f"invalid at move {i}: {err}")
-            return EXIT_NO
-        cur = apply_move_unchecked(cur, move)
+    cur, report = replay(start, moves, move_error, apply_move_unchecked)
+    if not report:
+        print(f"invalid at move {report.failed_at}: {report.reason}")
+        return EXIT_NO
     if args.end:
         end = _load("graph", args.end)
         if cur != end:
@@ -242,7 +240,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does: stop quietly, and
+        # point stdout at devnull so the interpreter's last flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except (GraphError, ComplexError, PosetError, textio.ParseError,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

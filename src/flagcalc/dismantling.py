@@ -48,19 +48,28 @@ class DismantlingOrder:
     steps: tuple[tuple[str, str], ...]
 
 
+def _domination_step_error(g: Graph, step: tuple[str, str]) -> str | None:
+    v, w = step
+    if v not in g.vertices:
+        return f"removed vertex {v!r} not present"
+    if w not in g.vertices:
+        return f"dominator {w!r} not present"
+    if v == w:
+        return f"vertex {v!r} equals its dominator"
+    if not g.closed_neighborhood(v) <= g.closed_neighborhood(w):
+        return f"{w!r} does not dominate {v!r}"
+    return None
+
+
+def _remove_dominated(g: Graph, step: tuple[str, str]) -> Graph:
+    return g.without_vertex(step[0])
+
+
 def dismantling_order_error(g: Graph, order: DismantlingOrder,
                             require_single: bool = True) -> str | None:
-    cur = g
-    for i, (v, w) in enumerate(order.steps):
-        if v not in cur.vertices:
-            return f"step {i}: removed vertex {v!r} not present"
-        if w not in cur.vertices:
-            return f"step {i}: dominator {w!r} not present"
-        if v == w:
-            return f"step {i}: vertex {v!r} equals its dominator"
-        if not cur.closed_neighborhood(v) <= cur.closed_neighborhood(w):
-            return f"step {i}: {w!r} does not dominate {v!r}"
-        cur = cur.without_vertex(v)
+    cur, report = replay(g, order.steps, _domination_step_error, _remove_dominated)
+    if not report:
+        return f"step {report.failed_at}: {report.reason}"
     if require_single and len(cur.vertices) != 1:
         return f"{len(cur.vertices)} vertices remain after replay"
     return None
@@ -71,38 +80,41 @@ def cone_order(g: Graph, apex: str) -> DismantlingOrder:
     return DismantlingOrder(tuple((v, apex) for v in sorted(g.vertices) if v != apex))
 
 
-def dominated_vertices(g: Graph) -> list[tuple[str, str]]:
-    """All pairs (v, w) with v != w and N[v] contained in N[w], sorted."""
-    out = []
-    for v in g.sorted_vertices():
+def _dominations(g: Graph, vertices: Iterable[str]) -> Iterator[tuple[str, str]]:
+    """Pairs (v, w) with v among `vertices`, v != w and N[v] contained in N[w],
+    in the given order of v and label order of w."""
+    for v in vertices:
         nv = g.closed_neighborhood(v)
         for w in sorted(g.neighbors(v)):  # a dominator is always a neighbor
             if nv <= g.closed_neighborhood(w):
-                out.append((v, w))
-    return out
+                yield v, w
+
+
+def dominated_vertices(g: Graph) -> list[tuple[str, str]]:
+    """All pairs (v, w) with v != w and N[v] contained in N[w], sorted."""
+    return list(_dominations(g, g.sorted_vertices()))
 
 
 def _first_dominated(g: Graph) -> tuple[str, str] | None:
-    for v in g.sorted_vertices():
-        nv = g.closed_neighborhood(v)
-        for w in sorted(g.neighbors(v)):
-            if nv <= g.closed_neighborhood(w):
-                return v, w
-    return None
+    return next(_dominations(g, g.sorted_vertices()), None)
+
+
+def greedy_core(start, first_step: Callable, remove: Callable) -> tuple[object, tuple]:
+    """Remove what `first_step` finds until it finds nothing: (residue, steps)."""
+    steps = []
+    cur = start
+    while (step := first_step(cur)) is not None:
+        steps.append(step)
+        cur = remove(cur, step)
+    return cur, tuple(steps)
 
 
 def dismantling_core(g: Graph) -> tuple[Graph, DismantlingOrder]:
     """Greedily delete dominated vertices until none remains."""
     if not g.vertices:
         raise GraphError("empty graph has no dismantling core")
-    steps: list[tuple[str, str]] = []
-    cur = g
-    while True:
-        hit = _first_dominated(cur)
-        if hit is None:
-            return cur, DismantlingOrder(tuple(steps))
-        steps.append(hit)
-        cur = cur.without_vertex(hit[0])
+    core, steps = greedy_core(g, _first_dominated, _remove_dominated)
+    return core, DismantlingOrder(steps)
 
 
 @lru_cache(maxsize=262144)
@@ -252,17 +264,35 @@ def apply_move(g: Graph, m: GraphMove) -> Graph:
     return apply_move_unchecked(g, m)
 
 
+def replay(start, moves: Iterable, error: Callable,
+           apply: Callable) -> tuple[object, CheckReport]:
+    """Apply the moves in turn, each first vetted by `error(state, move)`.
+
+    Returns the state reached and a passing report, or the state before the
+    first rejected move and a failed report carrying its index and reason.
+    """
+    cur = start
+    for i, m in enumerate(moves):
+        err = error(cur, m)
+        if err:
+            return cur, CheckReport(False, i, err)
+        cur = apply(cur, m)
+    return cur, CheckReport(True)
+
+
+def check_replay(cert, error: Callable, apply: Callable, kind: str) -> CheckReport:
+    """Replay a certificate's moves from its start and compare with its end."""
+    end, report = replay(cert.start, cert.moves, error, apply)
+    if not report:
+        return report
+    if end != cert.end:
+        return CheckReport(False, len(cert.moves), f"end {kind} mismatch")
+    return CheckReport(True)
+
+
 def check_certificate(c: MoveCertificate) -> CheckReport:
     """Replay all moves from the start graph, validating every witness."""
-    cur = c.start
-    for i, m in enumerate(c.moves):
-        err = move_error(cur, m)
-        if err:
-            return CheckReport(False, i, err)
-        cur = apply_move_unchecked(cur, m)
-    if cur != c.end:
-        return CheckReport(False, len(c.moves), "end graph mismatch")
-    return CheckReport(True)
+    return check_replay(c, move_error, apply_move_unchecked, "graph")
 
 
 def normalize_certificate(c: MoveCertificate) -> MoveCertificate:
@@ -464,88 +494,77 @@ class SearchVerdict:
     stats: SearchStats
 
 
-_FOUND, _EXHAUSTED, _CUTOFF = range(3)
+def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Callable,
+              feasible: Callable, budget: int, certificate: Callable) -> SearchVerdict:
+    """Budgeted depth-first search for a move sequence from `start` to a `done` state.
 
-
-def _deletion_search(start: Graph, target: Graph | None,
-                     candidates: Callable[[Graph], Iterator[GraphMove]],
-                     budget: int) -> SearchVerdict:
-    """Backtracking over deletion moves with memoization of failed states.
-
-    With no target the goal is any single vertex and failed states are memoized
-    up to isomorphism; with a labeled target the exact graph is the key.
+    Children failing `feasible` are skipped, and a state whose `key` was once
+    exhausted is not expanded again.  YES carries `certificate(start, moves,
+    end)`; NO means every feasible path was exhausted; UNKNOWN means the node
+    budget cut some path off.
     """
-    if not start.vertices:
-        raise GraphError("empty graph")
-    use_canon = target is None
-
-    if target is not None and not (target.vertices <= start.vertices
-                                   and target.edges <= start.edges):
+    if not feasible(start):
         return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
-
     nodes = 0
     failed: set = set()
-    path: list[GraphMove] = []
+    path: list = []
+    end = start
 
-    def done(h: Graph) -> bool:
-        if target is None:
-            return len(h.vertices) == 1
-        return h == target
-
-    def feasible(h: Graph) -> bool:
-        return target is None or (target.vertices <= h.vertices
-                                  and target.edges <= h.edges)
-
-    def dfs(h: Graph) -> int:
-        nonlocal nodes
-        if done(h):
-            return _FOUND
-        key = canonical_form(h) if use_canon else h
-        if key in failed:
-            return _EXHAUSTED
+    def dfs(state) -> Outcome:
+        nonlocal nodes, end
+        if done(state):
+            end = state
+            return Outcome.YES
+        k = key(state)
+        if k in failed:
+            return Outcome.NO
         if nodes >= budget:
-            return _CUTOFF
+            return Outcome.UNKNOWN
         nodes += 1
         cut = False
-        for m in candidates(h):
-            child = apply_move_unchecked(h, m)
+        for m in moves(state):
+            child = apply(state, m)
             if not feasible(child):
                 continue
             path.append(m)
             res = dfs(child)
-            if res == _FOUND:
-                return _FOUND
+            if res is Outcome.YES:
+                return res
             path.pop()
-            if res == _CUTOFF:
-                cut = True
+            cut = cut or res is Outcome.UNKNOWN
         if cut:
-            return _CUTOFF
-        failed.add(key)
-        return _EXHAUSTED
+            return Outcome.UNKNOWN
+        failed.add(k)
+        return Outcome.NO
 
-    res = dfs(start)
-    stats = SearchStats(nodes, budget)
-    if res == _FOUND:
-        end = start
-        for m in path:
-            end = apply_move_unchecked(end, m)
-        return SearchVerdict(Outcome.YES, MoveCertificate(start, tuple(path), end), stats)
-    if res == _EXHAUSTED:
-        return SearchVerdict(Outcome.NO, None, stats)
-    return SearchVerdict(Outcome.UNKNOWN, None, stats)
+    outcome = dfs(start)
+    cert = certificate(start, tuple(path), end) if outcome is Outcome.YES else None
+    return SearchVerdict(outcome, cert, SearchStats(nodes, budget))
 
 
-def _dominated_candidates(allowed: frozenset[str] | None):
+def _graph_search(start: Graph, target: Graph | None,
+                  candidates: Callable[[Graph], Iterator[GraphMove]],
+                  budget: int) -> SearchVerdict:
+    """Deletion moves down to one vertex, with failed states memoized up to
+    isomorphism, or exactly onto a labeled target, keyed by the graph itself."""
+    if not start.vertices:
+        raise GraphError("empty graph")
+    if target is None:
+        return backtrack(start, canonical_form, candidates, apply_move_unchecked,
+                         lambda h: len(h.vertices) == 1, lambda h: True,
+                         budget, MoveCertificate)
+    return backtrack(start, lambda h: h, candidates, apply_move_unchecked,
+                     lambda h: h == target,
+                     lambda h: target.vertices <= h.vertices and target.edges <= h.edges,
+                     budget, MoveCertificate)
+
+
+def _dominated_candidates(allowed: frozenset[str]):
     def gen(h: Graph) -> Iterator[GraphMove]:
-        for v in h.sorted_vertices():
-            if allowed is not None and v not in allowed:
-                continue
-            nv = h.closed_neighborhood(v)
-            for w in sorted(h.neighbors(v)):
-                if nv <= h.closed_neighborhood(w):
-                    yield GraphMove(MoveKind.REMOVE_VERTEX, v,
-                                    witness=cone_order(h.open_neighborhood_subgraph(v), w))
-                    break
+        for v in sorted(allowed & h.vertices):
+            for _, w in itertools.islice(_dominations(h, (v,)), 1):
+                yield GraphMove(MoveKind.REMOVE_VERTEX, v,
+                                witness=cone_order(h.open_neighborhood_subgraph(v), w))
     return gen
 
 
@@ -575,7 +594,7 @@ def dismantles_onto(g: Graph, h: Graph,
     """Search for dominated-vertex deletions taking g exactly onto h."""
     if not (h.vertices <= g.vertices) or g.induced(h.vertices) != h:
         raise GraphError("target is not a label-exact induced subgraph")
-    return _deletion_search(g, h, _dominated_candidates(g.vertices - h.vertices), budget)
+    return _graph_search(g, h, _dominated_candidates(g.vertices - h.vertices), budget)
 
 
 def greedy_dismantling_certificate(g: Graph) -> MoveCertificate | None:
@@ -594,7 +613,7 @@ def greedy_dismantling_certificate(g: Graph) -> MoveCertificate | None:
 
 def s_collapse_search(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchVerdict:
     """Can g be reduced to one vertex by s-dismantlable vertex deletions?"""
-    return _deletion_search(g, None, _s_vertex_candidates, budget)
+    return _graph_search(g, None, _s_vertex_candidates, budget)
 
 
 def ws_reduction_search(g: Graph, target: Graph | None = None,
@@ -602,7 +621,7 @@ def ws_reduction_search(g: Graph, target: Graph | None = None,
     """Like s_collapse_search but also deleting s-dismantlable edges."""
     if target is not None and not (target.vertices <= g.vertices):
         raise GraphError("target vertices are not a subset of the graph")
-    return _deletion_search(g, target, _ws_candidates, budget)
+    return _graph_search(g, target, _ws_candidates, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -675,18 +694,12 @@ class IContractibility:
         return sorted({g.closed_neighborhood(v) for v in verts} | {g.vertices},
                       key=lambda s: tuple(sorted(s)))
 
-    def _deletions(self, g: Graph) -> Iterator[str]:
+    def _deletions(self, g: Graph) -> list[str]:
         # dominated vertices first: their removal preserves reachability, so
         # provable instances resolve without touching the addition moves
-        dominated = [v for v, _ in dominated_vertices(g)]
-        seen = set()
-        for v in dominated:
-            if v not in seen:
-                seen.add(v)
-                yield v
-        for v in g.sorted_vertices():
-            if v not in seen:
-                yield v
+        verts = g.sorted_vertices()
+        dominated = list(dict.fromkeys(v for v, _ in _dominations(g, verts)))
+        return dominated + [v for v in verts if v not in dominated]
 
     def _search(self, g: Graph, ceiling: int, depth: int, path: set) -> str:
         if len(g.vertices) == 1:

@@ -279,15 +279,25 @@ def enumerate_complete_subgraphs(g: Graph, mode: str = "all",
     return CliqueFamily(g, mode, tuple(found))
 
 
+def inclusion_pairs(family: Iterable[frozenset[str]]) -> list[tuple[str, str]]:
+    """(subset, superset) label pairs of every strict inclusion in the family.
+
+    The family must be closed under nonempty subsets, so each member's proper
+    nonempty subsets are listed directly and the cost grows with the output.
+    """
+    out = []
+    for top in family:
+        members = sorted(top)
+        label = subset_label(members)
+        for k in range(1, len(members)):
+            out.extend((subset_label(c), label) for c in itertools.combinations(members, k))
+    return out
+
+
 def barycentric_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> Graph:
     """Vertices are the complete subgraphs of g, edges the strict inclusions."""
     fam = complete_subgraphs(g, cap)
-    labels = {c: subset_label(c) for c in fam}
-    edges = []
-    for c, d in itertools.combinations(fam, 2):
-        if c < d or d < c:
-            edges.append((labels[c], labels[d]))
-    return Graph.make(labels.values(), edges)
+    return Graph.make(map(subset_label, fam), inclusion_pairs(fam))
 
 
 # ---------------------------------------------------------------------------

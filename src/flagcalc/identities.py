@@ -9,6 +9,7 @@ instances and reports per-instance verdicts.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import string
 from dataclasses import dataclass
@@ -59,6 +60,7 @@ from .simplicial import (
     skeleton_move_for_collapse,
     star_collapse_certificate,
 )
+from . import textio
 from .posets import (
     Poset,
     check_poset_certificate,
@@ -248,16 +250,15 @@ class PropertyReport:
         return f"{head} {self.property_id} {self.instance}{tail}"
 
 
-def _describe_graph(g: Graph) -> str:
-    return f"graph<{len(g.vertices)}v,{len(g.edges)}e,{hash(g) & 0xffff:04x}>"
+_TEXT_FORMS = {Graph: ("graph", textio.format_graph),
+               Poset: ("poset", textio.format_poset),
+               SimplicialComplex: ("complex", textio.format_complex)}
 
 
-def _describe_poset(p: Poset) -> str:
-    return f"poset<{len(p.elements)}el,{len(p.relation)}rel,{hash(p) & 0xffff:04x}>"
-
-
-def _describe_complex(k: SimplicialComplex) -> str:
-    return f"complex<{len(k.simplices)}s,{hash(k) & 0xffff:04x}>"
+def _describe(x: Graph | Poset | SimplicialComplex) -> str:
+    """Instance name from a short sha256 of its text form, equal in every process."""
+    kind, fmt = _TEXT_FORMS[type(x)]
+    return f"{kind}<{hashlib.sha256(fmt(x).encode()).hexdigest()[:8]}>"
 
 
 def _stuck_graph_fixture() -> tuple[Graph, Graph]:
@@ -288,7 +289,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
 
     pid = "clique-complex-collapses-when-vertex-s-removable"
     for g in graphs:
-        name = _describe_graph(g)
+        name = _describe(g)
         for v in s_dismantlable_vertices(g):
             kk = clique_complex(g)
             lc = collapse_certificate_for_dismantlable(g.open_neighborhood_subgraph(v))
@@ -299,7 +300,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
 
     pid = "collapse-induces-two-inclusion-graph-moves"
     for k in complexes:
-        name = _describe_complex(k)
+        name = _describe(k)
         for pair in free_pairs(k):
             gam = inclusion_graph(k)
             first, second = inclusion_graph_moves_for_collapse(k, pair)
@@ -313,7 +314,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
 
     pid = "collapse-induces-skeleton-move"
     for k in complexes:
-        name = _describe_complex(k)
+        name = _describe(k)
         for pair in free_pairs(k):
             skel = one_skeleton(k)
             move = skeleton_move_for_collapse(k, pair)
@@ -327,7 +328,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
 
     pid = "edge-removal-rewrites-to-vertex-moves"
     for g in graphs:
-        name = _describe_graph(g)
+        name = _describe(g)
         for a, b in g.sorted_edges():
             if not is_s_dismantlable_edge(g, (a, b)):
                 continue
@@ -338,7 +339,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
 
     pid = "s-collapse-transfers-to-complex-collapse"
     for g in graphs:
-        name = _describe_graph(g)
+        name = _describe(g)
         verdict = s_collapse_search(g, budget)
         if verdict.outcome is Outcome.UNKNOWN:
             reports.append(PropertyReport(pid, name, "skipped", "budget exhausted"))
@@ -360,13 +361,13 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
     pid = "s-removable-vertex-is-i-removable"
     checker = IContractibility()
     for g in graphs:
-        name = _describe_graph(g)
+        name = _describe(g)
         for v in s_dismantlable_vertices(g):
             record(pid, f"{name}/{v}", checker.vertex(g, v) == "yes")
 
     pid = "weak-points-agree-three-ways"
     for p in posets:
-        name = _describe_poset(p)
+        name = _describe(p)
         direct = weak_points(p)
         via_join = weak_points_via_join(p)
         comp = comparability_graph(p)
@@ -376,7 +377,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
 
     pid = "weak-point-cascade-reaches-reduced-clique-poset"
     for g in graphs:
-        name = _describe_graph(g)
+        name = _describe(g)
         for v in s_dismantlable_vertices(g):
             cert = weak_point_cascade(g, v)
             ok = bool(check_poset_certificate(cert)) and \
@@ -385,7 +386,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
 
     pid = "subdivision-is-reachable-by-vertex-moves"
     for g in graphs:
-        name = _describe_graph(g)
+        name = _describe(g)
         cert = subdivision_certificate(g)
         ok = bool(check_certificate(cert)) and cert.end == barycentric_graph(g)
         record(pid, name, ok)

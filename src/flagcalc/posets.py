@@ -7,14 +7,20 @@ recomputed on demand.  All values are immutable.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Collection, Iterable
 
-from .graphs import DEFAULT_CLIQUE_CAP, Graph, complete_subgraphs, subset_label
-from .dismantling import CheckReport, CertificateError, greedy_dismantling
-from .simplicial import SimplicialComplex
+from .graphs import DEFAULT_CLIQUE_CAP, Graph, complete_subgraphs, inclusion_pairs, subset_label
+from .dismantling import (
+    CheckReport,
+    CertificateError,
+    check_replay,
+    greedy_core,
+    greedy_dismantling,
+    replay,
+)
+from .simplicial import SimplicialComplex, chains
 
 
 class PosetError(ValueError):
@@ -29,7 +35,7 @@ def _transitive_closure(elements: frozenset[str],
             raise PosetError(f"relation {x!r} < {y!r} uses an undeclared element")
         succ[x].add(y)
     closed: dict[str, set[str]] = {}
-    for x in elements:
+    for x in sorted(elements):  # so a cycle is reported at the same element in every run
         seen: set[str] = set()
         stack = list(succ[x])
         while stack:
@@ -109,11 +115,8 @@ class Poset:
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse diagram: pairs x < y with nothing strictly between."""
-        out = []
-        for x, y in self.relation:
-            if not any(self.less(x, z) and self.less(z, y) for z in self.elements):
-                out.append((x, y))
-        return sorted(out)
+        return sorted((x, y) for x, y in self.relation
+                      if self.above_map[x].isdisjoint(self.below_map[y]))
 
     def maximum(self) -> str | None:
         for m in self.elements:
@@ -146,11 +149,7 @@ def antichain_poset(labels: Iterable[str]) -> Poset:
 
 def irreducible_points(p: Poset) -> list[str]:
     """Elements whose strict down-set has a maximum or strict up-set a minimum."""
-    out = []
-    for x in p.sorted_elements():
-        if p.down_set(x).maximum() is not None or p.up_set(x).minimum() is not None:
-            out.append(x)
-    return out
+    return [x for x in p.sorted_elements() if _irreducible_step(p, x) is not None]
 
 
 class StepKind(enum.Enum):
@@ -170,49 +169,54 @@ class PosetDismantlingOrder:
     steps: tuple[PosetStep, ...]
 
 
+def _irreducible_step_error(p: Poset, step: PosetStep) -> str | None:
+    if step.removed not in p.elements:
+        return f"{step.removed!r} not present"
+    if step.pivot not in p.elements:
+        return f"pivot {step.pivot!r} not present"
+    if step.kind is StepKind.MAX_BELOW:
+        if p.down_set(step.removed).maximum() != step.pivot:
+            return f"{step.pivot!r} is not the maximum below {step.removed!r}"
+    elif p.up_set(step.removed).minimum() != step.pivot:
+        return f"{step.pivot!r} is not the minimum above {step.removed!r}"
+    return None
+
+
+def _remove_irreducible(p: Poset, step: PosetStep) -> Poset:
+    return p.without(step.removed)
+
+
 def poset_order_error(p: Poset, order: PosetDismantlingOrder,
                       require_single: bool = True) -> str | None:
-    cur = p
-    for i, step in enumerate(order.steps):
-        if step.removed not in cur.elements:
-            return f"step {i}: {step.removed!r} not present"
-        if step.pivot not in cur.elements:
-            return f"step {i}: pivot {step.pivot!r} not present"
-        if step.kind is StepKind.MAX_BELOW:
-            if cur.down_set(step.removed).maximum() != step.pivot:
-                return f"step {i}: {step.pivot!r} is not the maximum below {step.removed!r}"
-        else:
-            if cur.up_set(step.removed).minimum() != step.pivot:
-                return f"step {i}: {step.pivot!r} is not the minimum above {step.removed!r}"
-        cur = cur.without(step.removed)
+    cur, report = replay(p, order.steps, _irreducible_step_error, _remove_irreducible)
+    if not report:
+        return f"step {report.failed_at}: {report.reason}"
     if require_single and len(cur.elements) != 1:
         return f"{len(cur.elements)} elements remain after replay"
     return None
 
 
-def _first_irreducible(p: Poset) -> PosetStep | None:
-    for x in p.sorted_elements():
-        m = p.down_set(x).maximum()
-        if m is not None:
-            return PosetStep(x, StepKind.MAX_BELOW, m)
-        m = p.up_set(x).minimum()
-        if m is not None:
-            return PosetStep(x, StepKind.MIN_ABOVE, m)
+def _irreducible_step(p: Poset, x: str) -> PosetStep | None:
+    """The removal of x against the maximum below it or else the minimum above it."""
+    m = p.down_set(x).maximum()
+    if m is not None:
+        return PosetStep(x, StepKind.MAX_BELOW, m)
+    m = p.up_set(x).minimum()
+    if m is not None:
+        return PosetStep(x, StepKind.MIN_ABOVE, m)
     return None
+
+
+def _first_irreducible(p: Poset) -> PosetStep | None:
+    return next((s for x in p.sorted_elements() if (s := _irreducible_step(p, x))), None)
 
 
 def poset_dismantling_core(p: Poset) -> tuple[Poset, PosetDismantlingOrder]:
     """Greedily delete irreducible points until none remains."""
     if not p.elements:
         raise PosetError("empty poset has no dismantling core")
-    steps: list[PosetStep] = []
-    cur = p
-    while True:
-        step = _first_irreducible(cur)
-        if step is None:
-            return cur, PosetDismantlingOrder(tuple(steps))
-        steps.append(step)
-        cur = cur.without(step.removed)
+    core, steps = greedy_core(p, _first_irreducible, _remove_irreducible)
+    return core, PosetDismantlingOrder(steps)
 
 
 def greedy_poset_dismantling(p: Poset) -> PosetDismantlingOrder | None:
@@ -307,54 +311,29 @@ def comparability_graph(p: Poset) -> Graph:
     return Graph.make(p.elements, ((x, y) for x, y in p.relation))
 
 
+def _inclusion_poset(family: Collection[frozenset[str]]) -> Poset:
+    """A family closed under nonempty subsets, ordered by inclusion."""
+    return Poset(frozenset(map(subset_label, family)), frozenset(inclusion_pairs(family)))
+
+
 def clique_poset(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> Poset:
     """Complete subgraphs of g ordered by inclusion."""
-    cliques = complete_subgraphs(g, cap)
-    labels = {c: subset_label(c) for c in cliques}
-    rel = [(labels[c], labels[d])
-           for c, d in itertools.permutations(cliques, 2) if c < d]
-    return Poset(frozenset(labels.values()), frozenset(rel))
-
-
-def _poset_chains(p: Poset) -> list[list[str]]:
-    order = p.sorted_elements()
-
-    out: list[list[str]] = []
-
-    def extend(chain: list[str]) -> None:
-        out.append(chain)
-        for y in order:
-            if p.less(chain[-1], y):
-                extend(chain + [y])
-
-    for x in order:
-        extend([x])
-    return out
+    return _inclusion_poset(complete_subgraphs(g, cap))
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """Chains of p as simplices over the element labels."""
-    if not p.elements:
-        return SimplicialComplex(frozenset())
-    return SimplicialComplex(frozenset(frozenset(c) for c in _poset_chains(p)))
+    return SimplicialComplex(frozenset(chains(p.above_map)))
 
 
 def face_poset(k: SimplicialComplex) -> Poset:
     """Simplices of k ordered by inclusion."""
-    sims = k.sorted_simplices()
-    labels = {s: subset_label(s) for s in sims}
-    rel = [(labels[a], labels[b])
-           for a, b in itertools.permutations(sims, 2) if a < b]
-    return Poset(frozenset(labels.values()), frozenset(rel))
+    return _inclusion_poset(k.simplices)
 
 
 def barycentric_poset(p: Poset) -> Poset:
     """Nonempty chains of p ordered by inclusion of underlying sets."""
-    chains = [frozenset(c) for c in _poset_chains(p)]
-    labels = {c: subset_label(c) for c in chains}
-    rel = [(labels[a], labels[b])
-           for a, b in itertools.permutations(chains, 2) if a < b]
-    return Poset(frozenset(labels.values()), frozenset(rel))
+    return _inclusion_poset(chains(p.above_map))
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +405,7 @@ def apply_poset_move_unchecked(p: Poset, m: PosetMove) -> Poset:
 
 
 def check_poset_certificate(c: PosetCertificate) -> CheckReport:
-    cur = c.start
-    for i, m in enumerate(c.moves):
-        err = _poset_move_error(cur, m)
-        if err:
-            return CheckReport(False, i, err)
-        cur = apply_poset_move_unchecked(cur, m)
-    if cur != c.end:
-        return CheckReport(False, len(c.moves), "end poset mismatch")
-    return CheckReport(True)
+    return check_replay(c, _poset_move_error, apply_poset_move_unchecked, "poset")
 
 
 def weak_point_cascade(g: Graph, v: str,

@@ -9,13 +9,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graphs import (
     DEFAULT_CLIQUE_CAP,
     Graph,
     GraphError,
     complete_subgraphs,
+    inclusion_pairs,
     subset_label,
 )
 from .dismantling import (
@@ -25,9 +26,9 @@ from .dismantling import (
     DismantlingOrder,
     GraphMove,
     MoveKind,
-    Outcome,
-    SearchStats,
     SearchVerdict,
+    backtrack,
+    check_replay,
     cone_order,
     greedy_dismantling,
 )
@@ -80,9 +81,22 @@ class SimplicialComplex:
         return sorted(self.simplices, key=lambda s: (len(s), tuple(sorted(s))))
 
     def maximal_simplices(self) -> list[frozenset[str]]:
-        out = [s for s in self.simplices
-               if not any(s < t for t in self.simplices)]
+        cofaces = self._cofaces()
+        out = [s for s in self.simplices if s not in cofaces]
         return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+    def _cofaces(self) -> dict[frozenset[str], list[frozenset[str]]]:
+        """Each simplex that has cofaces, mapped to those one dimension up.
+
+        In a downward closed family a simplex lies in a larger one exactly when
+        it has such an immediate coface.
+        """
+        cofaces: dict[frozenset[str], list[frozenset[str]]] = {}
+        for s in self.simplices:
+            if len(s) >= 2:
+                for v in s:
+                    cofaces.setdefault(s - {v}, []).append(s)
+        return cofaces
 
     def dimension(self) -> int:
         if not self.simplices:
@@ -160,13 +174,8 @@ def collapse_pair_error(k: SimplicialComplex, pair: CollapsePair) -> str | None:
 
 def free_pairs(k: SimplicialComplex) -> list[CollapsePair]:
     """All (sigma, tau) with tau a free face of sigma, deterministic order."""
-    cofaces: dict[frozenset[str], list[frozenset[str]]] = {}
-    for s in k.simplices:
-        if len(s) >= 2:
-            for v in s:
-                cofaces.setdefault(s - {v}, []).append(s)
     out = []
-    for tau, sup in cofaces.items():
+    for tau, sup in k._cofaces().items():
         # a unique immediate coface rules out all deeper cofaces too
         if len(sup) == 1:
             out.append(CollapsePair(sup[0], tau))
@@ -205,21 +214,21 @@ def apply_pair_unchecked(k: SimplicialComplex, op: str,
     return SimplicialComplex(k.simplices | {pair.sigma, pair.tau})
 
 
+def _pair_move_error(k: SimplicialComplex, move: tuple[str, CollapsePair]) -> str | None:
+    op, pair = move
+    if op == COLLAPSE:
+        return collapse_pair_error(k, pair)
+    if op == ANTICOLLAPSE:
+        return _anticollapse_error(k, pair)
+    return f"unknown operation {op!r}"
+
+
+def _apply_pair_move(k: SimplicialComplex, move: tuple[str, CollapsePair]) -> SimplicialComplex:
+    return apply_pair_unchecked(k, *move)
+
+
 def check_complex_certificate(c: ComplexCertificate) -> CheckReport:
-    cur = c.start
-    for i, (op, pair) in enumerate(c.moves):
-        if op == COLLAPSE:
-            err = collapse_pair_error(cur, pair)
-        elif op == ANTICOLLAPSE:
-            err = _anticollapse_error(cur, pair)
-        else:
-            err = f"unknown operation {op!r}"
-        if err:
-            return CheckReport(False, i, err)
-        cur = apply_pair_unchecked(cur, op, pair)
-    if cur != c.end:
-        return CheckReport(False, len(c.moves), "end complex mismatch")
-    return CheckReport(True)
+    return check_replay(c, _pair_move_error, _apply_pair_move, "complex")
 
 
 def collapse(k: SimplicialComplex, pair: CollapsePair) -> SimplicialComplex:
@@ -296,62 +305,18 @@ def collapse_certificate_for_dismantlable(g: Graph,
     return ComplexCertificate(clique_complex(g, cap), tuple(moves), clique_complex(cur, cap))
 
 
-_FOUND_, _EXHAUSTED_, _CUTOFF_ = range(3)
-
-
 def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = None,
                     budget: int = DEFAULT_SEARCH_BUDGET) -> SearchVerdict:
     """Backtracking over free pairs; memoizes failed simplex sets exactly."""
     if not k.simplices:
         raise ComplexError("empty complex")
-    if target is not None and not (target.simplices <= k.simplices):
-        return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
-
-    nodes = 0
-    failed: set[frozenset[frozenset[str]]] = set()
-    path: list[tuple[str, CollapsePair]] = []
-
-    def done(c: SimplicialComplex) -> bool:
-        if target is None:
-            return len(c.simplices) == 1
-        return c.simplices == target.simplices
-
-    def dfs(c: SimplicialComplex) -> int:
-        nonlocal nodes
-        if done(c):
-            return _FOUND_
-        if c.simplices in failed:
-            return _EXHAUSTED_
-        if nodes >= budget:
-            return _CUTOFF_
-        nodes += 1
-        cut = False
-        for pair in free_pairs(c):
-            child = apply_pair_unchecked(c, COLLAPSE, pair)
-            if target is not None and not (target.simplices <= child.simplices):
-                continue
-            path.append((COLLAPSE, pair))
-            res = dfs(child)
-            if res == _FOUND_:
-                return _FOUND_
-            path.pop()
-            if res == _CUTOFF_:
-                cut = True
-        if cut:
-            return _CUTOFF_
-        failed.add(c.simplices)
-        return _EXHAUSTED_
-
-    res = dfs(k)
-    stats = SearchStats(nodes, budget)
-    if res == _FOUND_:
-        end = k
-        for op, pair in path:
-            end = apply_pair_unchecked(end, op, pair)
-        return SearchVerdict(Outcome.YES, ComplexCertificate(k, tuple(path), end), stats)
-    if res == _EXHAUSTED_:
-        return SearchVerdict(Outcome.NO, None, stats)
-    return SearchVerdict(Outcome.UNKNOWN, None, stats)
+    goal = None if target is None else target.simplices
+    return backtrack(k, lambda c: c.simplices,
+                     lambda c: [(COLLAPSE, pair) for pair in free_pairs(c)],
+                     _apply_pair_move,
+                     lambda c: len(c.simplices) == 1 if goal is None else c.simplices == goal,
+                     lambda c: goal is None or goal <= c.simplices,
+                     budget, ComplexCertificate)
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +325,31 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
 
 def inclusion_graph(k: SimplicialComplex) -> Graph:
     """Graph on the simplices of k, joined when one strictly contains the other."""
-    sims = k.sorted_simplices()
-    labels = {s: subset_label(s) for s in sims}
-    edges = [(labels[a], labels[b])
-             for a, b in itertools.combinations(sims, 2) if a < b or b < a]
-    return Graph.make(labels.values(), edges)
+    return Graph.make(map(subset_label, k.simplices), inclusion_pairs(k.simplices))
 
 
-def _all_chains(sims: list[frozenset[str]]) -> Iterator[list[frozenset[str]]]:
-    sups = {s: [t for t in sims if len(t) > len(s) and s < t] for s in sims}
+def chains(above: dict[str, Iterable[str]]) -> list[frozenset[str]]:
+    """Every nonempty chain of a strict order given by each element's strict up-set.
 
-    def extend(chain: list[frozenset[str]]) -> Iterator[list[frozenset[str]]]:
-        yield chain
-        for t in sups[chain[-1]]:
-            yield from extend(chain + [t])
-
-    for s in sims:
-        yield from extend([s])
+    Chains are grown bottom first along the sorted up-sets, so each is listed
+    once and the cost grows with the output.
+    """
+    ups = {x: sorted(ys, reverse=True) for x, ys in above.items()}
+    out = []
+    stack = [(x,) for x in sorted(ups, reverse=True)]
+    while stack:
+        chain = stack.pop()
+        out.append(frozenset(chain))
+        stack.extend(chain + (y,) for y in ups[chain[-1]])
+    return out
 
 
 def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
     """Simplices are the chains of simplices of k ordered by inclusion."""
-    sims = k.sorted_simplices()
-    chains = {frozenset(subset_label(s) for s in chain)
-              for chain in _all_chains(sims)}
-    return SimplicialComplex(frozenset(chains))
+    above: dict[str, list[str]] = {subset_label(s): [] for s in k.simplices}
+    for lo, hi in inclusion_pairs(k.simplices):
+        above[lo].append(hi)
+    return SimplicialComplex(frozenset(chains(above)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Line-oriented text formats for graphs, complexes, posets and certificates.
 
 All serializers are deterministic (sorted lines), so parse/format round-trips
-are bit-exact.  Parse errors carry 1-based line numbers.
+are bit-exact.  Parse errors carry 1-based line numbers, or name the whole
+file when no single line is at fault.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, sorted_pair
+from .graphs import Graph, GraphError, sorted_pair
 from .dismantling import (
     DismantlingOrder,
     GraphMove,
@@ -24,12 +25,14 @@ from .simplicial import (
     SimplicialComplex,
     apply_pair_unchecked,
 )
-from .posets import Poset
+from .posets import Poset, PosetError
 
 
 class ParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """Malformed text at a 1-based line, or in the whole file if `line_no` is None."""
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(f"{'whole file' if line_no is None else f'line {line_no}'}: {message}")
         self.line_no = line_no
 
 
@@ -132,6 +135,8 @@ def parse_poset(text: str) -> Poset:
             a, b = parts[1], parts[2]
             if a not in seen or b not in seen:
                 raise ParseError(no, f"cover {a!r} < {b!r} uses an undeclared element")
+            if a == b:
+                raise ParseError(no, f"self-cover {a!r} < {b!r}")
             if (a, b) in seen_c:
                 raise ParseError(no, f"duplicate cover {a!r} < {b!r}")
             seen_c.add((a, b))
@@ -140,8 +145,8 @@ def parse_poset(text: str) -> Poset:
             raise ParseError(no, f"unknown directive {parts[0]!r}")
     try:
         return Poset.make(elements, covers)
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+    except PosetError as exc:  # a cycle through several covers
+        raise ParseError(None, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -179,43 +184,68 @@ def _parse_witness(no: int, line: str) -> DismantlingOrder:
     return DismantlingOrder(tuple(steps))
 
 
-def parse_moves(text: str) -> tuple[GraphMove, ...]:
+def _split_attachment(no: int, text: str) -> frozenset[str]:
+    """Comma-separated labels; commas inside square brackets belong to a label."""
+    labels, depth, begin = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch == "," and depth == 0:
+            labels.append(text[begin:i])
+            begin = i + 1
+    if depth:
+        raise ParseError(no, f"unbalanced brackets in attachment list {text!r}")
+    labels.append(text[begin:])
+    return frozenset(x for x in labels if x)
+
+
+def _parse_move_lines(text: str) -> list[tuple[int, GraphMove]]:
     rows = list(_content_lines(text))
     if len(rows) % 2:
         raise ParseError(rows[-1][0], "move without a witness line")
-    moves: list[GraphMove] = []
+    moves: list[tuple[int, GraphMove]] = []
     for (no, mline), (wno, wline) in zip(rows[0::2], rows[1::2]):
         parts = mline.split()
         witness = _parse_witness(wno, wline)
         if parts[0] == "+v":
             if len(parts) != 3:
                 raise ParseError(no, "expected `+v <label> <attach,comma-list>`")
-            attach = frozenset(x for x in parts[2].split(",") if x)
-            moves.append(GraphMove(MoveKind.ADD_VERTEX, parts[1],
-                                   witness=witness, attachment=attach))
+            move = GraphMove(MoveKind.ADD_VERTEX, parts[1], witness=witness,
+                             attachment=_split_attachment(no, parts[2]))
         elif parts[0] == "-v":
             if len(parts) != 2:
                 raise ParseError(no, "expected `-v <label>`")
-            moves.append(GraphMove(MoveKind.REMOVE_VERTEX, parts[1], witness=witness))
+            move = GraphMove(MoveKind.REMOVE_VERTEX, parts[1], witness=witness)
         elif parts[0] in ("+e", "-e"):
             if len(parts) != 3:
                 raise ParseError(no, f"expected `{parts[0]} <a> <b>`")
+            if parts[1] == parts[2]:
+                raise ParseError(no, f"edge move on a single vertex {parts[1]!r}")
             kind = MoveKind.ADD_EDGE if parts[0] == "+e" else MoveKind.REMOVE_EDGE
-            moves.append(GraphMove(kind, frozenset((parts[1], parts[2])), witness=witness))
+            move = GraphMove(kind, frozenset((parts[1], parts[2])), witness=witness)
         else:
             raise ParseError(no, f"unknown move {parts[0]!r}")
-    return tuple(moves)
+        moves.append((no, move))
+    return moves
+
+
+def parse_moves(text: str) -> tuple[GraphMove, ...]:
+    return tuple(m for _, m in _parse_move_lines(text))
 
 
 def parse_move_certificate(text: str, start: Graph) -> MoveCertificate:
-    moves = parse_moves(text)
+    rows = _parse_move_lines(text)
     end = start
-    for m in moves:
+    for no, m in rows:
         try:
             end = apply_move_unchecked(end, m)
-        except ValueError as exc:
-            raise ParseError(0, f"moves do not replay on the start graph: {exc}") from exc
-    return MoveCertificate(start, tuple(moves), end)
+        except GraphError as exc:
+            raise ParseError(no, f"moves do not replay on the start graph: {exc}") from exc
+    return MoveCertificate(start, tuple(m for _, m in rows), end)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from flagcalc import (
     MoveKind,
     Poset,
     apply_move,
+    subset_label,
 )
 from flagcalc.dismantling import greedy_dismantling
 
@@ -157,3 +158,34 @@ def brute_force_chains(simplices: list[frozenset[str]]) -> set[frozenset[frozens
             if all(a < b or b < a for a, b in itertools.combinations(combo, 2)):
                 out.add(frozenset(combo))
     return out
+
+
+def pairwise_inclusion_pairs(family) -> set[tuple[str, str]]:
+    """(subset label, superset label) for every strict inclusion, testing all pairs."""
+    return {(subset_label(a), subset_label(b)) for a in family for b in family if a < b}
+
+
+def pairwise_chains(elements, less) -> set[frozenset]:
+    """Every nonempty chain of a strict order, grown by testing every element."""
+    out: set[frozenset] = set()
+
+    def grow(chain: list) -> None:
+        out.add(frozenset(chain))
+        for y in elements:
+            if less(chain[-1], y):
+                grow(chain + [y])
+
+    for x in elements:
+        grow([x])
+    return out
+
+
+def pairwise_maximal(family) -> set[frozenset[str]]:
+    """Members of the family contained in no other member."""
+    return {s for s in family if not any(s < t for t in family)}
+
+
+def pairwise_covers(p: Poset) -> list[tuple[str, str]]:
+    """Hasse covers: pairs x < y with no element strictly between, testing every z."""
+    return sorted((x, y) for x, y in p.relation
+                  if not any(p.less(x, z) and p.less(z, y) for z in p.elements))

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from flagcalc.cli import main
@@ -134,3 +138,35 @@ def test_environment_overrides(monkeypatch, capsys, k3_file):
     assert code == 2 and out.startswith("unknown")
     code, out, _ = run(capsys, "reduce", k3_file, "--mode", "s", "--budget", "50")
     assert code == 0
+
+
+def _cli(*argv, hash_seed="0"):
+    """The command line in a fresh interpreter, as `Popen` arguments."""
+    import flagcalc
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flagcalc.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return [sys.executable, "-m", "flagcalc.cli", *argv], env
+
+
+def test_identities_output_does_not_depend_on_the_hash_seed():
+    outs = []
+    for hash_seed in ("0", "1"):
+        cmd, env = _cli("identities", "--seed", "0", hash_seed=hash_seed)
+        outs.append(subprocess.run(cmd, env=env, capture_output=True, check=True,
+                                   timeout=120).stdout)
+    assert outs[0] == outs[1]
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    cmd, env = _cli("identities")
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the first line is written
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 3
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""

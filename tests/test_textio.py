@@ -137,3 +137,74 @@ def test_complex_certificate_round_trip():
     back = parse_complex_certificate(text, k)
     assert back == cert
     assert format_complex_certificate(back) == text
+
+
+def test_subdivision_certificates_round_trip():
+    from flagcalc import barycentric_graph, check_certificate
+    from flagcalc.corpus import subdivision_demo_graph
+    from flagcalc.identities import subdivision_certificate
+
+    # hat labels such as [a,b] hold commas; one level up they nest: [[a],[a,b]]
+    for g in (subdivision_demo_graph(), barycentric_graph(complete_graph("ab"))):
+        cert = subdivision_certificate(g)
+        text = format_move_certificate(cert)
+        back = parse_move_certificate(text, g)
+        assert back == cert
+        assert check_certificate(back).ok
+        assert format_move_certificate(back) == text
+    assert "[[a,b],[b]]" in text
+
+
+def test_move_parse_errors_name_their_line():
+    g = complete_graph("ab")
+    for text, line in (("-v a\nw\n+v x [a,b\nw\n", 3),   # unbalanced brackets
+                       ("-v a\nw\n+v x a],[b\nw\n", 3),
+                       ("-v a\nw\n-v a\nw\n", 3),         # does not replay
+                       ("# start\n-e a b\nw\n+e a a\nw\n", 4)):
+        with pytest.raises(ParseError) as err:
+            parse_move_certificate(text, g)
+        assert err.value.line_no == line, text
+
+
+def test_poset_parse_errors_are_located():
+    with pytest.raises(ParseError) as err:
+        parse_poset("p a\np b\n< a a\n")
+    assert err.value.line_no == 3
+    with pytest.raises(ParseError) as err:
+        parse_poset("p a\np b\np c\n< a b\n< b c\n< c a\n")
+    assert err.value.line_no is None
+    assert str(err.value) == "whole file: cycle through 'a'"
+
+
+_LABEL = st.sampled_from(["a", "b", "c", "x", "a:b", "[a,b]", "[a", "a],b"])
+
+
+def _texts(*shapes):
+    """Texts whose lines follow the shapes, each `{}` filled with a label."""
+    lines = [st.tuples(*[_LABEL] * shape.count("{}")).map(lambda a, s=shape: s.format(*a))
+             for shape in shapes]
+    return st.lists(st.one_of(lines), max_size=8).map("\n".join)
+
+
+_MALFORMED = st.one_of(
+    _texts("v {}", "e {} {}", "v {} {}"),
+    _texts("p {}", "< {} {}", "< {}"),
+    _texts("+v {} {}\nw {}", "-v {}\nw", "+e {} {}\nw {}", "-e {} {}\nw", "w {}"),
+    _texts("- {} {} | {}", "+ {} | {} {}", "- {} {}"),
+    st.text(max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MALFORMED)
+def test_parsers_fail_only_with_located_parse_errors(text):
+    from flagcalc import full_simplex
+    from flagcalc.textio import parse_moves
+
+    g, k = complete_graph("abc"), full_simplex("abc")
+    for parse in (parse_graph, parse_complex, parse_poset, parse_moves,
+                  lambda t: parse_move_certificate(t, g),
+                  lambda t: parse_complex_certificate(t, k)):
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert exc.line_no is None or exc.line_no >= 1
