@@ -14,13 +14,14 @@ from . import corpus, identities, textio
 from .dismantling import (
     DEFAULT_SEARCH_BUDGET,
     Outcome,
-    apply_move_unchecked,
     dismantles_onto,
     greedy_dismantling_certificate,
-    move_error,
     replay,
     s_collapse_search,
     ws_reduction_search,
+    _apply_move,
+    _move_error,
+    _working,
 )
 from .graphs import GraphError, barycentric_graph
 from .posets import (
@@ -140,13 +141,13 @@ def cmd_map(args) -> int:
 def cmd_certify(args) -> int:
     start = _load("graph", args.start)
     moves = textio.parse_moves(_read(args.certificate))
-    cur, report = replay(start, moves, move_error, apply_move_unchecked)
+    cur, report = replay(_working(start), moves, _move_error, _apply_move)
     if not report:
         print(f"invalid at move {report.failed_at}: {report.reason}")
         return EXIT_NO
     if args.end:
         end = _load("graph", args.end)
-        if cur != end:
+        if cur != _working(end):
             print("invalid: end graph does not match --end")
             return EXIT_NO
     print("valid")

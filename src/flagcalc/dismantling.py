@@ -22,6 +22,7 @@ from .graphs import (
     UnknownEdgeError,
     UnknownVertexError,
     canonical_form,
+    edge_key,
     fresh_labels,
     sorted_pair,
 )
@@ -38,6 +39,40 @@ class NormalizationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# the working state: a private adjacency dict of sets, updated in place
+
+
+def _working(g: Graph) -> dict[str, set[str]]:
+    """A mutable copy of g's adjacency for replays and greedy loops to update."""
+    return {v: set(nb) for v, nb in g.adjacency.items()}
+
+
+def _graph_of(adj: dict[str, set[str]]) -> Graph:
+    return Graph(frozenset(adj), frozenset(frozenset((u, v)) for u, nb in adj.items()
+                                           for v in nb if u < v))
+
+
+def _induced(adj: dict[str, set[str]], subset) -> dict[str, set[str]]:
+    return {u: adj[u] & subset for u in subset}
+
+
+def _delete(adj: dict[str, set[str]], v: str) -> dict[str, set[str]]:
+    for u in adj.pop(v):
+        adj[u].discard(v)
+    return adj
+
+
+def _dominates(adj, v: str, w: str) -> bool:
+    """N[v] contained in N[w], for v != w: w is the one neighbor of v outside N(w)."""
+    return adj[v] - adj[w] == {w}
+
+
+def _dominators(adj, v: str) -> Iterator[str]:
+    """Each w dominating v, in label order; a dominator is always a neighbor."""
+    return (w for w in sorted(adj[v]) if _dominates(adj, v, w))
+
+
+# ---------------------------------------------------------------------------
 # dismantling orders
 
 
@@ -48,73 +83,91 @@ class DismantlingOrder:
     steps: tuple[tuple[str, str], ...]
 
 
-def _domination_step_error(g: Graph, step: tuple[str, str]) -> str | None:
+def _domination_step_error(adj: dict[str, set[str]], step: tuple[str, str]) -> str | None:
     v, w = step
-    if v not in g.vertices:
+    if v not in adj:
         return f"removed vertex {v!r} not present"
-    if w not in g.vertices:
+    if w not in adj:
         return f"dominator {w!r} not present"
     if v == w:
         return f"vertex {v!r} equals its dominator"
-    if not g.closed_neighborhood(v) <= g.closed_neighborhood(w):
+    if not _dominates(adj, v, w):
         return f"{w!r} does not dominate {v!r}"
     return None
 
 
-def _remove_dominated(g: Graph, step: tuple[str, str]) -> Graph:
-    return g.without_vertex(step[0])
+def _remove_dominated(adj: dict[str, set[str]], step: tuple[str, str]) -> dict[str, set[str]]:
+    return _delete(adj, step[0])
+
+
+def _order_error(adj: dict[str, set[str]], order: DismantlingOrder,
+                 require_single: bool = True) -> str | None:
+    cur, report = replay(adj, order.steps, _domination_step_error, _remove_dominated)
+    if not report:
+        return f"step {report.failed_at}: {report.reason}"
+    if require_single and len(cur) != 1:
+        return f"{len(cur)} vertices remain after replay"
+    return None
 
 
 def dismantling_order_error(g: Graph, order: DismantlingOrder,
                             require_single: bool = True) -> str | None:
-    cur, report = replay(g, order.steps, _domination_step_error, _remove_dominated)
-    if not report:
-        return f"step {report.failed_at}: {report.reason}"
-    if require_single and len(cur.vertices) != 1:
-        return f"{len(cur.vertices)} vertices remain after replay"
-    return None
+    return _order_error(_working(g), order, require_single)
 
 
-def cone_order(g: Graph, apex: str) -> DismantlingOrder:
-    """Dismantling order for a graph that is a cone on `apex`."""
-    return DismantlingOrder(tuple((v, apex) for v in sorted(g.vertices) if v != apex))
-
-
-def _dominations(g: Graph, vertices: Iterable[str]) -> Iterator[tuple[str, str]]:
-    """Pairs (v, w) with v among `vertices`, v != w and N[v] contained in N[w],
-    in the given order of v and label order of w."""
-    for v in vertices:
-        nv = g.closed_neighborhood(v)
-        for w in sorted(g.neighbors(v)):  # a dominator is always a neighbor
-            if nv <= g.closed_neighborhood(w):
-                yield v, w
+def cone_order(vertices: Iterable[str], apex: str) -> DismantlingOrder:
+    """Dismantling order for the graph on `vertices` when it is a cone on `apex`."""
+    return DismantlingOrder(tuple((v, apex) for v in sorted(vertices) if v != apex))
 
 
 def dominated_vertices(g: Graph) -> list[tuple[str, str]]:
     """All pairs (v, w) with v != w and N[v] contained in N[w], sorted."""
-    return list(_dominations(g, g.sorted_vertices()))
+    adj = g.adjacency
+    return [(v, w) for v in g.sorted_vertices() for w in _dominators(adj, v)]
 
 
-def _first_dominated(g: Graph) -> tuple[str, str] | None:
-    return next(_dominations(g, g.sorted_vertices()), None)
+def _dominated_step(adj, v: str) -> tuple[str, str] | None:
+    w = next(_dominators(adj, v), None)
+    return None if w is None else (v, w)
 
 
-def greedy_core(start, first_step: Callable, remove: Callable) -> tuple[object, tuple]:
-    """Remove what `first_step` finds until it finds nothing: (residue, steps)."""
+def greedy_core(state, elements: Iterable, step_of: Callable, remove: Callable,
+                touched: Callable) -> tuple[object, tuple]:
+    """Remove the least element that has a step until none has: (residue, steps).
+
+    `remove` updates the state in place.  A removal can change the step of
+    only the elements `touched(state, step)` names before it, so only those
+    are examined again; every other element keeps the step found earlier.
+    """
+    found = {x: s for x in elements if (s := step_of(state, x)) is not None}
     steps = []
-    cur = start
-    while (step := first_step(cur)) is not None:
+    while found:
+        step = found.pop(min(found))
         steps.append(step)
-        cur = remove(cur, step)
-    return cur, tuple(steps)
+        again = touched(state, step)
+        state = remove(state, step)
+        for y in again:
+            s = step_of(state, y)
+            if s is None:
+                found.pop(y, None)
+            else:
+                found[y] = s
+    return state, tuple(steps)
+
+
+def _greedy_graph_core(adj: dict[str, set[str]]) -> tuple[dict[str, set[str]], tuple]:
+    # Deleting v changes N[x] only for neighbors x of v, and no other vertex
+    # has v in its closed neighborhood, so only N(v) can gain or lose a dominator.
+    return greedy_core(adj, list(adj), _dominated_step, _remove_dominated,
+                       lambda a, step: a[step[0]])
 
 
 def dismantling_core(g: Graph) -> tuple[Graph, DismantlingOrder]:
     """Greedily delete dominated vertices until none remains."""
     if not g.vertices:
         raise GraphError("empty graph has no dismantling core")
-    core, steps = greedy_core(g, _first_dominated, _remove_dominated)
-    return core, DismantlingOrder(steps)
+    core, steps = _greedy_graph_core(_working(g))
+    return _graph_of(core), DismantlingOrder(steps)
 
 
 @lru_cache(maxsize=262144)
@@ -126,9 +179,9 @@ def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
     """
     if not g.vertices:
         return None
-    residual, order = dismantling_core(g)
-    if len(residual.vertices) == 1:
-        return order
+    core, steps = _greedy_graph_core(_working(g))
+    if len(core) == 1:
+        return DismantlingOrder(steps)
     return None
 
 
@@ -204,46 +257,70 @@ class CheckReport:
         return self.ok
 
 
-def move_local_graph(g: Graph, m: GraphMove) -> Graph:
-    """The graph the move's witness has to dismantle."""
+def _move_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
+    """move_error on the working state, which it leaves unchanged."""
     if m.kind is MoveKind.REMOVE_VERTEX:
-        return g.open_neighborhood_subgraph(m.target)
-    if m.kind is MoveKind.ADD_VERTEX:
-        return g.induced(m.attachment or ())
-    a, b = sorted_pair(m.target)
-    return g.induced(g.neighbors(a) & g.neighbors(b))
-
-
-def move_error(g: Graph, m: GraphMove) -> str | None:
-    try:
-        if m.kind is MoveKind.REMOVE_VERTEX:
-            if m.target not in g.vertices:
-                return f"vertex {m.target!r} not present"
-        elif m.kind is MoveKind.ADD_VERTEX:
-            if m.target in g.vertices:
-                return f"vertex {m.target!r} already present"
-            if not m.attachment:
-                return "added vertex needs a nonempty attachment"
-            missing = set(m.attachment) - set(g.vertices)
-            if missing:
-                return f"attachment vertices {sorted(missing)} not present"
-        else:
-            a, b = sorted_pair(m.target)
-            if a not in g.vertices or b not in g.vertices:
-                return f"edge endpoint of {a!r}-{b!r} not present"
-            if m.kind is MoveKind.REMOVE_EDGE and not g.has_edge(a, b):
-                return f"edge {a!r}-{b!r} not present"
-            if m.kind is MoveKind.ADD_EDGE and g.has_edge(a, b):
-                return f"edge {a!r}-{b!r} already present"
-        local = move_local_graph(g, m)
-    except GraphError as exc:
-        return str(exc)
-    if not local.vertices:
+        if m.target not in adj:
+            return f"vertex {m.target!r} not present"
+        local = adj[m.target]
+    elif m.kind is MoveKind.ADD_VERTEX:
+        if m.target in adj:
+            return f"vertex {m.target!r} already present"
+        if not m.attachment:
+            return "added vertex needs a nonempty attachment"
+        missing = set(m.attachment) - adj.keys()
+        if missing:
+            return f"attachment vertices {sorted(missing)} not present"
+        local = m.attachment
+    else:
+        a, b = sorted_pair(m.target)
+        if a not in adj or b not in adj:
+            return f"edge endpoint of {a!r}-{b!r} not present"
+        try:
+            edge_key(a, b)
+        except GraphError as exc:
+            return str(exc)
+        if m.kind is MoveKind.REMOVE_EDGE and b not in adj[a]:
+            return f"edge {a!r}-{b!r} not present"
+        if m.kind is MoveKind.ADD_EDGE and b in adj[a]:
+            return f"edge {a!r}-{b!r} already present"
+        local = adj[a] & adj[b]
+    if not local:
         return f"{m.describe()}: witness neighborhood is empty"
-    err = dismantling_order_error(local, m.witness)
+    err = _order_error(_induced(adj, local), m.witness)
     if err:
         return f"{m.describe()}: witness invalid ({err})"
     return None
+
+
+def _apply_move(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]]:
+    if m.kind is MoveKind.REMOVE_VERTEX:
+        return _delete(adj, m.target)
+    if m.kind is MoveKind.ADD_VERTEX:
+        adj[m.target] = set(m.attachment)
+        for u in m.attachment:
+            adj[u].add(m.target)
+        return adj
+    a, b = sorted_pair(m.target)
+    if m.kind is MoveKind.REMOVE_EDGE:
+        adj[a].discard(b)
+        adj[b].discard(a)
+    else:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def _apply_checked(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]]:
+    """Vet m with the move check, then apply it to the working state."""
+    err = _move_error(adj, m)
+    if err:
+        raise CertificateError(err)
+    return _apply_move(adj, m)
+
+
+def move_error(g: Graph, m: GraphMove) -> str | None:
+    return _move_error(_working(g), m)
 
 
 def apply_move_unchecked(g: Graph, m: GraphMove) -> Graph:
@@ -258,18 +335,17 @@ def apply_move_unchecked(g: Graph, m: GraphMove) -> Graph:
 
 
 def apply_move(g: Graph, m: GraphMove) -> Graph:
-    err = move_error(g, m)
-    if err:
-        raise CertificateError(err)
-    return apply_move_unchecked(g, m)
+    return _graph_of(_apply_checked(_working(g), m))
 
 
 def replay(start, moves: Iterable, error: Callable,
            apply: Callable) -> tuple[object, CheckReport]:
     """Apply the moves in turn, each first vetted by `error(state, move)`.
 
-    Returns the state reached and a passing report, or the state before the
-    first rejected move and a failed report carrying its index and reason.
+    `apply(state, move)` may update the state in place; it returns the state
+    to go on from.  Returns the state reached and a passing report, or the
+    state before the first rejected move and a failed report carrying its
+    index and reason.
     """
     cur = start
     for i, m in enumerate(moves):
@@ -280,19 +356,20 @@ def replay(start, moves: Iterable, error: Callable,
     return cur, CheckReport(True)
 
 
-def check_replay(cert, error: Callable, apply: Callable, kind: str) -> CheckReport:
-    """Replay a certificate's moves from its start and compare with its end."""
-    end, report = replay(cert.start, cert.moves, error, apply)
+def check_replay(cert, work: Callable, error: Callable, apply: Callable,
+                 kind: str) -> CheckReport:
+    """Replay a certificate's moves on `work(start)` and compare with `work(end)`."""
+    end, report = replay(work(cert.start), cert.moves, error, apply)
     if not report:
         return report
-    if end != cert.end:
+    if end != work(cert.end):
         return CheckReport(False, len(cert.moves), f"end {kind} mismatch")
     return CheckReport(True)
 
 
 def check_certificate(c: MoveCertificate) -> CheckReport:
     """Replay all moves from the start graph, validating every witness."""
-    return check_replay(c, move_error, apply_move_unchecked, "graph")
+    return check_replay(c, _working, _move_error, _apply_move, "graph")
 
 
 def normalize_certificate(c: MoveCertificate) -> MoveCertificate:
@@ -361,7 +438,7 @@ def realize_edge_deletion(g: Graph, e: Iterable[str], renamed: str | None = None
     x = fresh_labels(set(g.vertices) | set(avoid), 1)[0]
     attach = g.closed_neighborhood(renamed) - {other}
     add = GraphMove(MoveKind.ADD_VERTEX, x,
-                    witness=cone_order(g.induced(attach), renamed),
+                    witness=cone_order(attach, renamed),
                     attachment=frozenset(attach))
     g2 = apply_move(g, add)
 
@@ -432,7 +509,7 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
             used.add(label)
             attach = frozenset(rename.get(u, u) for u in m.attachment) | {v}
             move = GraphMove(MoveKind.ADD_VERTEX, label,
-                             witness=cone_order(cur.induced(attach), v),
+                             witness=cone_order(attach, v),
                              attachment=attach)
             cur = apply_move(cur, move)
             moves.append(move)
@@ -562,9 +639,10 @@ def _graph_search(start: Graph, target: Graph | None,
 def _dominated_candidates(allowed: frozenset[str]):
     def gen(h: Graph) -> Iterator[GraphMove]:
         for v in sorted(allowed & h.vertices):
-            for _, w in itertools.islice(_dominations(h, (v,)), 1):
+            step = _dominated_step(h.adjacency, v)
+            if step:
                 yield GraphMove(MoveKind.REMOVE_VERTEX, v,
-                                witness=cone_order(h.open_neighborhood_subgraph(v), w))
+                                witness=cone_order(h.neighbors(v), step[1]))
     return gen
 
 
@@ -603,12 +681,11 @@ def greedy_dismantling_certificate(g: Graph) -> MoveCertificate | None:
     if order is None:
         return None
     moves = []
-    cur = g
+    adj = _working(g)
     for v, w in order.steps:
-        moves.append(GraphMove(MoveKind.REMOVE_VERTEX, v,
-                               witness=cone_order(cur.open_neighborhood_subgraph(v), w)))
-        cur = cur.without_vertex(v)
-    return MoveCertificate(g, tuple(moves), cur)
+        moves.append(GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w)))
+        _delete(adj, v)
+    return MoveCertificate(g, tuple(moves), _graph_of(adj))
 
 
 def s_collapse_search(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchVerdict:
@@ -698,7 +775,7 @@ class IContractibility:
         # dominated vertices first: their removal preserves reachability, so
         # provable instances resolve without touching the addition moves
         verts = g.sorted_vertices()
-        dominated = list(dict.fromkeys(v for v, _ in _dominations(g, verts)))
+        dominated = [v for v in verts if _dominated_step(g.adjacency, v)]
         return dominated + [v for v in verts if v not in dominated]
 
     def _search(self, g: Graph, ceiling: int, depth: int, path: set) -> str:

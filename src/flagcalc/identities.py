@@ -10,6 +10,7 @@ instances and reports per-instance verdicts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import string
 from dataclasses import dataclass
@@ -43,6 +44,9 @@ from .dismantling import (
     s_collapse_search,
     s_dismantlable_vertices,
     IContractibility,
+    _apply_checked,
+    _graph_of,
+    _working,
 )
 from .simplicial import (
     COLLAPSE,
@@ -56,6 +60,7 @@ from .simplicial import (
     free_pairs,
     inclusion_graph,
     inclusion_graph_moves_for_collapse,
+    is_flag,
     one_skeleton,
     skeleton_move_for_collapse,
     star_collapse_certificate,
@@ -94,23 +99,24 @@ def subdivision_certificate(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> MoveCert
     hats = {c: subset_label(c) for c in cliques}
 
     moves: list[GraphMove] = []
-    cur = g
+    adj = _working(g)
     for c in cliques:
+        members = sorted(c)
         peak = max(c, key=rank.__getitem__)
-        attach = {hats[d] for d in clique_set if d < c}
+        attach = {subset_label(d) for k in range(1, len(members))
+                  for d in itertools.combinations(members, k)}
         attach.add(peak)
         attach.update(u for u in order
                       if rank[u] > rank[peak] and (c | {u}) in clique_set)
-        move = GraphMove(MoveKind.ADD_VERTEX, hats[c],
-                         witness=cone_order(cur.induced(attach), peak),
+        move = GraphMove(MoveKind.ADD_VERTEX, hats[c], witness=cone_order(attach, peak),
                          attachment=frozenset(attach))
-        cur = apply_move(cur, move)
+        _apply_checked(adj, move)
         moves.append(move)
 
     hat_members = {hats[c]: c for c in cliques}
     for v in order:
         i = rank[v]
-        nbhd = cur.neighbors(v)
+        nbhd = adj[v]
         shrinking = sorted(
             (u for u in nbhd
              if u in hat_members and rank[max(hat_members[u], key=rank.__getitem__)] < i),
@@ -120,9 +126,10 @@ def subdivision_certificate(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> MoveCert
         steps.extend((u, apex) for u in sorted(nbhd - set(shrinking)) if u != apex)
         move = GraphMove(MoveKind.REMOVE_VERTEX, v,
                          witness=DismantlingOrder(tuple(steps)))
-        cur = apply_move(cur, move)
+        _apply_checked(adj, move)
         moves.append(move)
 
+    cur = _graph_of(adj)
     expected = barycentric_graph(g, cap)
     if cur != expected:  # pragma: no cover - construction guarantees this
         raise CertificateError("subdivision moves did not end at the subdivision graph")
@@ -190,8 +197,7 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
             x = fresh_labels(used | cur.vertices, 1)[0]
             emit(GraphMove(MoveKind.ADD_VERTEX, x, witness=witness,
                            attachment=frozenset(attach)))
-            emit(GraphMove(MoveKind.REMOVE_VERTEX, ca,
-                           witness=cone_order(cur.open_neighborhood_subgraph(ca), x)))
+            emit(GraphMove(MoveKind.REMOVE_VERTEX, ca, witness=cone_order(cur.neighbors(ca), x)))
             mu[a] = x
             used.add(x)
 
@@ -317,7 +323,15 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
         name = _describe(k)
         for pair in free_pairs(k):
             skel = one_skeleton(k)
-            move = skeleton_move_for_collapse(k, pair)
+            try:
+                move = skeleton_move_for_collapse(k, pair)
+            except CertificateError:
+                # only a non-flag complex has a free edge whose common
+                # neighborhood in the skeleton does not dismantle
+                missing = is_flag(k)[1]
+                reports.append(PropertyReport(pid, name, "skipped",
+                                              f"not flag: {subset_label(missing)}"))
+                continue
             after = one_skeleton(apply_pair_unchecked(k, COLLAPSE, pair))
             try:
                 ok = (after == skel) if move is None else (apply_move(skel, move) == after)

@@ -144,12 +144,52 @@ def antichain_poset(labels: Iterable[str]) -> Poset:
 
 
 # ---------------------------------------------------------------------------
+# the working state: private up-set and down-set dicts, updated in place
+
+
+def _order_sets(p: Poset) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """Mutable copies of p's strict up-sets and down-sets, in that order."""
+    return ({x: set(s) for x, s in p.above_map.items()},
+            {x: set(s) for x, s in p.below_map.items()})
+
+
+def _poset_of(state) -> Poset:
+    up, _ = state
+    return Poset(frozenset(up), frozenset((x, y) for x, ys in up.items() for y in ys))
+
+
+def _restrict(state, subset) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    up, down = state
+    return {x: up[x] & subset for x in subset}, {x: down[x] & subset for x in subset}
+
+
+def _drop(state, x: str):
+    up, down = state
+    for y in up.pop(x):
+        down[y].discard(x)
+    for y in down.pop(x):
+        up[y].discard(x)
+    return state
+
+
+def _extreme(sets: dict[str, set[str]], members) -> str | None:
+    """The maximum of a strict down-set (given the down-sets), or the minimum
+    of a strict up-set (given the up-sets).
+
+    The order is transitively closed, so each member's set lies inside
+    `members`; the extreme one holds every member but itself.
+    """
+    return next((m for m in members if len(sets[m]) == len(members) - 1), None)
+
+
+# ---------------------------------------------------------------------------
 # irreducible and weak points
 
 
 def irreducible_points(p: Poset) -> list[str]:
     """Elements whose strict down-set has a maximum or strict up-set a minimum."""
-    return [x for x in p.sorted_elements() if _irreducible_step(p, x) is not None]
+    state = _order_sets(p)
+    return [x for x in p.sorted_elements() if _irreducible_step(state, x) is not None]
 
 
 class StepKind(enum.Enum):
@@ -169,54 +209,69 @@ class PosetDismantlingOrder:
     steps: tuple[PosetStep, ...]
 
 
-def _irreducible_step_error(p: Poset, step: PosetStep) -> str | None:
-    if step.removed not in p.elements:
+def _irreducible_step_error(state, step: PosetStep) -> str | None:
+    up, down = state
+    if step.removed not in up:
         return f"{step.removed!r} not present"
-    if step.pivot not in p.elements:
+    if step.pivot not in up:
         return f"pivot {step.pivot!r} not present"
     if step.kind is StepKind.MAX_BELOW:
-        if p.down_set(step.removed).maximum() != step.pivot:
+        if _extreme(down, down[step.removed]) != step.pivot:
             return f"{step.pivot!r} is not the maximum below {step.removed!r}"
-    elif p.up_set(step.removed).minimum() != step.pivot:
+    elif _extreme(up, up[step.removed]) != step.pivot:
         return f"{step.pivot!r} is not the minimum above {step.removed!r}"
     return None
 
 
-def _remove_irreducible(p: Poset, step: PosetStep) -> Poset:
-    return p.without(step.removed)
+def _remove_irreducible(state, step: PosetStep):
+    return _drop(state, step.removed)
+
+
+def _order_error(state, order: PosetDismantlingOrder,
+                 require_single: bool = True) -> str | None:
+    cur, report = replay(state, order.steps, _irreducible_step_error, _remove_irreducible)
+    if not report:
+        return f"step {report.failed_at}: {report.reason}"
+    if require_single and len(cur[0]) != 1:
+        return f"{len(cur[0])} elements remain after replay"
+    return None
 
 
 def poset_order_error(p: Poset, order: PosetDismantlingOrder,
                       require_single: bool = True) -> str | None:
-    cur, report = replay(p, order.steps, _irreducible_step_error, _remove_irreducible)
-    if not report:
-        return f"step {report.failed_at}: {report.reason}"
-    if require_single and len(cur.elements) != 1:
-        return f"{len(cur.elements)} elements remain after replay"
-    return None
+    return _order_error(_order_sets(p), order, require_single)
 
 
-def _irreducible_step(p: Poset, x: str) -> PosetStep | None:
+def _irreducible_step(state, x: str) -> PosetStep | None:
     """The removal of x against the maximum below it or else the minimum above it."""
-    m = p.down_set(x).maximum()
+    up, down = state
+    m = _extreme(down, down[x])
     if m is not None:
         return PosetStep(x, StepKind.MAX_BELOW, m)
-    m = p.up_set(x).minimum()
+    m = _extreme(up, up[x])
     if m is not None:
         return PosetStep(x, StepKind.MIN_ABOVE, m)
     return None
 
 
-def _first_irreducible(p: Poset) -> PosetStep | None:
-    return next((s for x in p.sorted_elements() if (s := _irreducible_step(p, x))), None)
+def _greedy_poset_core(state) -> tuple[object, tuple]:
+    # Removing x leaves the up- and down-sets of every element incomparable
+    # to x, and of everything inside them, as they were.
+    return greedy_core(state, list(state[0]), _irreducible_step, _remove_irreducible,
+                       lambda st, step: st[0][step.removed] | st[1][step.removed])
 
 
 def poset_dismantling_core(p: Poset) -> tuple[Poset, PosetDismantlingOrder]:
     """Greedily delete irreducible points until none remains."""
     if not p.elements:
         raise PosetError("empty poset has no dismantling core")
-    core, steps = greedy_core(p, _first_irreducible, _remove_irreducible)
-    return core, PosetDismantlingOrder(steps)
+    core, steps = _greedy_poset_core(_order_sets(p))
+    return _poset_of(core), PosetDismantlingOrder(steps)
+
+
+def _greedy_order(state) -> PosetDismantlingOrder | None:
+    core, steps = _greedy_poset_core(state)
+    return PosetDismantlingOrder(steps) if len(core[0]) == 1 else None
 
 
 def greedy_poset_dismantling(p: Poset) -> PosetDismantlingOrder | None:
@@ -227,10 +282,7 @@ def greedy_poset_dismantling(p: Poset) -> PosetDismantlingOrder | None:
     """
     if not p.elements:
         return None
-    residual, order = poset_dismantling_core(p)
-    if len(residual.elements) == 1:
-        return order
-    return None
+    return _greedy_order(_order_sets(p))
 
 
 def is_dismantlable_poset(p: Poset) -> bool:
@@ -239,25 +291,26 @@ def is_dismantlable_poset(p: Poset) -> bool:
     return greedy_poset_dismantling(p) is not None
 
 
+def _weak_point_witness(state, x: str) -> tuple[str, PosetDismantlingOrder] | None:
+    up, down = state
+    for side, near in (("below", down[x]), ("above", up[x])):
+        if near:
+            order = _greedy_order(_restrict(state, near))
+            if order is not None:
+                return side, order
+    return None
+
+
 def weak_point_witness(p: Poset, x: str) -> tuple[str, PosetDismantlingOrder] | None:
     """A ("below"|"above", order) pair dismantling the strict down- or up-set."""
     p._require(x)
-    down = p.down_set(x)
-    if down.elements:
-        order = greedy_poset_dismantling(down)
-        if order is not None:
-            return "below", order
-    up = p.up_set(x)
-    if up.elements:
-        order = greedy_poset_dismantling(up)
-        if order is not None:
-            return "above", order
-    return None
+    return _weak_point_witness(_order_sets(p), x)
 
 
 def weak_points(p: Poset) -> list[str]:
     """Elements whose strict down-set or strict up-set is dismantlable."""
-    return [x for x in p.sorted_elements() if weak_point_witness(p, x) is not None]
+    state = _order_sets(p)
+    return [x for x in p.sorted_elements() if _weak_point_witness(state, x) is not None]
 
 
 def weak_points_via_join(p: Poset) -> list[str]:
@@ -362,36 +415,49 @@ class PosetCertificate:
     end: Poset
 
 
-def _poset_move_error(p: Poset, m: PosetMove) -> str | None:
+def _poset_move_error(state, m: PosetMove) -> str | None:
+    up, down = state
     if m.kind is PosetMoveKind.REMOVE:
-        if m.element not in p.elements:
+        if m.element not in up:
             return f"element {m.element!r} not present"
-        local = p.down_set(m.element) if m.witness_side == "below" else p.up_set(m.element)
+        local = down[m.element] if m.witness_side == "below" else up[m.element]
     else:
-        if m.element in p.elements:
+        if m.element in up:
             return f"element {m.element!r} already present"
         for u in m.lower | m.upper:
-            if u not in p.elements:
+            if u not in up:
                 return f"relation endpoint {u!r} not present"
         for l in m.lower:
-            if not p.below(l) <= m.lower:
+            if not down[l] <= m.lower:
                 return f"lower set not downward closed at {l!r}"
         for u in m.upper:
-            if not p.above(u) <= m.upper:
+            if not up[u] <= m.upper:
                 return f"upper set not upward closed at {u!r}"
         for l in m.lower:
             for u in m.upper:
-                if not p.less(l, u):
+                if u not in up[l]:
                     return f"{l!r} < {u!r} would be forced between old elements"
-        local = p.induced(m.lower) if m.witness_side == "below" else p.induced(m.upper)
+        local = m.lower if m.witness_side == "below" else m.upper
     if m.witness_side not in ("below", "above"):
         return f"unknown witness side {m.witness_side!r}"
-    if not local.elements:
+    if not local:
         return f"{m.element!r}: witness sub-poset is empty"
-    err = poset_order_error(local, m.witness)
+    err = _order_error(_restrict(state, local), m.witness)
     if err:
         return f"{m.element!r}: witness invalid ({err})"
     return None
+
+
+def _apply_poset_move(state, m: PosetMove):
+    if m.kind is PosetMoveKind.REMOVE:
+        return _drop(state, m.element)
+    up, down = state
+    up[m.element], down[m.element] = set(m.upper), set(m.lower)
+    for l in m.lower:  # every l < u already holds once the move is vetted
+        up[l].add(m.element)
+    for u in m.upper:
+        down[u].add(m.element)
+    return state
 
 
 def apply_poset_move_unchecked(p: Poset, m: PosetMove) -> Poset:
@@ -405,7 +471,7 @@ def apply_poset_move_unchecked(p: Poset, m: PosetMove) -> Poset:
 
 
 def check_poset_certificate(c: PosetCertificate) -> CheckReport:
-    return check_replay(c, _poset_move_error, apply_poset_move_unchecked, "poset")
+    return check_replay(c, _order_sets, _poset_move_error, _apply_poset_move, "poset")
 
 
 def weak_point_cascade(g: Graph, v: str,
@@ -431,19 +497,19 @@ def weak_point_cascade(g: Graph, v: str,
     targets.append(subset_label(label_to_clique[survivor] | {v}))
 
     moves = []
-    cur = start
+    state = _order_sets(start)
     for t in targets:
-        wit = weak_point_witness(cur, t)
+        wit = _weak_point_witness(state, t)
         if wit is None:  # pragma: no cover - the cascade order guarantees a witness
             raise CertificateError(f"{t!r} is not a weak point during the cascade")
         side, worder = wit
         move = PosetMove(PosetMoveKind.REMOVE, t, side, worder)
-        err = _poset_move_error(cur, move)
+        err = _poset_move_error(state, move)
         if err:  # pragma: no cover
             raise CertificateError(err)
-        cur = apply_poset_move_unchecked(cur, move)
+        _apply_poset_move(state, move)
         moves.append(move)
     end = clique_poset(g.without_vertex(v), cap)
-    if cur != end:  # pragma: no cover - construction guarantees this
+    if _poset_of(state) != end:  # pragma: no cover - construction guarantees this
         raise CertificateError("cascade did not end at the vertex-deleted clique poset")
     return PosetCertificate(start, tuple(moves), end)

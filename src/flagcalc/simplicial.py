@@ -159,17 +159,27 @@ class CollapsePair:
     tau: frozenset[str]
 
 
-def collapse_pair_error(k: SimplicialComplex, pair: CollapsePair) -> str | None:
-    if pair.sigma not in k.simplices:
+def _pair_shape_error(present, pair: CollapsePair) -> str | None:
+    if pair.sigma not in present:
         return f"{subset_label(pair.sigma)} not in the complex"
-    if pair.tau not in k.simplices:
+    if pair.tau not in present:
         return f"{subset_label(pair.tau)} not in the complex"
     if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
         return f"{subset_label(pair.tau)} is not a proper maximal face of {subset_label(pair.sigma)}"
-    for t in k.simplices:
-        if t != pair.sigma and pair.tau < t:
-            return f"{subset_label(pair.tau)} is also a face of {subset_label(t)}"
     return None
+
+
+def _coface_error(simplices, pair: CollapsePair) -> str | None:
+    """The full scan: the least simplex other than sigma that contains tau."""
+    others = [t for t in simplices if t != pair.sigma and pair.tau < t]
+    if not others:
+        return None
+    t = min(others, key=lambda s: (len(s), tuple(sorted(s))))
+    return f"{subset_label(pair.tau)} is also a face of {subset_label(t)}"
+
+
+def collapse_pair_error(k: SimplicialComplex, pair: CollapsePair) -> str | None:
+    return _pair_shape_error(k.simplices, pair) or _coface_error(k.simplices, pair)
 
 
 def free_pairs(k: SimplicialComplex) -> list[CollapsePair]:
@@ -182,18 +192,46 @@ def free_pairs(k: SimplicialComplex) -> list[CollapsePair]:
     return sorted(out, key=lambda p: (tuple(sorted(p.tau)), tuple(sorted(p.sigma))))
 
 
-def _anticollapse_error(k: SimplicialComplex, pair: CollapsePair) -> str | None:
-    if pair.sigma in k.simplices or pair.tau in k.simplices:
+# ---------------------------------------------------------------------------
+# the working state: each simplex with its count of immediate cofaces
+
+
+def _coface_counts(k: SimplicialComplex) -> dict[frozenset[str], int]:
+    """A mutable copy of k for replays to update in place.
+
+    In a downward closed family a face lies in a simplex other than sigma
+    exactly when it has an immediate coface other than sigma, so a face of
+    sigma is free when its count is 1.
+    """
+    cofaces = k._cofaces()
+    return {s: len(cofaces.get(s, ())) for s in k.simplices}
+
+
+def _shift(counts: dict[frozenset[str], int], s: frozenset[str], by: int) -> None:
+    if len(s) >= 2:
+        for v in s:
+            face = s - {v}
+            if face in counts:
+                counts[face] += by
+
+
+def _collapse_error(counts: dict[frozenset[str], int], pair: CollapsePair) -> str | None:
+    err = _pair_shape_error(counts, pair)
+    if err or counts[pair.tau] == 1:
+        return err
+    return _coface_error(counts, pair)  # only to name the other coface
+
+
+def _anticollapse_error(counts: dict[frozenset[str], int], pair: CollapsePair) -> str | None:
+    # tau is absent, so in a downward closed family nothing contains it yet
+    if pair.sigma in counts or pair.tau in counts:
         return "pair members already present"
     if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
         return "pair is not a facet pair"
     for v in pair.sigma:
         face = pair.sigma - {v}
-        if face != pair.tau and face and face not in k.simplices:
+        if face != pair.tau and face and face not in counts:
             return f"facet {subset_label(face)} missing"
-    for t in k.simplices:
-        if pair.tau < t:
-            return f"{subset_label(pair.tau)} would not be free ({subset_label(t)} present)"
     return None
 
 
@@ -214,21 +252,32 @@ def apply_pair_unchecked(k: SimplicialComplex, op: str,
     return SimplicialComplex(k.simplices | {pair.sigma, pair.tau})
 
 
-def _pair_move_error(k: SimplicialComplex, move: tuple[str, CollapsePair]) -> str | None:
+def _pair_move_error(counts: dict[frozenset[str], int],
+                     move: tuple[str, CollapsePair]) -> str | None:
     op, pair = move
     if op == COLLAPSE:
-        return collapse_pair_error(k, pair)
+        return _collapse_error(counts, pair)
     if op == ANTICOLLAPSE:
-        return _anticollapse_error(k, pair)
+        return _anticollapse_error(counts, pair)
     return f"unknown operation {op!r}"
 
 
-def _apply_pair_move(k: SimplicialComplex, move: tuple[str, CollapsePair]) -> SimplicialComplex:
-    return apply_pair_unchecked(k, *move)
+def _apply_pair_move(counts: dict[frozenset[str], int],
+                     move: tuple[str, CollapsePair]) -> dict[frozenset[str], int]:
+    op, pair = move
+    if op == COLLAPSE:
+        for s in (pair.sigma, pair.tau):
+            del counts[s]
+            _shift(counts, s, -1)
+    else:
+        for s in (pair.tau, pair.sigma):
+            counts[s] = 0
+            _shift(counts, s, 1)
+    return counts
 
 
 def check_complex_certificate(c: ComplexCertificate) -> CheckReport:
-    return check_replay(c, _pair_move_error, _apply_pair_move, "complex")
+    return check_replay(c, _coface_counts, _pair_move_error, _apply_pair_move, "complex")
 
 
 def collapse(k: SimplicialComplex, pair: CollapsePair) -> SimplicialComplex:
@@ -268,6 +317,14 @@ def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],
     return cert
 
 
+def _domination_moves(simplices, v: str, w: str) -> list[tuple[str, CollapsePair]]:
+    """Every simplex through v avoiding w paired with its extension by w,
+    in decreasing size."""
+    carriers = sorted((s for s in simplices if v in s and w not in s),
+                      key=lambda s: (-len(s), tuple(sorted(s))))
+    return [(COLLAPSE, CollapsePair(s | {w}, s)) for s in carriers]
+
+
 def domination_collapse(g: Graph, v: str, w: str,
                         cap: int = DEFAULT_CLIQUE_CAP) -> ComplexCertificate:
     """Collapse the clique complex of g onto that of g minus a dominated vertex.
@@ -280,9 +337,7 @@ def domination_collapse(g: Graph, v: str, w: str,
     if not g.closed_neighborhood(v) <= g.closed_neighborhood(w):
         raise CertificateError(f"{w!r} does not dominate {v!r}")
     start = clique_complex(g, cap)
-    carriers = sorted((s for s in start.simplices if v in s and w not in s),
-                      key=lambda s: (-len(s), tuple(sorted(s))))
-    moves = tuple((COLLAPSE, CollapsePair(s | {w}, s)) for s in carriers)
+    moves = tuple(_domination_moves(start.simplices, v, w))
     end = clique_complex(g.without_vertex(v), cap)
     cert = ComplexCertificate(start, moves, end)
     rep = check_complex_certificate(cert)
@@ -293,16 +348,25 @@ def domination_collapse(g: Graph, v: str, w: str,
 
 def collapse_certificate_for_dismantlable(g: Graph,
                                           cap: int = DEFAULT_CLIQUE_CAP) -> ComplexCertificate:
-    """Collapse of the clique complex of a dismantlable graph down to a point."""
+    """Collapse of the clique complex of a dismantlable graph down to a point.
+
+    Each greedy deletion of v against w collapses the current clique complex
+    onto that of the graph without v; every pair is vetted as it is applied.
+    """
     order = greedy_dismantling(g)
     if order is None:
         raise CertificateError("graph is not greedily dismantlable")
+    start = clique_complex(g, cap)
+    counts = _coface_counts(start)
     moves: list[tuple[str, CollapsePair]] = []
-    cur = g
     for v, w in order.steps:
-        moves.extend(domination_collapse(cur, v, w, cap).moves)
-        cur = cur.without_vertex(v)
-    return ComplexCertificate(clique_complex(g, cap), tuple(moves), clique_complex(cur, cap))
+        for move in _domination_moves(counts, v, w):
+            err = _pair_move_error(counts, move)
+            if err:  # pragma: no cover - domination guarantees free pairs
+                raise CertificateError(f"collapse invalid at step {len(moves)}: {err}")
+            _apply_pair_move(counts, move)
+            moves.append(move)
+    return ComplexCertificate(start, tuple(moves), SimplicialComplex(frozenset(counts)))
 
 
 def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = None,
@@ -313,7 +377,7 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
     goal = None if target is None else target.simplices
     return backtrack(k, lambda c: c.simplices,
                      lambda c: [(COLLAPSE, pair) for pair in free_pairs(c)],
-                     _apply_pair_move,
+                     lambda c, move: apply_pair_unchecked(c, *move),
                      lambda c: len(c.simplices) == 1 if goal is None else c.simplices == goal,
                      lambda c: goal is None or goal <= c.simplices,
                      budget, ComplexCertificate)
@@ -360,9 +424,11 @@ def skeleton_move_for_collapse(k: SimplicialComplex,
                                pair: CollapsePair) -> GraphMove | None:
     """The move induced on the 1-skeleton, or None when it is untouched.
 
-    A free vertex is dominated by its unique edge-partner; a free edge has a
-    single common neighbor, so it deletes as an s-dismantlable edge; higher
-    pairs do not meet the skeleton.
+    A free vertex is dominated by its unique edge-partner; a free edge deletes
+    as an s-dismantlable edge, witnessed by the greedy dismantling of its
+    common neighborhood in the 1-skeleton (a single vertex when k is flag,
+    and possibly not dismantlable otherwise, which raises CertificateError);
+    higher pairs do not meet the skeleton.
     """
     err = collapse_pair_error(k, pair)
     if err:
@@ -371,8 +437,13 @@ def skeleton_move_for_collapse(k: SimplicialComplex,
         return GraphMove(MoveKind.REMOVE_VERTEX, next(iter(pair.tau)),
                          witness=DismantlingOrder(()))  # single-vertex neighborhood
     if len(pair.tau) == 2:
-        return GraphMove(MoveKind.REMOVE_EDGE, pair.tau,
-                         witness=DismantlingOrder(()))  # common neighborhood is one vertex
+        skel = one_skeleton(k)
+        a, b = sorted(pair.tau)
+        order = greedy_dismantling(skel.induced(skel.neighbors(a) & skel.neighbors(b)))
+        if order is None:
+            raise CertificateError(f"common neighborhood of {a!r}-{b!r} in the 1-skeleton "
+                                   "is empty or not dismantlable")
+        return GraphMove(MoveKind.REMOVE_EDGE, pair.tau, witness=order)
     return None
 
 
@@ -390,7 +461,7 @@ def inclusion_graph_moves_for_collapse(k: SimplicialComplex,
     gam = inclusion_graph(k)
     tl, sl = subset_label(pair.tau), subset_label(pair.sigma)
     first = GraphMove(MoveKind.REMOVE_VERTEX, tl,
-                      witness=cone_order(gam.open_neighborhood_subgraph(tl), sl))
+                      witness=cone_order(gam.neighbors(tl), sl))
     reduced = gam.without_vertex(tl)
     order = greedy_dismantling(reduced.open_neighborhood_subgraph(sl))
     if order is None:

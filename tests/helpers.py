@@ -11,7 +11,9 @@ import itertools
 import random
 
 from flagcalc import (
+    CheckReport,
     Graph,
+    GraphError,
     GraphMove,
     MoveCertificate,
     MoveKind,
@@ -19,7 +21,16 @@ from flagcalc import (
     apply_move,
     subset_label,
 )
-from flagcalc.dismantling import greedy_dismantling
+from flagcalc.dismantling import apply_move_unchecked, greedy_dismantling
+from flagcalc.graphs import sorted_pair
+from flagcalc.posets import (
+    PosetDismantlingOrder,
+    PosetMoveKind,
+    PosetStep,
+    StepKind,
+    apply_poset_move_unchecked,
+)
+from flagcalc.simplicial import ANTICOLLAPSE, COLLAPSE, apply_pair_unchecked
 
 
 def exhaustive_graph_dismantlable(g: Graph) -> bool:
@@ -189,3 +200,246 @@ def pairwise_covers(p: Poset) -> list[tuple[str, str]]:
     """Hasse covers: pairs x < y with no element strictly between, testing every z."""
     return sorted((x, y) for x, y in p.relation
                   if not any(p.less(x, z) and p.less(z, y) for z in p.elements))
+
+
+def random_copwin_graph(rng: random.Random, n: int, keep: float = 0.6) -> Graph:
+    """Each new vertex joins a random part of an earlier vertex w's closed
+    neighborhood that always contains w, so it is dominated by w."""
+    adj: dict[str, set[str]] = {"v0": set()}
+    for i in range(1, n):
+        w = rng.choice(sorted(adj))
+        nbrs = {w} | {u for u in sorted(adj[w]) if rng.random() < keep}
+        v = f"v{i}"
+        adj[v] = set(nbrs)
+        for u in nbrs:
+            adj[u].add(v)
+    return Graph.make(adj, ((u, v) for u in adj for v in adj[u] if u < v))
+
+
+# ---------------------------------------------------------------------------
+# immutable replays: every step builds a new Graph, SimplicialComplex or Poset.
+# These are the checkers and greedy cores as they were before the library
+# moved to in-place working states; the differential tests compare with them.
+
+
+def _naive_replay(start, moves, error, apply):
+    cur = start
+    for i, m in enumerate(moves):
+        err = error(cur, m)
+        if err:
+            return cur, CheckReport(False, i, err)
+        cur = apply(cur, m)
+    return cur, CheckReport(True)
+
+
+def _naive_check(cert, error, apply, kind: str) -> CheckReport:
+    end, report = _naive_replay(cert.start, cert.moves, error, apply)
+    if not report:
+        return report
+    if end != cert.end:
+        return CheckReport(False, len(cert.moves), f"end {kind} mismatch")
+    return CheckReport(True)
+
+
+def _naive_domination_step_error(g: Graph, step) -> str | None:
+    v, w = step
+    if v not in g.vertices:
+        return f"removed vertex {v!r} not present"
+    if w not in g.vertices:
+        return f"dominator {w!r} not present"
+    if v == w:
+        return f"vertex {v!r} equals its dominator"
+    if not g.closed_neighborhood(v) <= g.closed_neighborhood(w):
+        return f"{w!r} does not dominate {v!r}"
+    return None
+
+
+def naive_dismantling_order_error(g: Graph, order) -> str | None:
+    cur, report = _naive_replay(g, order.steps, _naive_domination_step_error,
+                                lambda h, step: h.without_vertex(step[0]))
+    if not report:
+        return f"step {report.failed_at}: {report.reason}"
+    if len(cur.vertices) != 1:
+        return f"{len(cur.vertices)} vertices remain after replay"
+    return None
+
+
+def _naive_local_graph(g: Graph, m: GraphMove) -> Graph:
+    if m.kind is MoveKind.REMOVE_VERTEX:
+        return g.open_neighborhood_subgraph(m.target)
+    if m.kind is MoveKind.ADD_VERTEX:
+        return g.induced(m.attachment or ())
+    a, b = sorted_pair(m.target)
+    return g.induced(g.neighbors(a) & g.neighbors(b))
+
+
+def naive_move_error(g: Graph, m: GraphMove) -> str | None:
+    try:
+        if m.kind is MoveKind.REMOVE_VERTEX:
+            if m.target not in g.vertices:
+                return f"vertex {m.target!r} not present"
+        elif m.kind is MoveKind.ADD_VERTEX:
+            if m.target in g.vertices:
+                return f"vertex {m.target!r} already present"
+            if not m.attachment:
+                return "added vertex needs a nonempty attachment"
+            missing = set(m.attachment) - set(g.vertices)
+            if missing:
+                return f"attachment vertices {sorted(missing)} not present"
+        else:
+            a, b = sorted_pair(m.target)
+            if a not in g.vertices or b not in g.vertices:
+                return f"edge endpoint of {a!r}-{b!r} not present"
+            if m.kind is MoveKind.REMOVE_EDGE and not g.has_edge(a, b):
+                return f"edge {a!r}-{b!r} not present"
+            if m.kind is MoveKind.ADD_EDGE and g.has_edge(a, b):
+                return f"edge {a!r}-{b!r} already present"
+        local = _naive_local_graph(g, m)
+    except GraphError as exc:
+        return str(exc)
+    if not local.vertices:
+        return f"{m.describe()}: witness neighborhood is empty"
+    err = naive_dismantling_order_error(local, m.witness)
+    if err:
+        return f"{m.describe()}: witness invalid ({err})"
+    return None
+
+
+def naive_check_certificate(c: MoveCertificate) -> CheckReport:
+    return _naive_check(c, naive_move_error, apply_move_unchecked, "graph")
+
+
+def naive_collapse_pair_error(k, pair) -> str | None:
+    if pair.sigma not in k.simplices:
+        return f"{subset_label(pair.sigma)} not in the complex"
+    if pair.tau not in k.simplices:
+        return f"{subset_label(pair.tau)} not in the complex"
+    if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
+        return (f"{subset_label(pair.tau)} is not a proper maximal face of "
+                f"{subset_label(pair.sigma)}")
+    for t in k.simplices:
+        if t != pair.sigma and pair.tau < t:
+            return f"{subset_label(pair.tau)} is also a face of {subset_label(t)}"
+    return None
+
+
+def _naive_anticollapse_error(k, pair) -> str | None:
+    if pair.sigma in k.simplices or pair.tau in k.simplices:
+        return "pair members already present"
+    if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
+        return "pair is not a facet pair"
+    for v in pair.sigma:
+        face = pair.sigma - {v}
+        if face != pair.tau and face and face not in k.simplices:
+            return f"facet {subset_label(face)} missing"
+    for t in k.simplices:
+        if pair.tau < t:
+            return f"{subset_label(pair.tau)} would not be free ({subset_label(t)} present)"
+    return None
+
+
+def _naive_pair_move_error(k, move) -> str | None:
+    op, pair = move
+    if op == COLLAPSE:
+        return naive_collapse_pair_error(k, pair)
+    if op == ANTICOLLAPSE:
+        return _naive_anticollapse_error(k, pair)
+    return f"unknown operation {op!r}"
+
+
+def naive_check_complex_certificate(c) -> CheckReport:
+    return _naive_check(c, _naive_pair_move_error,
+                        lambda k, move: apply_pair_unchecked(k, *move), "complex")
+
+
+def _naive_irreducible_step_error(p: Poset, step: PosetStep) -> str | None:
+    if step.removed not in p.elements:
+        return f"{step.removed!r} not present"
+    if step.pivot not in p.elements:
+        return f"pivot {step.pivot!r} not present"
+    if step.kind is StepKind.MAX_BELOW:
+        if p.down_set(step.removed).maximum() != step.pivot:
+            return f"{step.pivot!r} is not the maximum below {step.removed!r}"
+    elif p.up_set(step.removed).minimum() != step.pivot:
+        return f"{step.pivot!r} is not the minimum above {step.removed!r}"
+    return None
+
+
+def naive_poset_order_error(p: Poset, order) -> str | None:
+    cur, report = _naive_replay(p, order.steps, _naive_irreducible_step_error,
+                                lambda q, step: q.without(step.removed))
+    if not report:
+        return f"step {report.failed_at}: {report.reason}"
+    if len(cur.elements) != 1:
+        return f"{len(cur.elements)} elements remain after replay"
+    return None
+
+
+def _naive_poset_move_error(p: Poset, m) -> str | None:
+    if m.kind is PosetMoveKind.REMOVE:
+        if m.element not in p.elements:
+            return f"element {m.element!r} not present"
+        local = p.down_set(m.element) if m.witness_side == "below" else p.up_set(m.element)
+    else:
+        if m.element in p.elements:
+            return f"element {m.element!r} already present"
+        for u in m.lower | m.upper:
+            if u not in p.elements:
+                return f"relation endpoint {u!r} not present"
+        for l in m.lower:
+            if not p.below(l) <= m.lower:
+                return f"lower set not downward closed at {l!r}"
+        for u in m.upper:
+            if not p.above(u) <= m.upper:
+                return f"upper set not upward closed at {u!r}"
+        for l in m.lower:
+            for u in m.upper:
+                if not p.less(l, u):
+                    return f"{l!r} < {u!r} would be forced between old elements"
+        local = p.induced(m.lower) if m.witness_side == "below" else p.induced(m.upper)
+    if m.witness_side not in ("below", "above"):
+        return f"unknown witness side {m.witness_side!r}"
+    if not local.elements:
+        return f"{m.element!r}: witness sub-poset is empty"
+    err = naive_poset_order_error(local, m.witness)
+    if err:
+        return f"{m.element!r}: witness invalid ({err})"
+    return None
+
+
+def naive_check_poset_certificate(c) -> CheckReport:
+    return _naive_check(c, _naive_poset_move_error, apply_poset_move_unchecked, "poset")
+
+
+def naive_dismantling_core(g: Graph) -> tuple[Graph, tuple]:
+    """Rescan every vertex after each deletion: least dominated vertex, least dominator."""
+    steps = []
+    while True:
+        step = next(((v, w) for v in g.sorted_vertices() for w in sorted(g.neighbors(v))
+                     if g.closed_neighborhood(v) <= g.closed_neighborhood(w)), None)
+        if step is None:
+            return g, tuple(steps)
+        steps.append(step)
+        g = g.without_vertex(step[0])
+
+
+def _naive_irreducible_step(p: Poset, x: str) -> PosetStep | None:
+    m = p.down_set(x).maximum()
+    if m is not None:
+        return PosetStep(x, StepKind.MAX_BELOW, m)
+    m = p.up_set(x).minimum()
+    if m is not None:
+        return PosetStep(x, StepKind.MIN_ABOVE, m)
+    return None
+
+
+def naive_poset_dismantling_core(p: Poset) -> tuple[Poset, PosetDismantlingOrder]:
+    """Rescan every element after each deletion, least irreducible point first."""
+    steps = []
+    while True:
+        step = next((s for x in p.sorted_elements() if (s := _naive_irreducible_step(p, x))),
+                    None)
+        if step is None:
+            return p, PosetDismantlingOrder(tuple(steps))
+        steps.append(step)
+        p = p.without(step.removed)

@@ -170,3 +170,10 @@ def test_closed_stdout_pipe_ends_quietly():
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+def test_package_runs_as_a_module():
+    cmd, env = _cli("corpus", "list")
+    cmd[cmd.index("flagcalc.cli")] = "flagcalc"
+    proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0 and b"six-regular-10" in proc.stdout

@@ -132,3 +132,15 @@ def test_property_suite_is_clean_and_deterministic():
     assert ids == sorted(ids)
     assert len({r.property_id for r in first}) == 10
     assert any(r.line().startswith("PASS ") for r in first)
+
+
+def test_property_suite_has_no_fail_lines():
+    failed = [f"seed {seed}: {r.line()}" for seed in range(40)
+              for r in run_property_suite(seed=seed) if r.verdict == "fail"]
+    assert failed == []
+
+
+def test_property_suite_skips_skeleton_moves_of_non_flag_complexes():
+    skipped = [r.line() for r in run_property_suite(seed=43) if r.verdict == "skipped"]
+    assert skipped == ["SKIP collapse-induces-skeleton-move complex<f08be5ac> :: "
+                       "not flag: [a,b,d]"]

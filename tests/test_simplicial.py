@@ -275,6 +275,20 @@ def test_skeleton_move_cases():
     assert one_skeleton(apply_pair_unchecked(k4, COLLAPSE, pair)) == one_skeleton(k4)
 
 
+def test_skeleton_move_on_non_flag_complexes():
+    # a-b is free, but a and b also share the neighbor d outside the triangle
+    pair = CollapsePair(frozenset("abc"), frozenset("ab"))
+    k = SimplicialComplex.from_maximal(["abc", "ad", "bd", "cd"])
+    move = skeleton_move_for_collapse(k, pair)
+    assert move.kind is MoveKind.REMOVE_EDGE and len(move.witness.steps) == 1
+    assert apply_move(one_skeleton(k), move) == \
+        one_skeleton(apply_pair_unchecked(k, COLLAPSE, pair))
+
+    stuck = SimplicialComplex.from_maximal(["abc", "ad", "bd"])  # {c, d} has no edge
+    with pytest.raises(CertificateError, match="'a'-'b'"):
+        skeleton_move_for_collapse(stuck, pair)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_collapse_induces_valid_inclusion_graph_moves(seed):
