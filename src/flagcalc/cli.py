@@ -16,12 +16,9 @@ from .dismantling import (
     Outcome,
     dismantles_onto,
     greedy_dismantling_certificate,
-    replay,
+    replay_moves,
     s_collapse_search,
     ws_reduction_search,
-    _apply_move,
-    _move_error,
-    _working,
 )
 from .graphs import GraphError, barycentric_graph
 from .posets import (
@@ -141,13 +138,13 @@ def cmd_map(args) -> int:
 def cmd_certify(args) -> int:
     start = _load("graph", args.start)
     moves = textio.parse_moves(_read(args.certificate))
-    cur, report = replay(_working(start), moves, _move_error, _apply_move)
+    cur, report = replay_moves(start, moves)
     if not report:
         print(f"invalid at move {report.failed_at}: {report.reason}")
         return EXIT_NO
     if args.end:
         end = _load("graph", args.end)
-        if cur != _working(end):
+        if cur != end:
             print("invalid: end graph does not match --end")
             return EXIT_NO
     print("valid")

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .graphs import (
     Graph,
     GraphError,
+    IsoWitness,
     UnknownEdgeError,
     UnknownVertexError,
     canonical_form,
@@ -52,8 +53,14 @@ def _graph_of(adj: dict[str, set[str]]) -> Graph:
                                            for v in nb if u < v))
 
 
-def _induced(adj: dict[str, set[str]], subset) -> dict[str, set[str]]:
-    return {u: adj[u] & subset for u in subset}
+def _induced(adj, subset) -> dict[str, set[str]]:
+    """A working state for the subgraph that `subset` induces in adj."""
+    sub = set(subset)
+    return {u: sub & adj[u] for u in sub}
+
+
+def _local_order(adj, subset) -> DismantlingOrder | None:
+    return greedy_dismantling(_graph_of(_induced(adj, subset)))
 
 
 def _delete(adj: dict[str, set[str]], v: str) -> dict[str, set[str]]:
@@ -108,11 +115,6 @@ def _order_error(adj: dict[str, set[str]], order: DismantlingOrder,
     if require_single and len(cur) != 1:
         return f"{len(cur)} vertices remain after replay"
     return None
-
-
-def dismantling_order_error(g: Graph, order: DismantlingOrder,
-                            require_single: bool = True) -> str | None:
-    return _order_error(_working(g), order, require_single)
 
 
 def cone_order(vertices: Iterable[str], apex: str) -> DismantlingOrder:
@@ -297,8 +299,8 @@ def _apply_move(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]]:
     if m.kind is MoveKind.REMOVE_VERTEX:
         return _delete(adj, m.target)
     if m.kind is MoveKind.ADD_VERTEX:
-        adj[m.target] = set(m.attachment)
-        for u in m.attachment:
+        adj[m.target] = set(m.attachment or ())
+        for u in adj[m.target]:
             adj[u].add(m.target)
         return adj
     a, b = sorted_pair(m.target)
@@ -320,7 +322,7 @@ def _apply_checked(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]
 
 
 def move_error(g: Graph, m: GraphMove) -> str | None:
-    return _move_error(_working(g), m)
+    return _move_error(g.adjacency, m)
 
 
 def apply_move_unchecked(g: Graph, m: GraphMove) -> Graph:
@@ -370,6 +372,38 @@ def check_replay(cert, work: Callable, error: Callable, apply: Callable,
 def check_certificate(c: MoveCertificate) -> CheckReport:
     """Replay all moves from the start graph, validating every witness."""
     return check_replay(c, _working, _move_error, _apply_move, "graph")
+
+
+def replay_moves(g: Graph, moves: Iterable[GraphMove]) -> tuple[Graph, CheckReport]:
+    """Replay moves from g, validating every witness: the graph reached (before
+    the first rejected move, if any) and the report."""
+    end, report = replay(_working(g), moves, _move_error, _apply_move)
+    return _graph_of(end), report
+
+
+def _fit_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
+    """Why m cannot be applied at all, in the words of the Graph methods."""
+    if m.kind is MoveKind.REMOVE_VERTEX:
+        return None if m.target in adj else f"unknown vertex {m.target!r}"
+    if m.kind is MoveKind.ADD_VERTEX:
+        if m.target in adj:
+            return f"vertex {m.target!r} already present"
+        return next((f"unknown vertex {u!r}" for u in m.attachment or () if u not in adj), None)
+    a, b = sorted_pair(m.target)
+    if m.kind is MoveKind.REMOVE_EDGE:
+        return None if b in adj.get(a, ()) else f"unknown edge {a!r}-{b!r}"
+    missing = next((u for u in (a, b) if u not in adj), None)
+    if missing is not None:
+        return f"unknown vertex {missing!r}"
+    return f"edge {a!r}-{b!r} already present" if b in adj[a] else None
+
+
+def replay_unchecked(g: Graph, moves: Iterable[GraphMove]) -> tuple[Graph, CheckReport]:
+    """Like replay_moves, but witnesses are not looked at: a move fails only
+    when it does not fit the graph (an absent vertex or edge, or one already
+    there)."""
+    end, report = replay(_working(g), moves, _fit_error, _apply_move)
+    return _graph_of(end), report
 
 
 def normalize_certificate(c: MoveCertificate) -> MoveCertificate:
@@ -427,33 +461,41 @@ def realize_edge_deletion(g: Graph, e: Iterable[str], renamed: str | None = None
         renamed = a
     if renamed not in (a, b):
         raise GraphError(f"{renamed!r} is not an endpoint of {a!r}-{b!r}")
-    other = b if renamed == a else a
-    common = g.neighbors(renamed) & g.neighbors(other)
+    adj = _working(g)
+    moves = _edge_deletion_moves(adj, renamed, b if renamed == a else a, avoid)
+    return MoveCertificate(g, moves, _graph_of(adj))
+
+
+def _edge_deletion_moves(adj: dict[str, set[str]], renamed: str, other: str,
+                         avoid: Iterable[str]) -> tuple[GraphMove, GraphMove]:
+    """realize_edge_deletion's two moves, vetted and applied to the working state."""
+    a, b = sorted_pair((renamed, other))
+    common = adj[renamed] & adj[other]
     if not common:
         raise CertificateError(f"edge {a!r}-{b!r} has an empty common neighborhood")
-    common_order = greedy_dismantling(g.induced(common))
+    common_order = _local_order(adj, common)
     if common_order is None:
         raise CertificateError(f"common neighborhood of {a!r}-{b!r} is not dismantlable")
 
-    x = fresh_labels(set(g.vertices) | set(avoid), 1)[0]
-    attach = g.closed_neighborhood(renamed) - {other}
+    x = fresh_labels(adj.keys() | set(avoid), 1)[0]
+    attach = (adj[renamed] | {renamed}) - {other}
     add = GraphMove(MoveKind.ADD_VERTEX, x,
                     witness=cone_order(attach, renamed),
                     attachment=frozenset(attach))
-    g2 = apply_move(g, add)
 
-    # Witness that `renamed` is removable in g2: vertices outside the other
-    # endpoint's closed neighborhood are dominated by x, the rest is the
+    # Witness that `renamed` is removable once x is added: vertices outside the
+    # other endpoint's closed neighborhood are dominated by x, the rest is the
     # common neighborhood suspended by x and the other endpoint.
     survivor = common_order.steps[-1][1] if common_order.steps else next(iter(common))
-    steps = [(y, x) for y in sorted(g.neighbors(renamed) - g.closed_neighborhood(other))]
+    steps = [(y, x) for y in sorted(adj[renamed] - adj[other] - {other})]
     steps.extend(common_order.steps)
     steps.append((x, survivor))
     steps.append((other, survivor))
     remove = GraphMove(MoveKind.REMOVE_VERTEX, renamed,
                        witness=DismantlingOrder(tuple(steps)))
-    g3 = apply_move(g2, remove)
-    return MoveCertificate(g, (add, remove), g3)
+    _apply_checked(adj, add)
+    _apply_checked(adj, remove)
+    return add, remove
 
 
 def _certificate_removals(c: MoveCertificate) -> list[str]:
@@ -493,7 +535,7 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
             raise CertificateError(f"witness invalid at step {rep.failed_at}: {rep.reason}")
 
     moves: list[GraphMove] = []
-    cur = g
+    adj = _working(g)
     used = set(g.vertices)
 
     if any(m.kind not in VERTEX_MOVES for m in witness.moves):
@@ -511,7 +553,7 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
             move = GraphMove(MoveKind.ADD_VERTEX, label,
                              witness=cone_order(attach, v),
                              attachment=attach)
-            cur = apply_move(cur, move)
+            _apply_checked(adj, move)
             moves.append(move)
         removal_seq = [rename.get(u, u) for u in _certificate_removals(witness)]
         tail = [(len(adds) - 1 - i, m) for i, m in enumerate(reversed(adds))]
@@ -524,13 +566,12 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
     # each deletion renaming the surviving copy of v.
     proxy = v
     for r in removal_seq:
-        ec = realize_edge_deletion(cur, frozenset((proxy, r)), renamed=proxy, avoid=used)
-        moves.extend(ec.moves)
-        cur = ec.end
-        proxy = ec.moves[0].target
+        add, remove = _edge_deletion_moves(adj, proxy, r, used)
+        moves.extend((add, remove))
+        proxy = add.target
         used.add(proxy)
     final = GraphMove(MoveKind.REMOVE_VERTEX, proxy, witness=DismantlingOrder(()))
-    cur = apply_move(cur, final)
+    _apply_checked(adj, final)
     moves.append(final)
 
     # Undo the lifted additions, newest first.
@@ -538,14 +579,79 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
         label = rename.get(m.target, m.target)
         steps = tuple((rename.get(a, a), rename.get(b, b)) for a, b in m.witness.steps)
         move = GraphMove(MoveKind.REMOVE_VERTEX, label, witness=DismantlingOrder(steps))
-        cur = apply_move(cur, move)
+        _apply_checked(adj, move)
         moves.append(move)
 
+    cur = _graph_of(adj)
     expected = g.without_vertex(v)
     if cur != expected:  # pragma: no cover - construction guarantees this
         raise CertificateError("cascade did not end at the vertex-deleted graph")
     return SearchVerdict(Outcome.YES,
                          MoveCertificate(g, tuple(moves), cur), stats)
+
+
+def _map_order(order: DismantlingOrder, mu: dict[str, str]) -> DismantlingOrder:
+    return DismantlingOrder(tuple((mu.get(a, a), mu.get(b, b)) for a, b in order.steps))
+
+
+def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitness]:
+    """Replace every edge move in a valid certificate by two vertex moves.
+
+    Deleting an edge clones one endpoint without it; adding an edge clones one
+    endpoint with it.  Either way the endpoint is renamed, so the result ends
+    at a graph isomorphic to the original end; the witness records the
+    relabeling.
+    """
+    rep = check_certificate(cert)
+    if not rep:
+        raise CertificateError(f"input invalid at step {rep.failed_at}: {rep.reason}")
+
+    mu: dict[str, str] = {v: v for v in cert.start.vertices}
+    used = set(cert.start.vertices)
+    adj = _working(cert.start)
+    out: list[GraphMove] = []
+
+    def emit(move: GraphMove) -> None:
+        _apply_checked(adj, move)
+        out.append(move)
+
+    for m in cert.moves:
+        if m.kind is MoveKind.REMOVE_VERTEX:
+            emit(GraphMove(MoveKind.REMOVE_VERTEX, mu[m.target],
+                           witness=_map_order(m.witness, mu)))
+            del mu[m.target]
+        elif m.kind is MoveKind.ADD_VERTEX:
+            label = m.target if m.target not in used else fresh_labels(used, 1)[0]
+            used.add(label)
+            mu[m.target] = label
+            emit(GraphMove(MoveKind.ADD_VERTEX, label,
+                           witness=_map_order(m.witness, mu),
+                           attachment=frozenset(mu[u] for u in m.attachment)))
+        elif m.kind is MoveKind.REMOVE_EDGE:
+            a, b = sorted(m.target)
+            out.extend(_edge_deletion_moves(adj, mu[a], mu[b], used))
+            mu[a] = out[-2].target
+            used.add(mu[a])
+        else:  # ADD_EDGE: clone endpoint a with the new edge, then drop a
+            a, b = sorted(m.target)
+            ca, cb = mu[a], mu[b]
+            attach = adj[ca] | {ca, cb}
+            witness = _local_order(adj, attach)
+            if witness is None:  # pragma: no cover - guaranteed by the move's validity
+                raise CertificateError(f"clone neighborhood for edge {a}-{b} not dismantlable")
+            x = fresh_labels(used | adj.keys(), 1)[0]
+            emit(GraphMove(MoveKind.ADD_VERTEX, x, witness=witness,
+                           attachment=frozenset(attach)))
+            emit(GraphMove(MoveKind.REMOVE_VERTEX, ca, witness=cone_order(adj[ca], x)))
+            mu[a] = x
+            used.add(x)
+
+    cur = _graph_of(adj)
+    mapping = IsoWitness(tuple(sorted((v, mu[v]) for v in cert.end.vertices)))
+    err = mapping.error(cert.end, cur)
+    if err:  # pragma: no cover - construction guarantees this
+        raise CertificateError(f"relabeling is not an isomorphism: {err}")
+    return MoveCertificate(cert.start, tuple(out), cur), mapping
 
 
 # ---------------------------------------------------------------------------

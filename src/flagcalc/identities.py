@@ -1,9 +1,8 @@
 """Cross-structure constructions and executable property oracles.
 
-The two constructive workhorses here turn an arbitrary graph into its
-barycentric subdivision by legal vertex moves, and rewrite edge moves in a
-certificate into pairs of vertex moves.  run_property_suite exercises the
-bridge results between graphs, complexes and posets on seeded random
+The constructive workhorse here turns an arbitrary graph into its
+barycentric subdivision by legal vertex moves.  run_property_suite exercises
+the bridge results between graphs, complexes and posets on seeded random
 instances and reports per-instance verdicts.
 """
 
@@ -19,11 +18,9 @@ from typing import Optional
 from .graphs import (
     DEFAULT_CLIQUE_CAP,
     Graph,
-    IsoWitness,
     are_isomorphic,
     barycentric_graph,
     complete_subgraphs,
-    fresh_labels,
     subset_label,
 )
 from .dismantling import (
@@ -37,16 +34,13 @@ from .dismantling import (
     apply_move,
     check_certificate,
     cone_order,
-    greedy_dismantling,
     is_s_dismantlable_edge,
     is_s_dismantlable_vertex,
     realize_edge_deletion,
     s_collapse_search,
     s_dismantlable_vertices,
     IContractibility,
-    _apply_checked,
-    _graph_of,
-    _working,
+    replay_moves,
 )
 from .simplicial import (
     COLLAPSE,
@@ -99,7 +93,7 @@ def subdivision_certificate(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> MoveCert
     hats = {c: subset_label(c) for c in cliques}
 
     moves: list[GraphMove] = []
-    adj = _working(g)
+    hat_nb: dict[str, set[str]] = {v: set() for v in order}
     for c in cliques:
         members = sorted(c)
         peak = max(c, key=rank.__getitem__)
@@ -110,13 +104,15 @@ def subdivision_certificate(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> MoveCert
                       if rank[u] > rank[peak] and (c | {u}) in clique_set)
         move = GraphMove(MoveKind.ADD_VERTEX, hats[c], witness=cone_order(attach, peak),
                          attachment=frozenset(attach))
-        _apply_checked(adj, move)
         moves.append(move)
+        for u in attach:
+            if u in hat_nb:
+                hat_nb[u].add(hats[c])
 
     hat_members = {hats[c]: c for c in cliques}
     for v in order:
         i = rank[v]
-        nbhd = adj[v]
+        nbhd = hat_nb[v] | {u for u in g.neighbors(v) if rank[u] > i}
         shrinking = sorted(
             (u for u in nbhd
              if u in hat_members and rank[max(hat_members[u], key=rank.__getitem__)] < i),
@@ -124,88 +120,16 @@ def subdivision_certificate(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> MoveCert
         steps = [(u, hats[frozenset(hat_members[u]) | {v}]) for u in shrinking]
         apex = hats[frozenset((v,))]
         steps.extend((u, apex) for u in sorted(nbhd - set(shrinking)) if u != apex)
-        move = GraphMove(MoveKind.REMOVE_VERTEX, v,
-                         witness=DismantlingOrder(tuple(steps)))
-        _apply_checked(adj, move)
-        moves.append(move)
+        moves.append(GraphMove(MoveKind.REMOVE_VERTEX, v,
+                               witness=DismantlingOrder(tuple(steps))))
 
-    cur = _graph_of(adj)
+    cur, report = replay_moves(g, moves)
+    if not report:  # pragma: no cover - construction guarantees this
+        raise CertificateError(f"subdivision move {report.failed_at}: {report.reason}")
     expected = barycentric_graph(g, cap)
     if cur != expected:  # pragma: no cover - construction guarantees this
         raise CertificateError("subdivision moves did not end at the subdivision graph")
     return MoveCertificate(g, tuple(moves), cur)
-
-
-# ---------------------------------------------------------------------------
-# edge moves rewritten as vertex moves
-
-
-def _map_order(order: DismantlingOrder, mu: dict[str, str]) -> DismantlingOrder:
-    return DismantlingOrder(tuple((mu.get(a, a), mu.get(b, b)) for a, b in order.steps))
-
-
-def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitness]:
-    """Replace every edge move in a valid certificate by two vertex moves.
-
-    Deleting an edge clones one endpoint without it; adding an edge clones one
-    endpoint with it.  Either way the endpoint is renamed, so the result ends
-    at a graph isomorphic to the original end; the witness records the
-    relabeling.
-    """
-    rep = check_certificate(cert)
-    if not rep:
-        raise CertificateError(f"input invalid at step {rep.failed_at}: {rep.reason}")
-
-    mu: dict[str, str] = {v: v for v in cert.start.vertices}
-    used = set(cert.start.vertices)
-    cur = cert.start
-    out: list[GraphMove] = []
-
-    def emit(move: GraphMove) -> None:
-        nonlocal cur
-        cur = apply_move(cur, move)
-        out.append(move)
-
-    for m in cert.moves:
-        if m.kind is MoveKind.REMOVE_VERTEX:
-            emit(GraphMove(MoveKind.REMOVE_VERTEX, mu[m.target],
-                           witness=_map_order(m.witness, mu)))
-            del mu[m.target]
-        elif m.kind is MoveKind.ADD_VERTEX:
-            label = m.target if m.target not in used else fresh_labels(used, 1)[0]
-            used.add(label)
-            mu[m.target] = label
-            emit(GraphMove(MoveKind.ADD_VERTEX, label,
-                           witness=_map_order(m.witness, mu),
-                           attachment=frozenset(mu[u] for u in m.attachment)))
-        elif m.kind is MoveKind.REMOVE_EDGE:
-            a, b = sorted(m.target)
-            renamed = mu[a]
-            ec = realize_edge_deletion(cur, frozenset((mu[a], mu[b])),
-                                       renamed=renamed, avoid=used)
-            for mv in ec.moves:
-                emit(mv)
-            mu[a] = ec.moves[0].target
-            used.add(mu[a])
-        else:  # ADD_EDGE: clone endpoint a with the new edge, then drop a
-            a, b = sorted(m.target)
-            ca, cb = mu[a], mu[b]
-            attach = cur.closed_neighborhood(ca) | {cb}
-            witness = greedy_dismantling(cur.induced(attach))
-            if witness is None:  # pragma: no cover - guaranteed by the move's validity
-                raise CertificateError(f"clone neighborhood for edge {a}-{b} not dismantlable")
-            x = fresh_labels(used | cur.vertices, 1)[0]
-            emit(GraphMove(MoveKind.ADD_VERTEX, x, witness=witness,
-                           attachment=frozenset(attach)))
-            emit(GraphMove(MoveKind.REMOVE_VERTEX, ca, witness=cone_order(cur.neighbors(ca), x)))
-            mu[a] = x
-            used.add(x)
-
-    mapping = IsoWitness(tuple(sorted((v, mu[v]) for v in cert.end.vertices)))
-    err = mapping.error(cert.end, cur)
-    if err:  # pragma: no cover - construction guarantees this
-        raise CertificateError(f"relabeling is not an isomorphism: {err}")
-    return MoveCertificate(cert.start, tuple(out), cur), mapping
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,6 @@ def _order_error(state, order: PosetDismantlingOrder,
     return None
 
 
-def poset_order_error(p: Poset, order: PosetDismantlingOrder,
-                      require_single: bool = True) -> str | None:
-    return _order_error(_order_sets(p), order, require_single)
-
-
 def _irreducible_step(state, x: str) -> PosetStep | None:
     """The removal of x against the maximum below it or else the minimum above it."""
     up, down = state

@@ -46,12 +46,11 @@ class SimplicialComplex:
     def from_simplices(simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
         """Validated constructor; the family must be downward closed."""
         sims = frozenset(frozenset(s) for s in simplices)
-        for s in sims:
-            if not s:
-                raise ComplexError("empty member set")
-            for v in s:
-                if len(s) > 1 and (s - {v}) not in sims:
-                    raise ComplexError(f"family not closed under deletion at {subset_label(s)}")
+        if frozenset() in sims:
+            raise ComplexError("empty member set")
+        bad = _unclosed(sims)
+        if bad is not None:
+            raise ComplexError(f"family not closed under deletion at {subset_label(bad)}")
         return SimplicialComplex(sims)
 
     @staticmethod
@@ -108,6 +107,13 @@ class SimplicialComplex:
         if s not in self.simplices:
             raise ComplexError(f"unknown simplex {subset_label(s)}")
         return s
+
+
+def _unclosed(simplices) -> frozenset[str] | None:
+    """The least member (by size, then labels) missing one of its facets, or
+    None when the family is downward closed."""
+    bad = [s for s in simplices if len(s) > 1 and any(s - {v} not in simplices for v in s)]
+    return min(bad, key=lambda s: (len(s), tuple(sorted(s)))) if bad else None
 
 
 def full_simplex(labels: Iterable[str]) -> SimplicialComplex:
@@ -252,6 +258,18 @@ def apply_pair_unchecked(k: SimplicialComplex, op: str,
     return SimplicialComplex(k.simplices | {pair.sigma, pair.tau})
 
 
+def apply_pairs_unchecked(k: SimplicialComplex,
+                          moves: Iterable[tuple[str, CollapsePair]]) -> SimplicialComplex:
+    """The end of a move sequence applied to one mutable simplex set, unvetted."""
+    simplices = set(k.simplices)
+    for op, pair in moves:
+        if op == COLLAPSE:
+            simplices -= {pair.sigma, pair.tau}
+        else:
+            simplices |= {pair.sigma, pair.tau}
+    return SimplicialComplex(frozenset(simplices))
+
+
 def _pair_move_error(counts: dict[frozenset[str], int],
                      move: tuple[str, CollapsePair]) -> str | None:
     op, pair = move
@@ -277,6 +295,10 @@ def _apply_pair_move(counts: dict[frozenset[str], int],
 
 
 def check_complex_certificate(c: ComplexCertificate) -> CheckReport:
+    # The coface counts decide freeness only for a downward closed start.
+    bad = _unclosed(c.start.simplices)
+    if bad is not None:
+        return CheckReport(False, 0, f"start not closed under deletion at {subset_label(bad)}")
     return check_replay(c, _coface_counts, _pair_move_error, _apply_pair_move, "complex")
 
 

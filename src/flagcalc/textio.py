@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, GraphError, sorted_pair
+from .graphs import Graph, sorted_pair
 from .dismantling import (
     DismantlingOrder,
     GraphMove,
     MoveCertificate,
     MoveKind,
-    apply_move_unchecked,
+    replay_unchecked,
 )
 from .simplicial import (
     ANTICOLLAPSE,
@@ -23,7 +23,7 @@ from .simplicial import (
     CollapsePair,
     ComplexCertificate,
     SimplicialComplex,
-    apply_pair_unchecked,
+    apply_pairs_unchecked,
 )
 from .posets import Poset, PosetError
 
@@ -239,13 +239,12 @@ def parse_moves(text: str) -> tuple[GraphMove, ...]:
 
 def parse_move_certificate(text: str, start: Graph) -> MoveCertificate:
     rows = _parse_move_lines(text)
-    end = start
-    for no, m in rows:
-        try:
-            end = apply_move_unchecked(end, m)
-        except GraphError as exc:
-            raise ParseError(no, f"moves do not replay on the start graph: {exc}") from exc
-    return MoveCertificate(start, tuple(m for _, m in rows), end)
+    moves = tuple(m for _, m in rows)
+    end, report = replay_unchecked(start, moves)
+    if not report:
+        raise ParseError(rows[report.failed_at][0],
+                         f"moves do not replay on the start graph: {report.reason}")
+    return MoveCertificate(start, moves, end)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,4 @@ def parse_complex_certificate(text: str, start: SimplicialComplex) -> ComplexCer
         if not sigma or not tauset:
             raise ParseError(no, "empty simplex in pair")
         moves.append((op, CollapsePair(sigma, tauset)))
-    end = start
-    for op, pair in moves:
-        end = apply_pair_unchecked(end, op, pair)
-    return ComplexCertificate(start, tuple(moves), end)
+    return ComplexCertificate(start, tuple(moves), apply_pairs_unchecked(start, moves))

@@ -2,7 +2,7 @@
 
 Each checker must return the same CheckReport as its immutable reference in
 tests/helpers.py, on valid certificates and on broken ones, and the greedy
-cores must pick the same orders.  Two cost guards count work instead of
+cores must pick the same orders.  The cost guards count work instead of
 timing it.
 """
 
@@ -13,6 +13,7 @@ from functools import cached_property
 from hypothesis import given, settings, strategies as st
 
 from flagcalc import (
+    CheckReport,
     CollapsePair,
     ComplexCertificate,
     DismantlingOrder,
@@ -22,17 +23,19 @@ from flagcalc import (
     MoveKind,
     PosetCertificate,
     PosetMove,
+    SimplicialComplex,
     check_certificate,
     check_complex_certificate,
     check_poset_certificate,
     dismantling_core,
     realize_edge_deletion,
+    realize_s_neighborhood_deletion,
     s_dismantlable_edges,
     s_dismantlable_vertices,
     subdivision_certificate,
     weak_point_cascade,
 )
-from flagcalc import simplicial
+from flagcalc import simplicial, textio
 from flagcalc.dismantling import greedy_dismantling_certificate
 from flagcalc.identities import random_graph, random_poset
 from flagcalc.posets import PosetDismantlingOrder, PosetMoveKind, poset_dismantling_core
@@ -298,3 +301,54 @@ def test_valid_complex_check_never_scans_the_complex(monkeypatch):
     bad = ComplexCertificate(cert.start, ((COLLAPSE, CollapsePair(sigma, tau)),), cert.end)
     report = check_complex_certificate(bad)
     assert not report.ok and "is also a face of" in report.reason and len(scans) == 1
+
+
+def _count_constructions(monkeypatch, cls) -> list[int]:
+    """Record the size of every value of cls built from now on."""
+    sizes = []
+    init = cls.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        sizes.append(len(args[0]))
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return sizes
+
+
+def test_parsers_build_one_value_for_the_end(monkeypatch):
+    g = random_copwin_graph(random.Random(7), 20)
+    text = textio.format_move_certificate(subdivision_certificate(g))
+    cert = collapse_certificate_for_dismantlable(g)
+    complex_text = textio.format_complex_certificate(cert)
+    graphs = _count_constructions(monkeypatch, Graph)
+    complexes = _count_constructions(monkeypatch, SimplicialComplex)
+    parsed = textio.parse_move_certificate(text, g)
+    assert len(parsed.moves) > 100
+    assert textio.parse_complex_certificate(complex_text, cert.start).end == cert.end
+    assert len(cert.moves) > 100
+    assert len(graphs) == 1 and len(complexes) == 1  # the ends, not one value per move
+
+
+def test_move_builders_build_full_size_graphs_a_fixed_number_of_times(monkeypatch):
+    g = random_copwin_graph(random.Random(7), 20)
+    v = s_dismantlable_vertices(g)[0]
+    graphs = _count_constructions(monkeypatch, Graph)
+    verdict = realize_s_neighborhood_deletion(g, v)
+    assert len(verdict.certificate.moves) > 10
+    # the end and the vertex-deleted graph it is compared with; the local
+    # graphs of the witnesses are smaller
+    assert sum(n >= len(g.vertices) - 1 for n in graphs) <= 2
+
+
+def test_complex_check_rejects_a_start_not_closed_under_faces():
+    a, ab, acd = frozenset("a"), frozenset("ab"), frozenset("acd")
+    start = SimplicialComplex(frozenset({a, ab, acd}))
+    cert = ComplexCertificate(start, ((COLLAPSE, CollapsePair(ab, a)),),
+                              SimplicialComplex(frozenset({acd})))
+    assert check_complex_certificate(cert) == \
+        CheckReport(False, 0, "start not closed under deletion at [a,b]")
+    closed = SimplicialComplex.from_maximal(["ab", "acd"])
+    cert = ComplexCertificate(closed, ((COLLAPSE, CollapsePair(ab, frozenset("b"))),),
+                              SimplicialComplex.from_maximal(["a", "acd"]))
+    assert check_complex_certificate(cert).ok
