@@ -319,10 +319,13 @@ class IsoWitness:
             return "mapping is not a bijection between the vertex sets"
         if len(set(fwd.values())) != len(fwd):
             return "mapping is not injective"
-        for a, b in itertools.combinations(sorted(g1.vertices), 2):
-            if g1.has_edge(a, b) != g2.has_edge(fwd[a], fwd[b]):
-                return f"adjacency of {a!r},{b!r} not preserved"
-        return None
+        if {frozenset((fwd[a], fwd[b])) for a, b in g1.edges} == g2.edges:
+            return None
+        # A bijection that moves some edge off g2 breaks adjacency at some
+        # pair; the sorted scan names the first one.
+        return next(f"adjacency of {a!r},{b!r} not preserved"
+                    for a, b in itertools.combinations(sorted(g1.vertices), 2)
+                    if g1.has_edge(a, b) != g2.has_edge(fwd[a], fwd[b]))
 
 
 def _refine(adj: dict[str, frozenset[str]], colors: dict[str, int]) -> dict[str, int]:
@@ -335,25 +338,75 @@ def _refine(adj: dict[str, frozenset[str]], colors: dict[str, int]) -> dict[str,
         colors = new
 
 
+def _find(parent: dict[str, str], v: str) -> str:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def _canonical(adj: dict[str, frozenset[str]],
                colors: dict[str, int]) -> tuple[tuple, dict[str, int]]:
-    colors = _refine(adj, colors)
-    cells: dict[int, list[str]] = {}
-    for v, c in colors.items():
-        cells.setdefault(c, []).append(v)
-    split = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
-    if split is None:
-        enc = tuple(sorted((colors[v], colors[u])
-                           for v in adj for u in adj[v] if colors[v] < colors[u]))
-        return (len(adj), enc), colors
-    best_enc, best_perm = None, None
-    for v in sorted(cells[split]):
-        boosted = {u: (colors[u], 1 if u == v else 0) for u in adj}
-        ranks = {s: i for i, s in enumerate(sorted(set(boosted.values())))}
-        enc, perm = _canonical(adj, {u: ranks[boosted[u]] for u in adj})
-        if best_enc is None or enc < best_enc:
-            best_enc, best_perm = enc, perm
-    return best_enc, best_perm
+    """The least leaf encoding of the individualisation-refinement tree, and
+    the discrete colouring of the first leaf in depth-first order reaching it.
+
+    Children are the sorted members of the first non-singleton cell. Two
+    prunings skip only subtrees whose leaves are automorphic images, with equal
+    encodings, of leaves met earlier in that order, so they never skip the
+    leaf returned (McKay and Piperno, "Practical graph isomorphism, II",
+    J. Symb. Comput. 60, 2014):
+
+    - a leaf encoded like the first or the best leaf gives the automorphism
+      ref⁻¹ ∘ leaf, and the search resumes at the two paths' deepest common
+      ancestor;
+    - a child in the same orbit as an explored sibling is skipped, the orbits
+      coming from the automorphisms found so far that fix the node's
+      individualised vertices.
+    """
+    first = best = None  # (encoding, colouring, path) of a leaf
+    autos: list[dict[str, str]] = []
+
+    def visit(colors: dict[str, int], path: tuple[str, ...]) -> int | None:
+        # Returns the depth to resume at after a leaf automorphism, else None.
+        nonlocal first, best
+        colors = _refine(adj, colors)
+        cells: dict[int, list[str]] = {}
+        for v, c in colors.items():
+            cells.setdefault(c, []).append(v)
+        split = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
+        if split is None:
+            enc = (len(adj), tuple(sorted((colors[v], colors[u]) for v in adj
+                                          for u in adj[v] if colors[v] < colors[u])))
+            for ref in (first, best):
+                if ref is not None and enc == ref[0]:
+                    inv = {i: u for u, i in ref[1].items()}
+                    autos.append({u: inv[colors[u]] for u in adj})
+                    return next(d for d, (a, b) in enumerate(zip(path, ref[2])) if a != b)
+            if best is None or enc < best[0]:
+                best = (enc, colors, path)
+                first = first or best
+            return None
+        cell = sorted(cells[split])
+        orbit = {v: v for v in cell}
+        seen, explored = 0, []
+        for v in cell:
+            for a in autos[seen:]:
+                if all(a[p] == p for p in path):
+                    for u in cell:
+                        orbit[_find(orbit, u)] = _find(orbit, a[u])
+            seen = len(autos)
+            if any(_find(orbit, v) == _find(orbit, x) for x in explored):
+                continue
+            boosted = {u: (colors[u], 1 if u == v else 0) for u in adj}
+            ranks = {s: i for i, s in enumerate(sorted(set(boosted.values())))}
+            back = visit({u: ranks[boosted[u]] for u in adj}, path + (v,))
+            if back is not None and back < len(path):
+                return back
+            explored.append(v)
+        return None
+
+    visit(colors, ())
+    return best[0], best[1]
 
 
 @lru_cache(maxsize=65536)

@@ -216,6 +216,50 @@ def random_copwin_graph(rng: random.Random, n: int, keep: float = 0.6) -> Graph:
     return Graph.make(adj, ((u, v) for u in adj for v in adj[u] if u < v))
 
 
+
+# ---------------------------------------------------------------------------
+# canonical labeling over the full individualisation-refinement tree, as it was
+# before the library pruned the tree with the automorphisms it finds.
+
+
+def _naive_refine(adj, colors):
+    while True:
+        sigs = {v: (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in adj}
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
+        new = {v: ranks[sigs[v]] for v in adj}
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _naive_canonical(adj, colors):
+    colors = _naive_refine(adj, colors)
+    cells: dict[int, list[str]] = {}
+    for v, c in colors.items():
+        cells.setdefault(c, []).append(v)
+    split = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
+    if split is None:
+        enc = tuple(sorted((colors[v], colors[u])
+                           for v in adj for u in adj[v] if colors[v] < colors[u]))
+        return (len(adj), enc), colors
+    best_enc, best_perm = None, None
+    for v in sorted(cells[split]):
+        boosted = {u: (colors[u], 1 if u == v else 0) for u in adj}
+        ranks = {s: i for i, s in enumerate(sorted(set(boosted.values())))}
+        enc, perm = _naive_canonical(adj, {u: ranks[boosted[u]] for u in adj})
+        if best_enc is None or enc < best_enc:
+            best_enc, best_perm = enc, perm
+    return best_enc, best_perm
+
+
+def naive_canonical_full(g: Graph) -> tuple[tuple, tuple[tuple[str, int], ...]]:
+    """(encoding, perm) from every branch of the tree: the first leaf in
+    depth-first order reaching the least encoding."""
+    if not g.vertices:
+        return (0, ()), ()
+    enc, perm = _naive_canonical(g.adjacency, {v: 0 for v in g.vertices})
+    return enc, tuple(sorted(perm.items()))
+
 # ---------------------------------------------------------------------------
 # immutable replays: every step builds a new Graph, SimplicialComplex or Poset.
 # These are the checkers and greedy cores as they were before the library

@@ -1,0 +1,190 @@
+"""Canonical labeling against the full search tree and against networkx.
+
+The labeling prunes its individualisation-refinement tree with the
+automorphisms it finds. It must return exactly the (encoding, perm) of the
+unpruned tree in tests/helpers.py, so canonical forms, isomorphism witnesses
+and every search memo stay the same. The cost guard counts refinement calls
+instead of timing them.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flagcalc import Graph, IsoWitness, canonical_form, cycle_graph, path_graph
+from flagcalc import graphs
+
+from .helpers import naive_canonical_full
+from .test_graphs import graphs as small_graphs
+
+
+def hypercube(d: int) -> Graph:
+    vs = [format(i, f"0{d}b") for i in range(2 ** d)]
+    return Graph.make(vs, [(a, b) for a, b in itertools.combinations(vs, 2)
+                           if sum(x != y for x, y in zip(a, b)) == 1])
+
+
+def cycle(n: int) -> Graph:
+    return cycle_graph(f"c{i}" for i in range(n))
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    vs = [f"{i}.{v}" for i, g in enumerate(parts) for v in g.vertices]
+    es = [(f"{i}.{a}", f"{i}.{b}") for i, g in enumerate(parts) for a, b in g.edges]
+    return Graph.make(vs, es)
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    old = g.sorted_vertices()
+    new = old[:]
+    rng.shuffle(new)
+    to = dict(zip(old, new))
+    return Graph.make(new, [(to[a], to[b]) for a, b in g.edges])
+
+
+def rook_and_shrikhande() -> tuple[Graph, Graph]:
+    """The 4x4 rook graph and the Shrikhande graph: both strongly regular with
+    parameters (16, 6, 2, 2), and not isomorphic."""
+    vs = [f"{i}{j}" for i in range(4) for j in range(4)]
+    rook = Graph.make(vs, [(a, b) for a, b in itertools.combinations(vs, 2)
+                           if a[0] == b[0] or a[1] == b[1]])
+    diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = Graph.make(vs, [
+        (a, b) for a, b in itertools.combinations(vs, 2)
+        if ((int(a[0]) - int(b[0])) % 4, (int(a[1]) - int(b[1])) % 4) in diffs])
+    return rook, shrikhande
+
+
+def named_graphs() -> dict[str, Graph]:
+    out = {f"C{n}": cycle(n) for n in range(4, 25)}
+    out.update({f"Q{d}": hypercube(d) for d in (2, 3, 4)})
+    out.update({"susp-C4": cycle(4).suspension(), "susp-C9": cycle(9).suspension(),
+                "susp-Q3": hypercube(3).suspension()})
+    out["K3,3"] = Graph.make("abcxyz", itertools.product("abc", "xyz"))
+    pairs = [frozenset(p) for p in itertools.combinations(range(5), 2)]
+    out["Petersen"] = Graph.make(map(str, range(10)), [
+        (str(i), str(j)) for (i, a), (j, b) in itertools.combinations(enumerate(pairs), 2)
+        if not a & b])
+    out["rook4x4"], out["Shrikhande"] = rook_and_shrikhande()
+    out["C6+C6"] = disjoint_union(cycle(6), cycle(6))
+    out["C3+C3+C3"] = disjoint_union(cycle(3), cycle(3), cycle(3))
+    # unlike components: resuming one level above the common ancestor of two
+    # automorphic leaves would skip this graph's least leaf
+    out["C3+C4+P3"] = disjoint_union(cycle(3), cycle(4), path_graph("abc"))
+    return out
+
+
+NAMED = named_graphs()
+
+
+def assert_matches_full_tree(g: Graph) -> None:
+    graphs._canonical_full.cache_clear()
+    assert graphs._canonical_full(g) == naive_canonical_full(g)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_pruned_labeling_matches_the_full_tree(name):
+    assert_matches_full_tree(NAMED[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=8), st.integers(0, 10_000))
+def test_pruned_labeling_matches_the_full_tree_on_small_graphs(g, seed):
+    assert_matches_full_tree(g)
+    assert_matches_full_tree(relabelled(g, random.Random(seed)))
+
+
+@pytest.mark.parametrize("g, cap", [(hypercube(5), 64),  # 6,593 calls on the full tree
+                                    (cycle(48), 16),  # 145
+                                    (hypercube(4).suspension(), 64)],  # 1,425
+                         ids=["Q5", "C48", "susp-Q4"])
+def test_symmetric_graphs_refine_a_bounded_number_of_times(monkeypatch, g, cap):
+    calls = []
+    refine = graphs._refine
+
+    def counting(adj, colors):
+        calls.append(len(adj))
+        return refine(adj, colors)
+
+    monkeypatch.setattr(graphs, "_refine", counting)
+    graphs._canonical_full.cache_clear()
+    canonical_form(g)
+    assert 0 < len(calls) <= cap
+
+
+def random_gnp(rng: random.Random, n: int, p: float) -> Graph:
+    vs = [f"v{i}" for i in range(n)]
+    return Graph.make(vs, [e for e in itertools.combinations(vs, 2) if rng.random() < p])
+
+
+def double_edge_swaps(g: Graph, rng: random.Random, swaps: int) -> Graph:
+    """Replace edges ab, cd by ad, cb where both are absent; degrees stay put."""
+    edges = set(g.edges)
+    for _ in range(swaps):
+        (a, b), (c, d) = (tuple(sorted(e)) for e in rng.sample(sorted(edges, key=sorted), 2))
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = {frozenset((a, d)), frozenset((c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges -= {frozenset((a, b)), frozenset((c, d))}
+            edges |= new
+    return Graph.make(g.vertices, edges)
+
+
+def test_canonical_forms_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g: Graph):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(tuple(e) for e in g.edges)
+        return h
+
+    rng = random.Random(2014)
+    pairs = []
+    for _ in range(150):
+        n, p = rng.randint(1, 10), rng.choice((0.2, 0.5, 0.8))
+        pairs.append((random_gnp(rng, n, p), random_gnp(rng, n, p)))
+    for _ in range(150):
+        g = random_gnp(rng, rng.randint(5, 10), rng.choice((0.3, 0.5)))
+        if len(g.edges) >= 2:
+            h = double_edge_swaps(g, rng, rng.randint(1, 3))
+            pairs.append((g, relabelled(h, rng)))
+    pairs.append(rook_and_shrikhande())
+    verdicts = []
+    for g, h in pairs:
+        same = nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (canonical_form(g) == canonical_form(h)) == same
+        verdicts.append(same)
+    assert 30 <= sum(verdicts) <= len(verdicts) - 30  # both answers are exercised
+
+
+def test_witness_error_names_the_first_broken_pair():
+    c4 = cycle_graph("abcd")
+    chorded = Graph.make("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")])
+    identity = IsoWitness(tuple((v, v) for v in "abcd"))
+    assert identity.error(c4, chorded) == "adjacency of 'a','c' not preserved"
+    assert identity.error(chorded, c4) == "adjacency of 'a','c' not preserved"
+    path = Graph.make("wxyz", [("w", "x"), ("x", "y"), ("y", "z")])
+    onto_path = IsoWitness((("a", "w"), ("b", "x"), ("c", "y"), ("d", "z")))
+    assert onto_path.error(c4, path) == "adjacency of 'a','d' not preserved"
+    assert IsoWitness((("a", "w"),)).error(c4, path) == \
+        "mapping is not a bijection between the vertex sets"
+
+
+def test_witness_check_of_a_valid_mapping_tests_no_pair(monkeypatch):
+    g = hypercube(5)
+    h = relabelled(g, random.Random(5))
+    witness = graphs.are_isomorphic(g, h)
+    tested = []
+    has_edge = Graph.has_edge
+
+    def counting(self, a, b):
+        tested.append((a, b))
+        return has_edge(self, a, b)
+
+    monkeypatch.setattr(Graph, "has_edge", counting)
+    assert witness.error(g, h) is None
+    assert tested == []  # the pairwise scan runs only to name a broken pair
