@@ -71,9 +71,11 @@ def _kind_of(path: str, override: str | None) -> str:
     raise GraphError(f"cannot infer structure kind of {path!r}; pass --kind")
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else fallback
+def non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
 
 
 def cmd_check(args) -> int:
@@ -189,6 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph dismantling, flag-complex collapse and poset weak "
                     "points with machine-checkable certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Text defaults: argparse converts and checks them only for the command run.
+    budget = os.environ.get("FLAGCALC_BUDGET") or str(DEFAULT_SEARCH_BUDGET)
 
     p = sub.add_parser("check", help="parse and validate a structure file")
     p.add_argument("kind", choices=sorted(_PARSERS))
@@ -198,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="search for a reduction of a graph")
     p.add_argument("file")
     p.add_argument("--mode", choices=("s", "ws", "dismantle"), default="s")
-    p.add_argument("--budget", type=int,
-                   default=_env_int("FLAGCALC_BUDGET", DEFAULT_SEARCH_BUDGET))
+    p.add_argument("--budget", type=non_negative, default=budget)
     p.add_argument("--target")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_reduce)
@@ -218,11 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("identities", help="run the cross-structure property suite")
-    p.add_argument("--seed", type=int, default=_env_int("FLAGCALC_SEED", 0))
+    p.add_argument("--seed", type=non_negative, default=os.environ.get("FLAGCALC_SEED") or "0")
     p.add_argument("--max-size", type=int, default=6)
     p.add_argument("--samples", type=int, default=24)
-    p.add_argument("--budget", type=int,
-                   default=_env_int("FLAGCALC_BUDGET", DEFAULT_SEARCH_BUDGET))
+    p.add_argument("--budget", type=non_negative, default=budget)
     p.set_defaults(fn=cmd_identities)
 
     p = sub.add_parser("corpus", help="list, dump or verify the built-in fixtures")
@@ -235,8 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_YES if exc.code == 0 else EXIT_ERROR
     try:
         code = args.fn(args)
         sys.stdout.flush()

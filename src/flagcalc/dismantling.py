@@ -107,12 +107,11 @@ def _remove_dominated(adj: dict[str, set[str]], step: tuple[str, str]) -> dict[s
     return _delete(adj, step[0])
 
 
-def _order_error(adj: dict[str, set[str]], order: DismantlingOrder,
-                 require_single: bool = True) -> str | None:
+def _order_error(adj: dict[str, set[str]], order: DismantlingOrder) -> str | None:
     cur, report = replay(adj, order.steps, _domination_step_error, _remove_dominated)
     if not report:
         return f"step {report.failed_at}: {report.reason}"
-    if require_single and len(cur) != 1:
+    if len(cur) != 1:
         return f"{len(cur)} vertices remain after replay"
     return None
 
@@ -678,51 +677,61 @@ class SearchVerdict:
 
 
 def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Callable,
-              feasible: Callable, budget: int, certificate: Callable) -> SearchVerdict:
+              feasible: Callable, budget: int, certificate: Callable,
+              tally: list[int] | None = None) -> SearchVerdict:
     """Budgeted depth-first search for a move sequence from `start` to a `done` state.
 
-    Children failing `feasible` are skipped, and a state whose `key` was once
-    exhausted is not expanded again.  YES carries `certificate(start, moves,
-    end)`; NO means every feasible path was exhausted; UNKNOWN means the node
-    budget cut some path off.
+    Children failing `feasible` are skipped.  A state whose `key` is on the
+    current path, or was once exhausted, is not expanded again.  `moves` may
+    yield None for a move it could not decide, which counts as a budget cut.
+    `tally`, a one-item list, holds a node count shared with other searches;
+    the budget bounds it, and `stats.nodes` counts this search's part.  YES
+    carries `certificate(start, moves, end)`; NO means every feasible path was
+    exhausted; UNKNOWN means the budget or an undecided move cut some path off.
     """
     if not feasible(start):
         return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
+    tally = [0] if tally is None else tally
     nodes = 0
-    failed: set = set()
-    path: list = []
-    end = start
+    seen: set = set()
+    frames: list = []  # [state, key, moves left, cut below, move that led here]
 
-    def dfs(state) -> Outcome:
-        nonlocal nodes, end
+    def enter(state, via) -> Outcome | None:
+        """The outcome of a state that is not expanded, or None once it is pushed."""
+        nonlocal nodes
         if done(state):
-            end = state
             return Outcome.YES
         k = key(state)
-        if k in failed:
+        if k in seen:
             return Outcome.NO
-        if nodes >= budget:
+        if tally[0] >= budget:
             return Outcome.UNKNOWN
+        tally[0] += 1
         nodes += 1
-        cut = False
-        for m in moves(state):
-            child = apply(state, m)
-            if not feasible(child):
-                continue
-            path.append(m)
-            res = dfs(child)
-            if res is Outcome.YES:
-                return res
-            path.pop()
-            cut = cut or res is Outcome.UNKNOWN
-        if cut:
-            return Outcome.UNKNOWN
-        failed.add(k)
-        return Outcome.NO
+        seen.add(k)
+        frames.append([state, k, iter(moves(state)), False, via])
+        return None
 
-    outcome = dfs(start)
-    cert = certificate(start, tuple(path), end) if outcome is Outcome.YES else None
-    return SearchVerdict(outcome, cert, SearchStats(nodes, budget))
+    res, end, path = enter(start, None), start, ()
+    while frames and res is not Outcome.YES:
+        frame = frames[-1]
+        frame[3] = frame[3] or res is Outcome.UNKNOWN
+        for m in frame[2]:  # the next move, if one is left
+            if m is None:
+                res = Outcome.UNKNOWN
+                break
+            child = apply(frame[0], m)
+            res = enter(child, m) if feasible(child) else Outcome.NO
+            if res is Outcome.YES:
+                end, path = child, tuple(f[4] for f in frames[1:]) + (m,)
+            break
+        else:
+            frames.pop()
+            if frame[3]:
+                seen.discard(frame[1])
+            res = Outcome.UNKNOWN if frame[3] else Outcome.NO
+    cert = certificate(start, path, end) if res is Outcome.YES else None
+    return SearchVerdict(res, cert, SearchStats(nodes, budget))
 
 
 def _graph_search(start: Graph, target: Graph | None,
@@ -815,10 +824,14 @@ class IContractibility:
     """Bounded decision procedure for reducibility to a point under deletions
     and additions of vertices whose neighborhoods are recursively reducible.
 
-    Additions are capped by a vertex-count ceiling, every search path by a
-    move-depth cap, and the whole cascade of nested neighborhood questions
-    shares one node budget; "no" therefore means exhaustion of the bounded
-    move space and "unknown" flags any cap binding on the way.
+    Each question is one `backtrack` over graphs keyed by their canonical
+    form.  Additions are capped by a vertex-count ceiling, every search path
+    by a move-depth cap, and the whole cascade of nested neighborhood
+    questions of one top-level `of` shares one node budget.  "unknown" flags
+    any cap binding on the way, and "no" would mean exhaustion of the bounded
+    move space; but the ceiling binds on every nonempty graph, so `of`
+    answers "yes" or "unknown", and `vertex` answers "no" only for an
+    isolated vertex.
     """
 
     def __init__(self, extra_vertices: int = 2, node_budget: int = 20000,
@@ -827,17 +840,22 @@ class IContractibility:
         self.node_budget = node_budget
         self.max_depth = max_depth
         self.max_nesting = max_nesting
-        self._memo: dict = {}
-        self._active: set = set()
-        self._nodes = 0
+        self._memo: dict = {}  # canonical form -> answer; "unknown" while open
+        self._tally: list[int] | None = None
         self._nesting = 0
 
     def of(self, g: Graph) -> str:
         if not g.vertices:
             raise GraphError("empty graph")
-        if self._nesting == 0:
-            self._nodes = 0
-        return self._question(g)
+        if self._tally is not None:
+            return self._question(g)
+        # An "unknown" depends on the budget left, so it lasts for one top-level call.
+        self._tally = [0]
+        try:
+            return self._question(g)
+        finally:
+            self._tally = None
+            self._memo = {k: a for k, a in self._memo.items() if a != "unknown"}
 
     def vertex(self, g: Graph, v: str) -> str:
         """Is v deletable, i.e. is its open neighborhood reducible?"""
@@ -848,86 +866,61 @@ class IContractibility:
 
     def _question(self, g: Graph) -> str:
         key = canonical_form(g)
-        hit = self._memo.get(key)
-        ceiling = len(g.vertices) + self.extra_vertices
-        if hit is not None:
-            verdict, proven_ceiling = hit
-            if verdict == "yes" or ceiling <= proven_ceiling:
-                return verdict
-        if key in self._active or self._nesting >= self.max_nesting:
-            return "unknown"  # self-referential or too deeply nested question
-        self._active.add(key)
+        if key in self._memo:
+            return self._memo[key]
+        if self._nesting >= self.max_nesting:
+            return "unknown"
+        self._memo[key] = "unknown"  # a question met again inside itself is open
         self._nesting += 1
         try:
-            res = self._search(g, ceiling, 0, set())
+            verdict = backtrack((g, 0), lambda s: canonical_form(s[0]),
+                                self._moves(len(g.vertices) + self.extra_vertices),
+                                _apply_i_move, lambda s: len(s[0].vertices) == 1,
+                                lambda s: True, self.node_budget, lambda *_: None,
+                                self._tally)
         finally:
-            self._active.discard(key)
             self._nesting -= 1
-        if res == "yes":
-            self._memo[key] = ("yes", ceiling)
-        elif res == "no":
-            self._memo[key] = ("no", ceiling)
-        return res
+        self._memo[key] = verdict.outcome.value
+        return self._memo[key]
 
-    def _attachments(self, g: Graph) -> list[frozenset[str]]:
-        verts = g.sorted_vertices()
-        if 2 ** len(verts) <= 64:
-            return [frozenset(c) for r in range(1, len(verts) + 1)
-                    for c in itertools.combinations(verts, r)]
-        return sorted({g.closed_neighborhood(v) for v in verts} | {g.vertices},
-                      key=lambda s: tuple(sorted(s)))
-
-    def _deletions(self, g: Graph) -> list[str]:
-        # dominated vertices first: their removal preserves reachability, so
-        # provable instances resolve without touching the addition moves
-        verts = g.sorted_vertices()
-        dominated = [v for v in verts if _dominated_step(g.adjacency, v)]
-        return dominated + [v for v in verts if v not in dominated]
-
-    def _search(self, g: Graph, ceiling: int, depth: int, path: set) -> str:
-        if len(g.vertices) == 1:
-            return "yes"
-        key = canonical_form(g)
-        if key in path:
-            return "cycle"
-        if self._nodes >= self.node_budget or depth >= self.max_depth:
-            return "unknown"
-        self._nodes += 1
-        path.add(key)
-        tainted = False
-        try:
-            for v in self._deletions(g):
-                sub = self.vertex(g, v)
-                if sub == "yes":
-                    res = self._search(g.without_vertex(v), ceiling, depth + 1, path)
-                    if res == "yes":
-                        return "yes"
-                    if res in ("unknown", "cycle"):
-                        tainted = True
-                elif sub == "unknown":
-                    tainted = True
-            if len(g.vertices) < ceiling:
-                for att in self._attachments(g):
-                    if self.of(g.induced(att)) != "yes":
-                        continue
-                    x = fresh_labels(g.vertices, 1, stem="_i")[0]
-                    res = self._search(g.with_vertex(x, att), ceiling, depth + 1, path)
-                    if res == "yes":
-                        return "yes"
-                    if res in ("unknown", "cycle"):
-                        tainted = True
+    def _moves(self, ceiling: int) -> Callable:
+        """I-moves of a (graph, depth) state: deletions, dominated vertices
+        first, then additions; None for each move or set of moves left undecided."""
+        def gen(state):
+            g, depth = state
+            if depth >= self.max_depth:
+                yield None
+                return
+            verts = g.sorted_vertices()
+            for v in sorted(verts, key=lambda v: _dominated_step(g.adjacency, v) is None):
+                answer = self.vertex(g, v)
+                if answer != "no":
+                    yield (v, None) if answer == "yes" else None
+            if len(verts) >= ceiling:
+                yield None
+                return
+            if len(verts) <= 6:
+                attachments = [frozenset(c) for r in range(1, len(verts) + 1)
+                               for c in itertools.combinations(verts, r)]
             else:
-                tainted = True
-        finally:
-            path.discard(key)
-        return "unknown" if tainted else "no"
+                attachments = sorted({g.closed_neighborhood(v) for v in verts} | {g.vertices},
+                                     key=lambda a: tuple(sorted(a)))
+            x = fresh_labels(g.vertices, 1, stem="_i")[0]
+            for att in attachments:
+                answer = self.of(g.induced(att))
+                if answer != "no":
+                    yield (x, att) if answer == "yes" else None
+            if len(verts) > 6:
+                yield None  # not every attachment was tried
+        return gen
+
+
+def _apply_i_move(state, move):
+    """Delete vertex v, or add x attached to att, for move (v, None) or (x, att)."""
+    (g, depth), (v, att) = state, move
+    return (g.without_vertex(v) if att is None else g.with_vertex(v, att)), depth + 1
 
 
 def is_i_contractible(g: Graph, checker: IContractibility | None = None) -> str:
     """Three-valued contractibility verdict: "yes", "no" or "unknown"."""
     return (checker or IContractibility()).of(g)
-
-
-def is_i_dismantlable_vertex(g: Graph, v: str,
-                             checker: IContractibility | None = None) -> str:
-    return (checker or IContractibility()).vertex(g, v)

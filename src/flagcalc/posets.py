@@ -227,12 +227,11 @@ def _remove_irreducible(state, step: PosetStep):
     return _drop(state, step.removed)
 
 
-def _order_error(state, order: PosetDismantlingOrder,
-                 require_single: bool = True) -> str | None:
+def _order_error(state, order: PosetDismantlingOrder) -> str | None:
     cur, report = replay(state, order.steps, _irreducible_step_error, _remove_irreducible)
     if not report:
         return f"step {report.failed_at}: {report.reason}"
-    if require_single and len(cur[0]) != 1:
+    if len(cur[0]) != 1:
         return f"{len(cur[0])} elements remain after replay"
     return None
 

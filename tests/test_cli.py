@@ -140,6 +140,29 @@ def test_environment_overrides(monkeypatch, capsys, k3_file):
     assert code == 0
 
 
+@pytest.mark.parametrize("budget", ["xyz", "-3"])
+def test_bad_budget_is_a_usage_error(capsys, k3_file, budget):
+    code, out, err = run(capsys, "reduce", k3_file, "--budget", budget)
+    assert code == 3 and out == ""
+    assert "--budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["FLAGCALC_BUDGET", "FLAGCALC_SEED"])
+def test_bad_environment_value_fails_only_the_commands_that_read_it(monkeypatch, capsys,
+                                                                   k3_file, name):
+    monkeypatch.setenv(name, "abc")
+    command = ["reduce", k3_file] if name == "FLAGCALC_BUDGET" else ["identities"]
+    code, _, err = run(capsys, *command)
+    assert code == 3 and "Traceback" not in err
+    code, out, err = run(capsys, "corpus", "list")
+    assert code == 0 and "six-regular-10" in out and err == ""
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage" in out
+
+
 def _cli(*argv, hash_seed="0"):
     """The command line in a fresh interpreter, as `Popen` arguments."""
     import flagcalc

@@ -30,6 +30,7 @@ from flagcalc import (
     is_flag,
     link,
     one_skeleton,
+    path_graph,
     star_collapse_certificate,
     subset_label,
 )
@@ -186,6 +187,14 @@ def test_reversed_collapses_replay_as_expansions(seed):
         tuple((ANTICOLLAPSE, pair) for _, pair in reversed(forward.moves)),
         forward.start)
     assert check_complex_certificate(backward).ok
+
+
+def test_collapse_search_follows_a_path_thousands_of_moves_deep():
+    labels = [f"v{i:04d}" for i in range(1100)]
+    verdict = collapse_search(clique_complex(path_graph(labels)))
+    assert verdict.outcome is Outcome.YES
+    assert len(verdict.certificate.moves) == 1099
+    assert check_complex_certificate(verdict.certificate)
 
 
 def test_collapse_search_with_target():
