@@ -39,11 +39,6 @@ from .simplicial import (
 
 EXIT_YES, EXIT_NO, EXIT_UNKNOWN, EXIT_ERROR = 0, 1, 2, 3
 
-_PARSERS = {"graph": textio.parse_graph, "complex": textio.parse_complex,
-            "poset": textio.parse_poset}
-_FORMATTERS = {"graph": textio.format_graph, "complex": textio.format_complex,
-               "poset": textio.format_poset}
-
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -59,23 +54,48 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load(kind: str, path: str):
-    return _PARSERS[kind](_read(path))
+    return textio.TEXT_FORMS[kind].parse(_read(path))
 
 
 def _kind_of(path: str, override: str | None) -> str:
     if override:
         return override
-    for kind in _PARSERS:
+    for kind in textio.TEXT_FORMS:
         if path.endswith("." + kind):
             return kind
     raise GraphError(f"cannot infer structure kind of {path!r}; pass --kind")
 
 
-def non_negative(text: str) -> int:
+def _at_least(low: int, text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{text!r} is less than {low}")
     return value
+
+
+def non_negative(text: str) -> int:
+    return _at_least(0, text)
+
+
+def instance_size(text: str) -> int:
+    """Instance sizes are drawn from [2, max-size], so 2 is the least."""
+    return _at_least(2, text)
+
+
+# option -> (the environment variable that sets it when omitted, its default)
+_ENVIRONMENT = {"budget": ("FLAGCALC_BUDGET", DEFAULT_SEARCH_BUDGET),
+                "seed": ("FLAGCALC_SEED", 0)}
+
+
+def _fill_from_environment(args) -> None:
+    """Set the command's unset options, naming the variable a bad value came from."""
+    for dest, (var, default) in _ENVIRONMENT.items():
+        if getattr(args, dest, default) is None:
+            text = os.environ.get(var)
+            try:
+                setattr(args, dest, non_negative(text) if text else default)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{var}: invalid non-negative integer {text!r}") from exc
 
 
 def cmd_check(args) -> int:
@@ -129,11 +149,11 @@ def cmd_map(args) -> int:
     if args.functor == "bd":
         kind = _kind_of(args.file, args.kind)
         result = _BD[kind](_load(kind, args.file))
-        _emit(_FORMATTERS[kind](result), args.out)
+        _emit(textio.TEXT_FORMS[kind].format(result), args.out)
         return EXIT_YES
     src, dst, fn = _MAPS[args.functor]
     result = fn(_load(src, args.file))
-    _emit(_FORMATTERS[dst](result), args.out)
+    _emit(textio.TEXT_FORMS[dst].format(result), args.out)
     return EXIT_YES
 
 
@@ -191,18 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph dismantling, flag-complex collapse and poset weak "
                     "points with machine-checkable certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Text defaults: argparse converts and checks them only for the command run.
-    budget = os.environ.get("FLAGCALC_BUDGET") or str(DEFAULT_SEARCH_BUDGET)
 
     p = sub.add_parser("check", help="parse and validate a structure file")
-    p.add_argument("kind", choices=sorted(_PARSERS))
+    p.add_argument("kind", choices=sorted(textio.TEXT_FORMS))
     p.add_argument("file")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("reduce", help="search for a reduction of a graph")
     p.add_argument("file")
     p.add_argument("--mode", choices=("s", "ws", "dismantle"), default="s")
-    p.add_argument("--budget", type=non_negative, default=budget)
+    p.add_argument("--budget", type=non_negative)
     p.add_argument("--target")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_reduce)
@@ -210,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="apply a structure-translating map")
     p.add_argument("functor", choices=sorted(_MAPS) + ["bd"])
     p.add_argument("file")
-    p.add_argument("--kind", choices=sorted(_PARSERS))
+    p.add_argument("--kind", choices=sorted(textio.TEXT_FORMS))
     p.add_argument("--out")
     p.set_defaults(fn=cmd_map)
 
@@ -221,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("identities", help="run the cross-structure property suite")
-    p.add_argument("--seed", type=non_negative, default=os.environ.get("FLAGCALC_SEED") or "0")
-    p.add_argument("--max-size", type=int, default=6)
-    p.add_argument("--samples", type=int, default=24)
-    p.add_argument("--budget", type=non_negative, default=budget)
+    p.add_argument("--seed", type=non_negative)
+    p.add_argument("--max-size", type=instance_size, default=6)
+    p.add_argument("--samples", type=non_negative, default=24)
+    p.add_argument("--budget", type=non_negative)
     p.set_defaults(fn=cmd_identities)
 
     p = sub.add_parser("corpus", help="list, dump or verify the built-in fixtures")
@@ -242,6 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_YES if exc.code == 0 else EXIT_ERROR
     try:
+        _fill_from_environment(args)
         code = args.fn(args)
         sys.stdout.flush()
         return code

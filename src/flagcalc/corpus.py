@@ -21,11 +21,13 @@ from .graphs import (
 )
 from .dismantling import (
     Outcome,
+    check_certificate,
     dominated_vertices,
     is_dismantlable,
     s_collapse_search,
     s_dismantlable_edges,
     s_dismantlable_vertices,
+    subdivision_certificate,
     ws_reduction_search,
 )
 from .simplicial import (
@@ -37,6 +39,7 @@ from .simplicial import (
     is_flag,
 )
 from .posets import Poset, comparability_graph, order_complex
+from . import textio
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +247,6 @@ def _check_stuck() -> list[Assertion]:
 
 
 def _check_subdivision_demo() -> list[Assertion]:
-    from .identities import subdivision_certificate
-    from .dismantling import check_certificate
-
     name = "subdivision-demo-7"
     g = subdivision_demo_graph()
     bd = barycentric_graph(g)
@@ -294,19 +294,13 @@ def _check_dunce_poset() -> list[Assertion]:
 @dataclass(frozen=True)
 class Fixture:
     name: str
-    kind: str  # graph | poset
+    kind: str  # a key of textio.TEXT_FORMS
     builder: Callable[[], object]
     checker: Callable[[], list[Assertion]]
     optional: bool = False
 
     def payload(self) -> str:
-        from . import textio
-        built = self.builder()
-        if self.kind == "graph":
-            return textio.format_graph(built)
-        if self.kind == "poset":
-            return textio.format_poset(built)
-        return textio.format_complex(built)
+        return textio.TEXT_FORMS[self.kind].format(self.builder())
 
 
 FIXTURES: dict[str, Fixture] = {
@@ -327,11 +321,5 @@ FIXTURES: dict[str, Fixture] = {
 }
 
 
-def verify_corpus(include_optional: bool = True) -> list[Assertion]:
-    out: list[Assertion] = []
-    for name in sorted(FIXTURES):
-        fix = FIXTURES[name]
-        if fix.optional and not include_optional:
-            continue
-        out.extend(fix.checker())
-    return out
+def verify_corpus() -> list[Assertion]:
+    return [a for name in sorted(FIXTURES) for a in FIXTURES[name].checker()]

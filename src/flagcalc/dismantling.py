@@ -22,10 +22,13 @@ from .graphs import (
     IsoWitness,
     UnknownEdgeError,
     UnknownVertexError,
+    barycentric_graph,
     canonical_form,
+    complete_subgraphs,
     edge_key,
     fresh_labels,
     sorted_pair,
+    subset_label,
 )
 
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -445,23 +448,18 @@ def normalize_certificate(c: MoveCertificate) -> MoveCertificate:
 # constructive reductions
 
 
-def realize_edge_deletion(g: Graph, e: Iterable[str], renamed: str | None = None,
-                          avoid: Iterable[str] = ()) -> MoveCertificate:
+def realize_edge_deletion(g: Graph, e: Iterable[str]) -> MoveCertificate:
     """Two vertex moves with the same effect as deleting an s-dismantlable edge.
 
-    Adds a clone x of one endpoint attached to that endpoint's closed
+    Adds a clone x of the lesser endpoint attached to that endpoint's closed
     neighborhood minus the other endpoint, then removes the cloned endpoint;
     the end graph is the edge-deleted graph with the endpoint renamed to x.
     """
     a, b = sorted_pair(e)
     if not g.has_edge(a, b):
         raise UnknownEdgeError(f"unknown edge {a!r}-{b!r}")
-    if renamed is None:
-        renamed = a
-    if renamed not in (a, b):
-        raise GraphError(f"{renamed!r} is not an endpoint of {a!r}-{b!r}")
     adj = _working(g)
-    moves = _edge_deletion_moves(adj, renamed, b if renamed == a else a, avoid)
+    moves = _edge_deletion_moves(adj, a, b, ())
     return MoveCertificate(g, moves, _graph_of(adj))
 
 
@@ -502,14 +500,13 @@ def _certificate_removals(c: MoveCertificate) -> list[str]:
 
 
 def realize_s_neighborhood_deletion(g: Graph, v: str,
-                                    budget: int = DEFAULT_SEARCH_BUDGET,
                                     witness: MoveCertificate | None = None) -> "SearchVerdict":
     """Certificate from g to g minus v, given that N(v) reduces to a point.
 
-    Without a supplied witness the open neighborhood is searched for a pure
-    removal sequence; a supplied witness may also contain additions, which are
-    lifted into g (each new vertex additionally attached to v) before the
-    edge-by-edge cascade runs.
+    Without a supplied witness the open neighborhood is searched, within
+    DEFAULT_SEARCH_BUDGET nodes, for a pure removal sequence; a supplied
+    witness may also contain additions, which are lifted into g (each new
+    vertex additionally attached to v) before the edge-by-edge cascade runs.
     """
     if v not in g.vertices:
         raise UnknownVertexError(f"unknown vertex {v!r}")
@@ -517,9 +514,9 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
     if not nb.vertices:
         raise GraphError(f"{v!r} is isolated; its neighborhood cannot reduce to a point")
 
-    stats = SearchStats(0, budget)
+    stats = SearchStats(0, DEFAULT_SEARCH_BUDGET)
     if witness is None:
-        verdict = s_collapse_search(nb, budget)
+        verdict = s_collapse_search(nb)
         stats = verdict.stats
         if verdict.outcome is not Outcome.YES:
             return SearchVerdict(Outcome.UNKNOWN, None, stats)
@@ -651,6 +648,60 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
     if err:  # pragma: no cover - construction guarantees this
         raise CertificateError(f"relabeling is not an isomorphism: {err}")
     return MoveCertificate(cert.start, tuple(out), cur), mapping
+
+
+def subdivision_certificate(g: Graph) -> MoveCertificate:
+    """Vertex moves from g to its barycentric subdivision graph.
+
+    First a hat vertex is added for every complete subgraph, in increasing
+    cardinality: the hat of c attaches to the hats of the proper subsets of c,
+    to the largest-labeled member of c, and to every later vertex extending c,
+    which makes its neighborhood a cone.  Then the original vertices are
+    removed in label order; the witness removes hats of subgraphs not peaking
+    at the removed vertex (largest first, each dominated by its extension)
+    and finishes on the cone over the removed vertex's singleton hat.  Each
+    move is vetted as it is applied to the working state.
+    """
+    order = g.sorted_vertices()
+    rank = {v: i for i, v in enumerate(order)}
+    cliques = sorted(complete_subgraphs(g), key=lambda c: (len(c), tuple(sorted(c))))
+    clique_set = set(cliques)
+    hats = {c: subset_label(c) for c in cliques}
+    hat_members = {hats[c]: c for c in cliques}
+    adj = _working(g)
+    moves: list[GraphMove] = []
+
+    def emit(move: GraphMove) -> None:
+        _apply_checked(adj, move)
+        moves.append(move)
+
+    for c in cliques:
+        members = sorted(c)
+        peak = max(c, key=rank.__getitem__)
+        attach = {subset_label(d) for k in range(1, len(members))
+                  for d in itertools.combinations(members, k)}
+        attach.add(peak)
+        attach.update(u for u in order
+                      if rank[u] > rank[peak] and (c | {u}) in clique_set)
+        emit(GraphMove(MoveKind.ADD_VERTEX, hats[c], witness=cone_order(attach, peak),
+                       attachment=frozenset(attach)))
+
+    for v in order:
+        # N(v) now holds the hats attached to v and the neighbors not yet removed.
+        i, nbhd = rank[v], adj[v]
+        shrinking = sorted(
+            (u for u in nbhd
+             if u in hat_members and rank[max(hat_members[u], key=rank.__getitem__)] < i),
+            key=lambda u: (-len(hat_members[u]), u))
+        steps = [(u, hats[hat_members[u] | {v}]) for u in shrinking]
+        apex = hats[frozenset((v,))]
+        steps.extend((u, apex) for u in sorted(nbhd - set(shrinking)) if u != apex)
+        emit(GraphMove(MoveKind.REMOVE_VERTEX, v, witness=DismantlingOrder(tuple(steps))))
+
+    cur = _graph_of(adj)
+    if cur != barycentric_graph(g):  # pragma: no cover - construction guarantees this
+        raise CertificateError("subdivision moves did not end at the subdivision graph")
+    return MoveCertificate(g, tuple(moves), cur)
 
 
 # ---------------------------------------------------------------------------
@@ -834,12 +885,12 @@ class IContractibility:
     isolated vertex.
     """
 
-    def __init__(self, extra_vertices: int = 2, node_budget: int = 20000,
-                 max_depth: int = 16, max_nesting: int = 16):
-        self.extra_vertices = extra_vertices
+    EXTRA_VERTICES = 2  # a question's vertex ceiling, above its own size
+    MAX_DEPTH = 16  # moves on one search path
+    MAX_NESTING = 16  # nested questions open at once
+
+    def __init__(self, node_budget: int = 20000):
         self.node_budget = node_budget
-        self.max_depth = max_depth
-        self.max_nesting = max_nesting
         self._memo: dict = {}  # canonical form -> answer; "unknown" while open
         self._tally: list[int] | None = None
         self._nesting = 0
@@ -868,13 +919,13 @@ class IContractibility:
         key = canonical_form(g)
         if key in self._memo:
             return self._memo[key]
-        if self._nesting >= self.max_nesting:
+        if self._nesting >= self.MAX_NESTING:
             return "unknown"
         self._memo[key] = "unknown"  # a question met again inside itself is open
         self._nesting += 1
         try:
             verdict = backtrack((g, 0), lambda s: canonical_form(s[0]),
-                                self._moves(len(g.vertices) + self.extra_vertices),
+                                self._moves(len(g.vertices) + self.EXTRA_VERTICES),
                                 _apply_i_move, lambda s: len(s[0].vertices) == 1,
                                 lambda s: True, self.node_budget, lambda *_: None,
                                 self._tally)
@@ -888,7 +939,7 @@ class IContractibility:
         first, then additions; None for each move or set of moves left undecided."""
         def gen(state):
             g, depth = state
-            if depth >= self.max_depth:
+            if depth >= self.MAX_DEPTH:
                 yield None
                 return
             verts = g.sorted_vertices()

@@ -266,14 +266,14 @@ def complete_subgraphs(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> list[frozense
     return sorted(seen, key=lambda c: tuple(sorted(c)))
 
 
-def enumerate_complete_subgraphs(g: Graph, mode: str = "all",
-                                 cap: int = DEFAULT_CLIQUE_CAP) -> CliqueFamily:
+def enumerate_complete_subgraphs(g: Graph, mode: str = "all") -> CliqueFamily:
     if mode == "maximal":
         found = maximal_cliques(g)
-        if len(found) > cap:
-            raise BudgetExceededError(f"more than {cap} maximal complete subgraphs")
+        if len(found) > DEFAULT_CLIQUE_CAP:
+            raise BudgetExceededError(
+                f"more than {DEFAULT_CLIQUE_CAP} maximal complete subgraphs")
     elif mode == "all":
-        found = complete_subgraphs(g, cap)
+        found = complete_subgraphs(g)
     else:
         raise GraphError(f"unknown enumeration mode {mode!r}")
     return CliqueFamily(g, mode, tuple(found))
@@ -294,9 +294,9 @@ def inclusion_pairs(family: Iterable[frozenset[str]]) -> list[tuple[str, str]]:
     return out
 
 
-def barycentric_graph(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> Graph:
+def barycentric_graph(g: Graph) -> Graph:
     """Vertices are the complete subgraphs of g, edges the strict inclusions."""
-    fam = complete_subgraphs(g, cap)
+    fam = complete_subgraphs(g)
     return Graph.make(map(subset_label, fam), inclusion_pairs(fam))
 
 

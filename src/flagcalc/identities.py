@@ -1,46 +1,33 @@
-"""Cross-structure constructions and executable property oracles.
+"""Executable cross-structure property oracles.
 
-The constructive workhorse here turns an arbitrary graph into its
-barycentric subdivision by legal vertex moves.  run_property_suite exercises
-the bridge results between graphs, complexes and posets on seeded random
-instances and reports per-instance verdicts.
+run_property_suite exercises the bridge results between graphs, complexes and
+posets on seeded random instances and reports per-instance verdicts.  The
+subdivision certificate it checks is built in `dismantling` and re-exported
+here.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import string
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (
-    DEFAULT_CLIQUE_CAP,
-    Graph,
-    are_isomorphic,
-    barycentric_graph,
-    complete_subgraphs,
-    subset_label,
-)
+from .graphs import Graph, are_isomorphic, barycentric_graph, subset_label
 from .dismantling import (
     DEFAULT_SEARCH_BUDGET,
     CertificateError,
-    DismantlingOrder,
-    GraphMove,
-    MoveCertificate,
-    MoveKind,
+    IContractibility,
     Outcome,
     apply_move,
     check_certificate,
-    cone_order,
     is_s_dismantlable_edge,
     is_s_dismantlable_vertex,
     realize_edge_deletion,
     s_collapse_search,
     s_dismantlable_vertices,
-    IContractibility,
-    replay_moves,
+    subdivision_certificate,
 )
 from .simplicial import (
     COLLAPSE,
@@ -60,6 +47,7 @@ from .simplicial import (
     star_collapse_certificate,
 )
 from . import textio
+from .corpus import stuck_graph, stuck_graph_reduced
 from .posets import (
     Poset,
     check_poset_certificate,
@@ -69,67 +57,6 @@ from .posets import (
     weak_points,
     weak_points_via_join,
 )
-
-
-# ---------------------------------------------------------------------------
-# subdivision as vertex moves
-
-
-def subdivision_certificate(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> MoveCertificate:
-    """Vertex moves from g to its barycentric subdivision graph.
-
-    First a hat vertex is added for every complete subgraph, in increasing
-    cardinality: the hat of c attaches to the hats of the proper subsets of c,
-    to the largest-labeled member of c, and to every later vertex extending c,
-    which makes its neighborhood a cone.  Then the original vertices are
-    removed in label order; the witness removes hats of subgraphs not peaking
-    at the removed vertex (largest first, each dominated by its extension)
-    and finishes on the cone over the removed vertex's singleton hat.
-    """
-    order = g.sorted_vertices()
-    rank = {v: i for i, v in enumerate(order)}
-    cliques = sorted(complete_subgraphs(g, cap), key=lambda c: (len(c), tuple(sorted(c))))
-    clique_set = set(cliques)
-    hats = {c: subset_label(c) for c in cliques}
-
-    moves: list[GraphMove] = []
-    hat_nb: dict[str, set[str]] = {v: set() for v in order}
-    for c in cliques:
-        members = sorted(c)
-        peak = max(c, key=rank.__getitem__)
-        attach = {subset_label(d) for k in range(1, len(members))
-                  for d in itertools.combinations(members, k)}
-        attach.add(peak)
-        attach.update(u for u in order
-                      if rank[u] > rank[peak] and (c | {u}) in clique_set)
-        move = GraphMove(MoveKind.ADD_VERTEX, hats[c], witness=cone_order(attach, peak),
-                         attachment=frozenset(attach))
-        moves.append(move)
-        for u in attach:
-            if u in hat_nb:
-                hat_nb[u].add(hats[c])
-
-    hat_members = {hats[c]: c for c in cliques}
-    for v in order:
-        i = rank[v]
-        nbhd = hat_nb[v] | {u for u in g.neighbors(v) if rank[u] > i}
-        shrinking = sorted(
-            (u for u in nbhd
-             if u in hat_members and rank[max(hat_members[u], key=rank.__getitem__)] < i),
-            key=lambda u: (-len(hat_members[u]), u))
-        steps = [(u, hats[frozenset(hat_members[u]) | {v}]) for u in shrinking]
-        apex = hats[frozenset((v,))]
-        steps.extend((u, apex) for u in sorted(nbhd - set(shrinking)) if u != apex)
-        moves.append(GraphMove(MoveKind.REMOVE_VERTEX, v,
-                               witness=DismantlingOrder(tuple(steps))))
-
-    cur, report = replay_moves(g, moves)
-    if not report:  # pragma: no cover - construction guarantees this
-        raise CertificateError(f"subdivision move {report.failed_at}: {report.reason}")
-    expected = barycentric_graph(g, cap)
-    if cur != expected:  # pragma: no cover - construction guarantees this
-        raise CertificateError("subdivision moves did not end at the subdivision graph")
-    return MoveCertificate(g, tuple(moves), cur)
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +107,10 @@ class PropertyReport:
         return f"{head} {self.property_id} {self.instance}{tail}"
 
 
-_TEXT_FORMS = {Graph: ("graph", textio.format_graph),
-               Poset: ("poset", textio.format_poset),
-               SimplicialComplex: ("complex", textio.format_complex)}
-
-
 def _describe(x: Graph | Poset | SimplicialComplex) -> str:
     """Instance name from a short sha256 of its text form, equal in every process."""
-    kind, fmt = _TEXT_FORMS[type(x)]
-    return f"{kind}<{hashlib.sha256(fmt(x).encode()).hexdigest()[:8]}>"
-
-
-def _stuck_graph_fixture() -> tuple[Graph, Graph]:
-    """Seven-vertex graph with no s-move whose clique complex still collapses."""
-    from .corpus import stuck_graph, stuck_graph_reduced
-    return stuck_graph(), stuck_graph_reduced()
+    kind, form = next((k, f) for k, f in textio.TEXT_FORMS.items() if type(x) is f.cls)
+    return f"{kind}<{hashlib.sha256(form.format(x).encode()).hexdigest()[:8]}>"
 
 
 def run_property_suite(seed: int = 0, max_size: int = 6,
@@ -330,7 +246,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
         record(pid, name, ok)
 
     pid = "stuck-graph-still-collapses-as-complex"
-    g, h = _stuck_graph_fixture()
+    g, h = stuck_graph(), stuck_graph_reduced()
     no_moves = not s_dismantlable_vertices(g)
     kk, ll = clique_complex(g), clique_complex(h)
     diff = sorted(kk.simplices - ll.simplices, key=len, reverse=True)

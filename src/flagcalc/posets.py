@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable
 
-from .graphs import DEFAULT_CLIQUE_CAP, Graph, complete_subgraphs, inclusion_pairs, subset_label
+from .graphs import Graph, complete_subgraphs, inclusion_pairs, subset_label
 from .dismantling import (
     CheckReport,
     CertificateError,
@@ -84,9 +84,6 @@ class Poset:
 
     def less(self, x: str, y: str) -> bool:
         return (x, y) in self.relation
-
-    def comparable(self, x: str, y: str) -> bool:
-        return (x, y) in self.relation or (y, x) in self.relation
 
     def above(self, x: str) -> frozenset[str]:
         self._require(x)
@@ -363,9 +360,9 @@ def _inclusion_poset(family: Collection[frozenset[str]]) -> Poset:
     return Poset(frozenset(map(subset_label, family)), frozenset(inclusion_pairs(family)))
 
 
-def clique_poset(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> Poset:
+def clique_poset(g: Graph) -> Poset:
     """Complete subgraphs of g ordered by inclusion."""
-    return _inclusion_poset(complete_subgraphs(g, cap))
+    return _inclusion_poset(complete_subgraphs(g))
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
@@ -468,8 +465,7 @@ def check_poset_certificate(c: PosetCertificate) -> CheckReport:
     return check_replay(c, _order_sets, _poset_move_error, _apply_poset_move, "poset")
 
 
-def weak_point_cascade(g: Graph, v: str,
-                       cap: int = DEFAULT_CLIQUE_CAP) -> PosetCertificate:
+def weak_point_cascade(g: Graph, v: str) -> PosetCertificate:
     """Weak point removals taking the clique poset of g to that of g minus v.
 
     Removes the singleton clique of v first, then every clique through v in the
@@ -478,9 +474,9 @@ def weak_point_cascade(g: Graph, v: str,
     nb = g.open_neighborhood_subgraph(v)
     if not nb.vertices or greedy_dismantling(nb) is None:
         raise CertificateError(f"open neighborhood of {v!r} is not dismantlable")
-    start = clique_poset(g, cap)
-    nb_cliques = complete_subgraphs(nb, cap)
-    order = greedy_poset_dismantling(clique_poset(nb, cap))
+    start = clique_poset(g)
+    nb_cliques = complete_subgraphs(nb)
+    order = greedy_poset_dismantling(clique_poset(nb))
     assert order is not None  # clique posets of dismantlable graphs dismantle
     label_to_clique = {subset_label(c): c for c in nb_cliques}
     removed_labels = [s.removed for s in order.steps]
@@ -503,7 +499,7 @@ def weak_point_cascade(g: Graph, v: str,
             raise CertificateError(err)
         _apply_poset_move(state, move)
         moves.append(move)
-    end = clique_poset(g.without_vertex(v), cap)
+    end = clique_poset(g.without_vertex(v))
     if _poset_of(state) != end:  # pragma: no cover - construction guarantees this
         raise CertificateError("cascade did not end at the vertex-deleted clique poset")
     return PosetCertificate(start, tuple(moves), end)

@@ -347,8 +347,7 @@ def _domination_moves(simplices, v: str, w: str) -> list[tuple[str, CollapsePair
     return [(COLLAPSE, CollapsePair(s | {w}, s)) for s in carriers]
 
 
-def domination_collapse(g: Graph, v: str, w: str,
-                        cap: int = DEFAULT_CLIQUE_CAP) -> ComplexCertificate:
+def domination_collapse(g: Graph, v: str, w: str) -> ComplexCertificate:
     """Collapse the clique complex of g onto that of g minus a dominated vertex.
 
     Pairs every complete subgraph through v avoiding the dominator w with its
@@ -358,9 +357,9 @@ def domination_collapse(g: Graph, v: str, w: str,
         raise GraphError(f"bad domination pair ({v!r}, {w!r})")
     if not g.closed_neighborhood(v) <= g.closed_neighborhood(w):
         raise CertificateError(f"{w!r} does not dominate {v!r}")
-    start = clique_complex(g, cap)
+    start = clique_complex(g)
     moves = tuple(_domination_moves(start.simplices, v, w))
-    end = clique_complex(g.without_vertex(v), cap)
+    end = clique_complex(g.without_vertex(v))
     cert = ComplexCertificate(start, moves, end)
     rep = check_complex_certificate(cert)
     if not rep:  # pragma: no cover - construction guarantees this
@@ -368,8 +367,7 @@ def domination_collapse(g: Graph, v: str, w: str,
     return cert
 
 
-def collapse_certificate_for_dismantlable(g: Graph,
-                                          cap: int = DEFAULT_CLIQUE_CAP) -> ComplexCertificate:
+def collapse_certificate_for_dismantlable(g: Graph) -> ComplexCertificate:
     """Collapse of the clique complex of a dismantlable graph down to a point.
 
     Each greedy deletion of v against w collapses the current clique complex
@@ -378,7 +376,7 @@ def collapse_certificate_for_dismantlable(g: Graph,
     order = greedy_dismantling(g)
     if order is None:
         raise CertificateError("graph is not greedily dismantlable")
-    start = clique_complex(g, cap)
+    start = clique_complex(g)
     counts = _coface_counts(start)
     moves: list[tuple[str, CollapsePair]] = []
     for v, w in order.steps:

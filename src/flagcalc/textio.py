@@ -7,7 +7,7 @@ file when no single line is at fault.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, sorted_pair
 from .dismantling import (
@@ -147,6 +147,18 @@ def parse_poset(text: str) -> Poset:
         return Poset.make(elements, covers)
     except PosetError as exc:  # a cycle through several covers
         raise ParseError(None, str(exc)) from exc
+
+
+class TextForm(NamedTuple):
+    cls: type
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+# Each structure kind's class and text form, read by the CLI, the corpus and the suite.
+TEXT_FORMS = {"graph": TextForm(Graph, parse_graph, format_graph),
+              "complex": TextForm(SimplicialComplex, parse_complex, format_complex),
+              "poset": TextForm(Poset, parse_poset, format_poset)}
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,22 @@ def test_package_runs_as_a_module():
     cmd[cmd.index("flagcalc.cli")] = "flagcalc"
     proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0 and b"six-regular-10" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["FLAGCALC_BUDGET", "FLAGCALC_SEED"])
+def test_bad_environment_value_is_named(monkeypatch, capsys, k3_file, name):
+    monkeypatch.setenv(name, "abc")
+    command = ["reduce", k3_file] if name == "FLAGCALC_BUDGET" else ["identities"]
+    code, out, err = run(capsys, *command)
+    assert code == 3 and out == ""
+    assert name in err and "--budget" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, bad, least", [("--samples", "-5", "0"),
+                                                 ("--max-size", "1", "2")])
+def test_bad_suite_size_is_a_usage_error(capsys, option, bad, least):
+    code, out, err = run(capsys, "identities", option, bad)
+    assert code == 3 and out == ""
+    assert option in err and "Traceback" not in err
+    code, out, _ = run(capsys, "identities", option, least)
+    assert code == 0 and "fail=0" in out
