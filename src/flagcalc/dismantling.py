@@ -22,6 +22,7 @@ from .graphs import (
     IsoWitness,
     UnknownEdgeError,
     UnknownVertexError,
+    _canonical,
     barycentric_graph,
     canonical_form,
     complete_subgraphs,
@@ -60,10 +61,6 @@ def _induced(adj, subset) -> dict[str, set[str]]:
     """A working state for the subgraph that `subset` induces in adj."""
     sub = set(subset)
     return {u: sub & adj[u] for u in sub}
-
-
-def _local_order(adj, subset) -> DismantlingOrder | None:
-    return greedy_dismantling(_graph_of(_induced(adj, subset)))
 
 
 def _delete(adj: dict[str, set[str]], v: str) -> dict[str, set[str]]:
@@ -181,12 +178,13 @@ def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
     Greedy deletion is complete here: removing a dominated vertex leaves a
     retract, so it never destroys dismantlability.
     """
-    if not g.vertices:
-        return None
-    core, steps = _greedy_graph_core(_working(g))
-    if len(core) == 1:
-        return DismantlingOrder(steps)
-    return None
+    return _greedy_order(_working(g))
+
+
+def _greedy_order(adj: dict[str, set[str]]) -> DismantlingOrder | None:
+    """greedy_dismantling of a working state, which it consumes."""
+    core, steps = _greedy_graph_core(adj)
+    return DismantlingOrder(steps) if len(core) == 1 else None
 
 
 def is_dismantlable(g: Graph) -> bool:
@@ -470,7 +468,7 @@ def _edge_deletion_moves(adj: dict[str, set[str]], renamed: str, other: str,
     common = adj[renamed] & adj[other]
     if not common:
         raise CertificateError(f"edge {a!r}-{b!r} has an empty common neighborhood")
-    common_order = _local_order(adj, common)
+    common_order = _greedy_order(_induced(adj, common))
     if common_order is None:
         raise CertificateError(f"common neighborhood of {a!r}-{b!r} is not dismantlable")
 
@@ -500,7 +498,7 @@ def _certificate_removals(c: MoveCertificate) -> list[str]:
 
 
 def realize_s_neighborhood_deletion(g: Graph, v: str,
-                                    witness: MoveCertificate | None = None) -> "SearchVerdict":
+                                    witness: MoveCertificate | None = None) -> SearchVerdict:
     """Certificate from g to g minus v, given that N(v) reduces to a point.
 
     Without a supplied witness the open neighborhood is searched, within
@@ -632,7 +630,7 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
             a, b = sorted(m.target)
             ca, cb = mu[a], mu[b]
             attach = adj[ca] | {ca, cb}
-            witness = _local_order(adj, attach)
+            witness = _greedy_order(_induced(adj, attach))
             if witness is None:  # pragma: no cover - guaranteed by the move's validity
                 raise CertificateError(f"clone neighborhood for edge {a}-{b} not dismantlable")
             x = fresh_labels(used | adj.keys(), 1)[0]
@@ -785,52 +783,98 @@ def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Call
     return SearchVerdict(res, cert, SearchStats(nodes, budget))
 
 
-def _graph_search(start: Graph, target: Graph | None,
-                  candidates: Callable[[Graph], Iterator[GraphMove]],
+def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
                   budget: int) -> SearchVerdict:
     """Deletion moves down to one vertex, with failed states memoized up to
-    isomorphism, or exactly onto a labeled target, keyed by the graph itself."""
+    isomorphism, or exactly onto a labeled target, keyed by the state itself.
+
+    A state is the frozen set of the start's vertices that remain and the
+    frozen set of the start's edges deleted among them; its graph is never
+    built.  `candidates(adj, order)` yields the moves of a state from its
+    adjacency, where `order(nb)` is the greedy dismantling of the subgraph
+    that nb induces, or None.  Canonical keys and greedy orders are cached
+    for the search, keyed by those frozen sets; the start's key is its
+    canonical_form, so a caller that labelled the start shares that work.
+    """
     if not start.vertices:
         raise GraphError("empty graph")
+    adj0 = start.adjacency
+    begin = (start.vertices, frozenset())
+    orders: dict = {}
+
+    def adjacency(state) -> dict[str, frozenset[str]]:
+        vs, cut = state
+        adj = {u: adj0[u] & vs for u in vs}
+        for a, b in cut:
+            adj[a], adj[b] = adj[a] - {b}, adj[b] - {a}
+        return adj
+
+    def moves(state) -> Iterator[GraphMove]:
+        adj, cut = adjacency(state), state[1]
+
+        def order(nb: frozenset[str]) -> DismantlingOrder | None:
+            k = (nb, frozenset(e for e in cut if e <= nb) if cut else cut)
+            if k not in orders:
+                orders[k] = _greedy_order(_induced(adj, nb))
+            return orders[k]
+        return candidates(adj, order)
+
+    def apply(state, m: GraphMove):
+        vs, cut = state
+        if m.kind is MoveKind.REMOVE_EDGE:
+            return vs, cut | {m.target}
+        return vs - {m.target}, frozenset(e for e in cut if m.target not in e) if cut else cut
+
+    def graph(state) -> Graph:
+        vs, cut = state
+        return Graph(vs, frozenset(e for e in start.edges if e <= vs) - cut)
+
+    def certificate(_, path, end) -> MoveCertificate:
+        return MoveCertificate(start, path, graph(end))
+
     if target is None:
-        return backtrack(start, canonical_form, candidates, apply_move_unchecked,
-                         lambda h: len(h.vertices) == 1, lambda h: True,
-                         budget, MoveCertificate)
-    return backtrack(start, lambda h: h, candidates, apply_move_unchecked,
-                     lambda h: h == target,
-                     lambda h: target.vertices <= h.vertices and target.edges <= h.edges,
-                     budget, MoveCertificate)
+        keys = {begin: canonical_form(start)}
+
+        def canonical_key(state) -> tuple:
+            if state not in keys:
+                keys[state] = _canonical(adjacency(state), dict.fromkeys(state[0], 0))[0]
+            return keys[state]
+
+        return backtrack(begin, canonical_key, moves, apply, lambda s: len(s[0]) == 1,
+                         lambda s: True, budget, certificate)
+    return backtrack(begin, lambda s: s, moves, apply,
+                     lambda s: s[0] == target.vertices and graph(s) == target,
+                     lambda s: target.vertices <= s[0] and target.edges <= start.edges
+                     and target.edges.isdisjoint(s[1]),
+                     budget, certificate)
 
 
 def _dominated_candidates(allowed: frozenset[str]):
-    def gen(h: Graph) -> Iterator[GraphMove]:
-        for v in sorted(allowed & h.vertices):
-            step = _dominated_step(h.adjacency, v)
+    def gen(adj, order) -> Iterator[GraphMove]:
+        for v in sorted(allowed & adj.keys()):
+            step = _dominated_step(adj, v)
             if step:
-                yield GraphMove(MoveKind.REMOVE_VERTEX, v,
-                                witness=cone_order(h.neighbors(v), step[1]))
+                yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], step[1]))
     return gen
 
 
-def _s_vertex_candidates(h: Graph) -> Iterator[GraphMove]:
-    for v in h.sorted_vertices():
-        nb = h.open_neighborhood_subgraph(v)
-        if not nb.vertices:
-            continue
-        order = greedy_dismantling(nb)
-        if order is not None:
-            yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=order)
+def _s_vertex_candidates(adj, order) -> Iterator[GraphMove]:
+    for v in sorted(adj):
+        if adj[v]:
+            witness = order(adj[v])
+            if witness is not None:
+                yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=witness)
 
 
-def _ws_candidates(h: Graph) -> Iterator[GraphMove]:
-    yield from _s_vertex_candidates(h)
-    for a, b in h.sorted_edges():
-        common = h.neighbors(a) & h.neighbors(b)
-        if not common:
-            continue
-        order = greedy_dismantling(h.induced(common))
-        if order is not None:
-            yield GraphMove(MoveKind.REMOVE_EDGE, frozenset((a, b)), witness=order)
+def _ws_candidates(adj, order) -> Iterator[GraphMove]:
+    yield from _s_vertex_candidates(adj, order)
+    for a in sorted(adj):
+        for b in sorted(w for w in adj[a] if w > a):
+            common = adj[a] & adj[b]
+            if common:
+                witness = order(common)
+                if witness is not None:
+                    yield GraphMove(MoveKind.REMOVE_EDGE, frozenset((a, b)), witness=witness)
 
 
 def dismantles_onto(g: Graph, h: Graph,

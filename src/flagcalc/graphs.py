@@ -329,13 +329,63 @@ class IsoWitness:
 
 
 def _refine(adj: dict[str, frozenset[str]], colors: dict[str, int]) -> dict[str, int]:
-    while True:
-        sigs = {v: (colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in adj}
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        new = {v: ranks[sigs[v]] for v in adj}
-        if new == colors:
-            return colors
-        colors = new
+    """The coarsest equitable refinement of `colors`, numbered 0, 1, ... in order.
+
+    Rounds are synchronous: a round splits each cell by the sorted colours of
+    its members' neighbours and keeps the parts in that order. While refining,
+    a cell's colour is its first position in the order of cells, so a split
+    raises the colours of all parts but the first. After the first round,
+    which looks at every vertex, a round looks only at the vertices next to
+    one whose colour rose in the round before (McKay and Piperno, "Practical
+    graph isomorphism, II", J. Symb. Comput. 60, 2014). The other members of
+    their cells keep the sorted neighbour colours that the whole cell shared,
+    and a member with a risen neighbour colour now has greater ones, so the
+    others stay together as the first part; a cell with no such member
+    cannot split.
+    """
+    cells: dict[int, list[str]] = {}
+    for v, c in colors.items():
+        cells.setdefault(c, []).append(v)
+    colour: dict[str, int] = {}
+    part: dict[int, list[str]] = {}  # first position -> members
+    first = 0
+    for c in sorted(cells):
+        part[first] = cells[c]
+        colour.update(dict.fromkeys(cells[c], first))
+        first += len(cells[c])
+    dirty = [s for s, members in part.items() if len(members) > 1]
+    hit = adj  # the vertices to look at; in the first round, all
+    while dirty:
+        splits = []
+        for s in dirty:
+            groups: dict[tuple, list[str]] = {}
+            rest = []
+            for v in part[s]:
+                if v in hit:
+                    groups.setdefault(tuple(sorted(map(colour.__getitem__, adj[v]))),
+                                      []).append(v)
+                else:
+                    rest.append(v)
+            keys = sorted(groups)
+            if rest:
+                part[s] = rest
+            elif len(keys) > 1:
+                part[s] = groups[keys.pop(0)]
+            else:
+                continue
+            splits.append((s, [groups[k] for k in keys]))
+        raised = []
+        for s, parts in splits:
+            at = s + len(part[s])
+            for p in parts:
+                part[at] = p
+                colour.update(dict.fromkeys(p, at))
+                raised += p
+                at += len(p)
+        hit = {u for x in raised for u in adj[x]}
+        dirty = [s for s in {colour[u] for u in hit} if len(part[s]) > 1]
+    rank = {s: i for i, s in enumerate(sorted(part))}
+    return {v: rank[s] for v, s in colour.items()}
 
 
 def _find(parent: dict[str, str], v: str) -> str:
@@ -397,9 +447,9 @@ def _canonical(adj: dict[str, frozenset[str]],
             seen = len(autos)
             if any(_find(orbit, v) == _find(orbit, x) for x in explored):
                 continue
-            boosted = {u: (colors[u], 1 if u == v else 0) for u in adj}
-            ranks = {s: i for i, s in enumerate(sorted(set(boosted.values())))}
-            back = visit({u: ranks[boosted[u]] for u in adj}, path + (v,))
+            # v moves to a cell of its own, just after the rest of its cell
+            back = visit({u: c + (c > split or u == v) for u, c in colors.items()},
+                         path + (v,))
             if back is not None and back < len(path):
                 return back
             explored.append(v)

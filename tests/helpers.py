@@ -56,6 +56,30 @@ def exhaustive_graph_dismantlable(g: Graph) -> bool:
     return explore(g)
 
 
+def exhaustive_s_collapsible(g: Graph) -> bool:
+    """Ground truth: does ANY order of s-dismantlable vertex deletions reach one
+    vertex?  A memoized depth-first search over labelled vertex subsets, where
+    a vertex is s-dismantlable when exhaustive_graph_dismantlable accepts its
+    nonempty open neighbourhood."""
+    memo: dict[frozenset[str], bool] = {}
+    dismantlable: dict[frozenset[str], bool] = {}
+
+    def removable(nb: frozenset[str]) -> bool:
+        if nb not in dismantlable:
+            dismantlable[nb] = bool(nb) and exhaustive_graph_dismantlable(g.induced(nb))
+        return dismantlable[nb]
+
+    def explore(vs: frozenset[str]) -> bool:
+        if len(vs) == 1:
+            return True
+        if vs not in memo:
+            memo[vs] = any(removable(g.neighbors(v) & vs) and explore(vs - {v})
+                           for v in sorted(vs))
+        return memo[vs]
+
+    return explore(g.vertices)
+
+
 def exhaustive_poset_dismantlable(p: Poset) -> bool:
     """Ground truth: does ANY irreducible-removal order reach one element?"""
     memo: dict[frozenset[str], bool] = {}

@@ -171,7 +171,7 @@ PUBLIC_SIGNATURES = {
     'realize_edge_deletion':
         "(g: 'Graph', e: 'Iterable[str]') -> 'MoveCertificate'",
     'realize_s_neighborhood_deletion':
-        '(g: \'Graph\', v: \'str\', witness: \'MoveCertificate | None\' = None) -> "\'SearchVerdict\'"',
+        "(g: 'Graph', v: 'str', witness: 'MoveCertificate | None' = None) -> 'SearchVerdict'",
     'rewrite_edge_moves':
         "(cert: 'MoveCertificate') -> 'tuple[MoveCertificate, IsoWitness]'",
     'run_property_suite':

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from flagcalc import Graph, IsoWitness, canonical_form, cycle_graph, path_graph
 from flagcalc import graphs
 
-from .helpers import naive_canonical_full
+from .helpers import _naive_refine, naive_canonical_full
 from .test_graphs import graphs as small_graphs
 
 
@@ -131,6 +131,46 @@ def double_edge_swaps(g: Graph, rng: random.Random, swaps: int) -> Graph:
             edges -= {frozenset((a, b)), frozenset((c, d))}
             edges |= new
     return Graph.make(g.vertices, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["uniform", "non-dense", "individualised"]))
+def test_refinement_matches_the_round_robin_one(seed, start):
+    rng = random.Random(seed)
+    g = random_gnp(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+    vs = g.sorted_vertices()
+    colors = {v: 0 for v in vs}
+    if start == "non-dense":
+        colors = {v: rng.choice((-4, 3, 11, 40)) for v in vs}
+    elif start == "individualised":
+        colors[rng.choice(vs)] = 1
+    assert graphs._refine(g.adjacency, dict(colors)) == _naive_refine(g.adjacency, colors)
+
+
+class CountingAdjacency(dict):
+    """An adjacency that counts the neighbourhoods read from it."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_refinement_of_a_long_cycle_reads_few_neighbourhoods(monkeypatch):
+    # Each neighbour signature reads one neighbourhood. Recomputing every
+    # vertex's signature in every round would read 99,600 here.
+    views = []
+    refine = graphs._refine
+
+    def counting(adj, colors):
+        views.append(CountingAdjacency(adj))
+        return refine(views[-1], colors)
+
+    monkeypatch.setattr(graphs, "_refine", counting)
+    graphs._canonical_full.cache_clear()
+    canonical_form(cycle(200))
+    assert sum(view.reads for view in views) <= 25_000
 
 
 def test_canonical_forms_agree_with_networkx():

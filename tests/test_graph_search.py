@@ -1,0 +1,68 @@
+"""The graph searches against an exhaustive oracle, and a guard that they
+build no graph per state.
+
+`s_collapse_search`, `ws_reduction_search` and `dismantles_onto` run on vertex
+sets of the start graph (plus the deleted edges, for ws-moves) instead of on
+`Graph` values, so a verdict here is checked against a search in
+tests/helpers.py that shares none of that code.
+"""
+
+import random
+
+import pytest
+
+from flagcalc import Graph, Outcome, check_certificate, s_collapse_search, ws_reduction_search
+from flagcalc.identities import random_graph
+
+from .helpers import exhaustive_s_collapsible
+
+
+def seeded_graphs(count: int, max_n: int):
+    rng = random.Random(2008)
+    return [random_graph(rng, rng.randint(1, max_n), rng.choice((0.3, 0.5, 0.7)))
+            for _ in range(count)]
+
+
+def test_s_collapse_verdicts_agree_with_the_exhaustive_oracle():
+    answers = []
+    for g in seeded_graphs(120, 9):
+        truth = exhaustive_s_collapsible(g)
+        verdict = s_collapse_search(g)
+        if verdict.outcome is Outcome.UNKNOWN:
+            continue
+        assert (verdict.outcome is Outcome.YES) == truth, g
+        if truth:
+            assert check_certificate(verdict.certificate).ok
+            assert len(verdict.certificate.end.vertices) == 1
+        answers.append(truth)
+    assert len(answers) >= 110
+    assert 20 <= sum(answers) <= len(answers) - 20  # both answers are exercised
+
+
+def test_ws_no_means_no_s_collapse():
+    # ws-moves include the s-moves, so a graph that s-collapses has a ws-reduction.
+    for g in seeded_graphs(60, 7):
+        verdict = ws_reduction_search(g, budget=2000)
+        if verdict.outcome is Outcome.NO:
+            assert not exhaustive_s_collapsible(g), g
+        elif verdict.outcome is Outcome.YES:
+            assert check_certificate(verdict.certificate).ok
+
+
+@pytest.mark.parametrize("seed, s_outcome", [(1, Outcome.YES), (17, Outcome.NO)])
+def test_searches_build_no_graph_per_state(monkeypatch, seed, s_outcome):
+    g = random_graph(random.Random(seed), 14, 0.5)
+    calls = []
+    for name in ("induced", "open_neighborhood_subgraph"):
+        method = getattr(Graph, name)
+
+        def counting(self, *args, method=method, name=name):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(Graph, name, counting)
+    s = s_collapse_search(g, budget=2000)
+    ws = ws_reduction_search(g, budget=300)
+    assert s.outcome is s_outcome  # a YES builds its certificate's end graph too
+    assert s.stats.nodes > 10 and ws.stats.nodes > 10  # both searches expanded states
+    assert calls == []
