@@ -14,7 +14,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Generator, Iterable, Iterator, Optional
 
 from .graphs import (
     Graph,
@@ -313,19 +313,8 @@ def _apply_move(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]]:
     return adj
 
 
-def _apply_checked(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]]:
-    """Vet m with the move check, then apply it to the working state."""
-    err = _move_error(adj, m)
-    if err:
-        raise CertificateError(err)
-    return _apply_move(adj, m)
-
-
-def move_error(g: Graph, m: GraphMove) -> str | None:
-    return _move_error(g.adjacency, m)
-
-
 def apply_move_unchecked(g: Graph, m: GraphMove) -> Graph:
+    """The immutable replay step that tests compare the working-state kernel against."""
     if m.kind is MoveKind.REMOVE_VERTEX:
         return g.without_vertex(m.target)
     if m.kind is MoveKind.ADD_VERTEX:
@@ -337,7 +326,7 @@ def apply_move_unchecked(g: Graph, m: GraphMove) -> Graph:
 
 
 def apply_move(g: Graph, m: GraphMove) -> Graph:
-    return _graph_of(_apply_checked(_working(g), m))
+    return _graph_of(build(_working(g), (m,), _move_error, _apply_move)[0])
 
 
 def replay(start, moves: Iterable, error: Callable,
@@ -356,6 +345,24 @@ def replay(start, moves: Iterable, error: Callable,
             return cur, CheckReport(False, i, err)
         cur = apply(cur, m)
     return cur, CheckReport(True)
+
+
+def build(state, moves: Iterable, error: Callable, apply: Callable) -> tuple[object, tuple]:
+    """Replay moves as a producer makes them: (state reached, the moves).
+
+    The producer may read the working state, which holds every earlier move
+    applied by the time the producer is resumed.  So it must compute, before
+    it yields a move, anything that reads the state as it was before that
+    move: `_edge_deletion_moves` builds the removal's witness before it yields
+    the addition, because the addition puts the clone into `adj[renamed]`.
+    The first rejected move raises CertificateError with its reason, and the
+    producer is not advanced past it.
+    """
+    made: list = []
+    end, report = replay(state, (made.append(m) or m for m in moves), error, apply)
+    if not report:
+        raise CertificateError(report.reason)
+    return end, tuple(made)
 
 
 def check_replay(cert, work: Callable, error: Callable, apply: Callable,
@@ -457,13 +464,13 @@ def realize_edge_deletion(g: Graph, e: Iterable[str]) -> MoveCertificate:
     if not g.has_edge(a, b):
         raise UnknownEdgeError(f"unknown edge {a!r}-{b!r}")
     adj = _working(g)
-    moves = _edge_deletion_moves(adj, a, b, ())
+    adj, moves = build(adj, _edge_deletion_moves(adj, a, b, ()), _move_error, _apply_move)
     return MoveCertificate(g, moves, _graph_of(adj))
 
 
 def _edge_deletion_moves(adj: dict[str, set[str]], renamed: str, other: str,
-                         avoid: Iterable[str]) -> tuple[GraphMove, GraphMove]:
-    """realize_edge_deletion's two moves, vetted and applied to the working state."""
+                         avoid: Iterable[str]) -> Generator[GraphMove, None, str]:
+    """realize_edge_deletion's two moves on the working state; returns the clone's label."""
     a, b = sorted_pair((renamed, other))
     common = adj[renamed] & adj[other]
     if not common:
@@ -486,11 +493,9 @@ def _edge_deletion_moves(adj: dict[str, set[str]], renamed: str, other: str,
     steps.extend(common_order.steps)
     steps.append((x, survivor))
     steps.append((other, survivor))
-    remove = GraphMove(MoveKind.REMOVE_VERTEX, renamed,
-                       witness=DismantlingOrder(tuple(steps)))
-    _apply_checked(adj, add)
-    _apply_checked(adj, remove)
-    return add, remove
+    yield add
+    yield GraphMove(MoveKind.REMOVE_VERTEX, renamed, witness=DismantlingOrder(tuple(steps)))
+    return x
 
 
 def _certificate_removals(c: MoveCertificate) -> list[str]:
@@ -528,60 +533,38 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
         if not rep:
             raise CertificateError(f"witness invalid at step {rep.failed_at}: {rep.reason}")
 
-    moves: list[GraphMove] = []
-    adj = _working(g)
-    used = set(g.vertices)
-
     if any(m.kind not in VERTEX_MOVES for m in witness.moves):
         raise CertificateError("neighborhood witness must use vertex moves only")
-
     if any(m.kind is MoveKind.ADD_VERTEX for m in witness.moves):
         witness = normalize_certificate(witness)
-        rename: dict[str, str] = {}
+    adj = _working(g)
+
+    def moves() -> Iterator[GraphMove]:
         adds = [m for m in witness.moves if m.kind is MoveKind.ADD_VERTEX]
+        used, rename = set(g.vertices), {}
         for m in adds:
             label = m.target if m.target not in used else fresh_labels(used, 1)[0]
             rename[m.target] = label
             used.add(label)
             attach = frozenset(rename.get(u, u) for u in m.attachment) | {v}
-            move = GraphMove(MoveKind.ADD_VERTEX, label,
-                             witness=cone_order(attach, v),
-                             attachment=attach)
-            _apply_checked(adj, move)
-            moves.append(move)
-        removal_seq = [rename.get(u, u) for u in _certificate_removals(witness)]
-        tail = [(len(adds) - 1 - i, m) for i, m in enumerate(reversed(adds))]
-    else:
-        rename = {}
-        removal_seq = _certificate_removals(witness)
-        tail = []
+            yield GraphMove(MoveKind.ADD_VERTEX, label, witness=cone_order(attach, v),
+                            attachment=attach)
+        # Delete the edges from v to its (expanded) neighborhood in removal order,
+        # each deletion renaming the surviving copy of v.
+        proxy = v
+        for r in _certificate_removals(witness):
+            proxy = yield from _edge_deletion_moves(adj, proxy, rename.get(r, r), used)
+            used.add(proxy)
+        yield GraphMove(MoveKind.REMOVE_VERTEX, proxy, witness=DismantlingOrder(()))
+        for m in reversed(adds):  # undo the lifted additions, newest first
+            yield GraphMove(MoveKind.REMOVE_VERTEX, rename[m.target],
+                            witness=_map_order(m.witness, rename))
 
-    # Delete the edges from v to its (expanded) neighborhood in removal order,
-    # each deletion renaming the surviving copy of v.
-    proxy = v
-    for r in removal_seq:
-        add, remove = _edge_deletion_moves(adj, proxy, r, used)
-        moves.extend((add, remove))
-        proxy = add.target
-        used.add(proxy)
-    final = GraphMove(MoveKind.REMOVE_VERTEX, proxy, witness=DismantlingOrder(()))
-    _apply_checked(adj, final)
-    moves.append(final)
-
-    # Undo the lifted additions, newest first.
-    for _, m in tail:
-        label = rename.get(m.target, m.target)
-        steps = tuple((rename.get(a, a), rename.get(b, b)) for a, b in m.witness.steps)
-        move = GraphMove(MoveKind.REMOVE_VERTEX, label, witness=DismantlingOrder(steps))
-        _apply_checked(adj, move)
-        moves.append(move)
-
+    adj, made = build(adj, moves(), _move_error, _apply_move)
     cur = _graph_of(adj)
-    expected = g.without_vertex(v)
-    if cur != expected:  # pragma: no cover - construction guarantees this
+    if cur != g.without_vertex(v):  # pragma: no cover - construction guarantees this
         raise CertificateError("cascade did not end at the vertex-deleted graph")
-    return SearchVerdict(Outcome.YES,
-                         MoveCertificate(g, tuple(moves), cur), stats)
+    return SearchVerdict(Outcome.YES, MoveCertificate(g, made, cur), stats)
 
 
 def _map_order(order: DismantlingOrder, mu: dict[str, str]) -> DismantlingOrder:
@@ -603,49 +586,45 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
     mu: dict[str, str] = {v: v for v in cert.start.vertices}
     used = set(cert.start.vertices)
     adj = _working(cert.start)
-    out: list[GraphMove] = []
 
-    def emit(move: GraphMove) -> None:
-        _apply_checked(adj, move)
-        out.append(move)
+    def moves() -> Iterator[GraphMove]:
+        for m in cert.moves:
+            if m.kind is MoveKind.REMOVE_VERTEX:
+                yield GraphMove(MoveKind.REMOVE_VERTEX, mu[m.target],
+                                witness=_map_order(m.witness, mu))
+                del mu[m.target]
+            elif m.kind is MoveKind.ADD_VERTEX:
+                label = m.target if m.target not in used else fresh_labels(used, 1)[0]
+                used.add(label)
+                mu[m.target] = label
+                yield GraphMove(MoveKind.ADD_VERTEX, label,
+                                witness=_map_order(m.witness, mu),
+                                attachment=frozenset(mu[u] for u in m.attachment))
+            elif m.kind is MoveKind.REMOVE_EDGE:
+                a, b = sorted(m.target)
+                mu[a] = yield from _edge_deletion_moves(adj, mu[a], mu[b], used)
+                used.add(mu[a])
+            else:  # ADD_EDGE: clone endpoint a with the new edge, then drop a
+                a, b = sorted(m.target)
+                ca, cb = mu[a], mu[b]
+                attach = adj[ca] | {ca, cb}
+                witness = _greedy_order(_induced(adj, attach))
+                if witness is None:  # pragma: no cover - guaranteed by the move's validity
+                    raise CertificateError(f"clone neighborhood for edge {a}-{b} not dismantlable")
+                x = fresh_labels(used | adj.keys(), 1)[0]
+                yield GraphMove(MoveKind.ADD_VERTEX, x, witness=witness,
+                                attachment=frozenset(attach))
+                yield GraphMove(MoveKind.REMOVE_VERTEX, ca, witness=cone_order(adj[ca], x))
+                mu[a] = x
+                used.add(x)
 
-    for m in cert.moves:
-        if m.kind is MoveKind.REMOVE_VERTEX:
-            emit(GraphMove(MoveKind.REMOVE_VERTEX, mu[m.target],
-                           witness=_map_order(m.witness, mu)))
-            del mu[m.target]
-        elif m.kind is MoveKind.ADD_VERTEX:
-            label = m.target if m.target not in used else fresh_labels(used, 1)[0]
-            used.add(label)
-            mu[m.target] = label
-            emit(GraphMove(MoveKind.ADD_VERTEX, label,
-                           witness=_map_order(m.witness, mu),
-                           attachment=frozenset(mu[u] for u in m.attachment)))
-        elif m.kind is MoveKind.REMOVE_EDGE:
-            a, b = sorted(m.target)
-            out.extend(_edge_deletion_moves(adj, mu[a], mu[b], used))
-            mu[a] = out[-2].target
-            used.add(mu[a])
-        else:  # ADD_EDGE: clone endpoint a with the new edge, then drop a
-            a, b = sorted(m.target)
-            ca, cb = mu[a], mu[b]
-            attach = adj[ca] | {ca, cb}
-            witness = _greedy_order(_induced(adj, attach))
-            if witness is None:  # pragma: no cover - guaranteed by the move's validity
-                raise CertificateError(f"clone neighborhood for edge {a}-{b} not dismantlable")
-            x = fresh_labels(used | adj.keys(), 1)[0]
-            emit(GraphMove(MoveKind.ADD_VERTEX, x, witness=witness,
-                           attachment=frozenset(attach)))
-            emit(GraphMove(MoveKind.REMOVE_VERTEX, ca, witness=cone_order(adj[ca], x)))
-            mu[a] = x
-            used.add(x)
-
+    adj, out = build(adj, moves(), _move_error, _apply_move)
     cur = _graph_of(adj)
     mapping = IsoWitness(tuple(sorted((v, mu[v]) for v in cert.end.vertices)))
     err = mapping.error(cert.end, cur)
     if err:  # pragma: no cover - construction guarantees this
         raise CertificateError(f"relabeling is not an isomorphism: {err}")
-    return MoveCertificate(cert.start, tuple(out), cur), mapping
+    return MoveCertificate(cert.start, out, cur), mapping
 
 
 def subdivision_certificate(g: Graph) -> MoveCertificate:
@@ -667,39 +646,35 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
     hats = {c: subset_label(c) for c in cliques}
     hat_members = {hats[c]: c for c in cliques}
     adj = _working(g)
-    moves: list[GraphMove] = []
 
-    def emit(move: GraphMove) -> None:
-        _apply_checked(adj, move)
-        moves.append(move)
+    def moves() -> Iterator[GraphMove]:
+        for c in cliques:
+            members = sorted(c)
+            peak = max(c, key=rank.__getitem__)
+            attach = {subset_label(d) for k in range(1, len(members))
+                      for d in itertools.combinations(members, k)}
+            attach.add(peak)
+            attach.update(u for u in order
+                          if rank[u] > rank[peak] and (c | {u}) in clique_set)
+            yield GraphMove(MoveKind.ADD_VERTEX, hats[c], witness=cone_order(attach, peak),
+                            attachment=frozenset(attach))
+        for v in order:
+            # N(v) now holds the hats attached to v and the neighbors not yet removed.
+            i, nbhd = rank[v], adj[v]
+            shrinking = sorted(
+                (u for u in nbhd
+                 if u in hat_members and rank[max(hat_members[u], key=rank.__getitem__)] < i),
+                key=lambda u: (-len(hat_members[u]), u))
+            steps = [(u, hats[hat_members[u] | {v}]) for u in shrinking]
+            apex = hats[frozenset((v,))]
+            steps.extend((u, apex) for u in sorted(nbhd - set(shrinking)) if u != apex)
+            yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=DismantlingOrder(tuple(steps)))
 
-    for c in cliques:
-        members = sorted(c)
-        peak = max(c, key=rank.__getitem__)
-        attach = {subset_label(d) for k in range(1, len(members))
-                  for d in itertools.combinations(members, k)}
-        attach.add(peak)
-        attach.update(u for u in order
-                      if rank[u] > rank[peak] and (c | {u}) in clique_set)
-        emit(GraphMove(MoveKind.ADD_VERTEX, hats[c], witness=cone_order(attach, peak),
-                       attachment=frozenset(attach)))
-
-    for v in order:
-        # N(v) now holds the hats attached to v and the neighbors not yet removed.
-        i, nbhd = rank[v], adj[v]
-        shrinking = sorted(
-            (u for u in nbhd
-             if u in hat_members and rank[max(hat_members[u], key=rank.__getitem__)] < i),
-            key=lambda u: (-len(hat_members[u]), u))
-        steps = [(u, hats[hat_members[u] | {v}]) for u in shrinking]
-        apex = hats[frozenset((v,))]
-        steps.extend((u, apex) for u in sorted(nbhd - set(shrinking)) if u != apex)
-        emit(GraphMove(MoveKind.REMOVE_VERTEX, v, witness=DismantlingOrder(tuple(steps))))
-
+    adj, made = build(adj, moves(), _move_error, _apply_move)
     cur = _graph_of(adj)
     if cur != barycentric_graph(g):  # pragma: no cover - construction guarantees this
         raise CertificateError("subdivision moves did not end at the subdivision graph")
-    return MoveCertificate(g, tuple(moves), cur)
+    return MoveCertificate(g, made, cur)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from .graphs import Graph, complete_subgraphs, inclusion_pairs, subset_label
 from .dismantling import (
     CheckReport,
     CertificateError,
+    build,
     check_replay,
     greedy_core,
     greedy_dismantling,
@@ -486,20 +487,17 @@ def weak_point_cascade(g: Graph, v: str) -> PosetCertificate:
     targets.extend(subset_label(label_to_clique[l] | {v}) for l in removed_labels)
     targets.append(subset_label(label_to_clique[survivor] | {v}))
 
-    moves = []
     state = _order_sets(start)
-    for t in targets:
-        wit = _weak_point_witness(state, t)
-        if wit is None:  # pragma: no cover - the cascade order guarantees a witness
-            raise CertificateError(f"{t!r} is not a weak point during the cascade")
-        side, worder = wit
-        move = PosetMove(PosetMoveKind.REMOVE, t, side, worder)
-        err = _poset_move_error(state, move)
-        if err:  # pragma: no cover
-            raise CertificateError(err)
-        _apply_poset_move(state, move)
-        moves.append(move)
+
+    def moves() -> Iterator[PosetMove]:
+        for t in targets:
+            wit = _weak_point_witness(state, t)
+            if wit is None:  # pragma: no cover - the cascade order guarantees a witness
+                raise CertificateError(f"{t!r} is not a weak point during the cascade")
+            yield PosetMove(PosetMoveKind.REMOVE, t, *wit)
+
+    state, made = build(state, moves(), _poset_move_error, _apply_poset_move)
     end = clique_poset(g.without_vertex(v))
     if _poset_of(state) != end:  # pragma: no cover - construction guarantees this
         raise CertificateError("cascade did not end at the vertex-deleted clique poset")
-    return PosetCertificate(start, tuple(moves), end)
+    return PosetCertificate(start, made, end)

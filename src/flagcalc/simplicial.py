@@ -28,6 +28,7 @@ from .dismantling import (
     MoveKind,
     SearchVerdict,
     backtrack,
+    build,
     check_replay,
     cone_order,
     greedy_dismantling,
@@ -378,15 +379,10 @@ def collapse_certificate_for_dismantlable(g: Graph) -> ComplexCertificate:
         raise CertificateError("graph is not greedily dismantlable")
     start = clique_complex(g)
     counts = _coface_counts(start)
-    moves: list[tuple[str, CollapsePair]] = []
-    for v, w in order.steps:
-        for move in _domination_moves(counts, v, w):
-            err = _pair_move_error(counts, move)
-            if err:  # pragma: no cover - domination guarantees free pairs
-                raise CertificateError(f"collapse invalid at step {len(moves)}: {err}")
-            _apply_pair_move(counts, move)
-            moves.append(move)
-    return ComplexCertificate(start, tuple(moves), SimplicialComplex(frozenset(counts)))
+    counts, moves = build(counts, (move for v, w in order.steps
+                                   for move in _domination_moves(counts, v, w)),
+                          _pair_move_error, _apply_pair_move)
+    return ComplexCertificate(start, moves, SimplicialComplex(frozenset(counts)))
 
 
 def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = None,

@@ -216,3 +216,40 @@ def test_no_module_imports_inside_a_function():
                 found.extend(f"{name}:{node.lineno} in {fn.name}" for node in ast.walk(fn)
                              if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not found, found
+
+
+def _named_outside(tree: ast.Module, path: str, names: set) -> None:
+    """Add (name, (path, owner)) for every Name, Attribute or import alias in
+    the module, where owner is the top-level definition it sits in, or None."""
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                               ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add((node.id, (path, owner)))
+            elif isinstance(node, ast.Attribute):
+                names.add((node.attr, (path, owner)))
+            elif isinstance(node, ast.alias):
+                names.update((n, (path, owner)) for n in (node.name, node.asname) if n)
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.abspath(flagcalc.__file__))
+    defined, names = [], set()
+    for folder in ("src", "tests", "benchmarks"):
+        for dirpath, _, files in os.walk(os.path.join(root, folder)):
+            for name in sorted(f for f in files if f.endswith(".py")):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), path)
+                _named_outside(tree, path, names)
+                if dirpath == src:
+                    defined.extend((d.name, path) for d in tree.body if isinstance(
+                        d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    used = {}
+    for name, where in names:
+        used.setdefault(name, set()).add(where)
+    unused = [f"{os.path.basename(path)}:{name}" for name, path in defined
+              if not used.get(name, set()) - {(path, name)}]
+    assert not unused, unused

@@ -2,17 +2,20 @@
 
 Each checker must return the same CheckReport as its immutable reference in
 tests/helpers.py, on valid certificates and on broken ones, and the greedy
-cores must pick the same orders.  The cost guards count work instead of
-timing it.
+cores must pick the same orders.  The builders drive the same replay
+through `build`, whose order of producing, vetting and applying is checked
+directly.  The cost guards count work instead of timing it.
 """
 
 import dataclasses
 import random
 from functools import cached_property
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagcalc import (
+    CertificateError,
     CheckReport,
     CollapsePair,
     ComplexCertificate,
@@ -27,6 +30,7 @@ from flagcalc import (
     check_certificate,
     check_complex_certificate,
     check_poset_certificate,
+    complete_graph,
     dismantling_core,
     realize_edge_deletion,
     realize_s_neighborhood_deletion,
@@ -36,7 +40,15 @@ from flagcalc import (
     weak_point_cascade,
 )
 from flagcalc import simplicial, textio
-from flagcalc.dismantling import greedy_dismantling_certificate
+from flagcalc.dismantling import (
+    _apply_move,
+    _move_error,
+    _working,
+    build,
+    cone_order,
+    greedy_dismantling,
+    greedy_dismantling_certificate,
+)
 from flagcalc.identities import random_graph, random_poset
 from flagcalc.posets import PosetDismantlingOrder, PosetMoveKind, poset_dismantling_core
 from flagcalc.simplicial import ANTICOLLAPSE, COLLAPSE, collapse_certificate_for_dismantlable
@@ -352,3 +364,43 @@ def test_complex_check_rejects_a_start_not_closed_under_faces():
     cert = ComplexCertificate(closed, ((COLLAPSE, CollapsePair(ab, frozenset("b"))),),
                               SimplicialComplex.from_maximal(["a", "acd"]))
     assert check_complex_certificate(cert).ok
+
+
+# ---------------------------------------------------------------------------
+# building certificates
+
+
+def test_build_applies_each_move_before_the_producer_resumes():
+    g = random_copwin_graph(random.Random(5), 10)
+    adj = _working(g)
+    seen = []
+
+    def producer():
+        for v, w in greedy_dismantling(g).steps:
+            seen.append(set(adj))
+            yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
+
+    end, moves = build(adj, producer(), _move_error, _apply_move)
+    removed = [m.target for m in moves]
+    assert seen == [g.vertices - set(removed[:i]) for i in range(len(removed))]
+    assert moves == greedy_dismantling_certificate(g).moves
+    assert end == _working(greedy_dismantling_certificate(g).end)
+
+
+def test_build_stops_at_the_first_rejected_move():
+    k4 = complete_graph("abcd")
+    good = GraphMove(MoveKind.REMOVE_VERTEX, "a", witness=cone_order("bcd", "b"))
+    bad = GraphMove(MoveKind.REMOVE_VERTEX, "b", witness=DismantlingOrder((("c", "c"),)))
+    later = GraphMove(MoveKind.REMOVE_VERTEX, "c", witness=cone_order("d", "d"))
+    produced = []
+
+    def producer():
+        for m in (good, bad, later):
+            produced.append(m)
+            yield m
+
+    with pytest.raises(CertificateError) as exc:
+        build(_working(k4), producer(), _move_error, _apply_move)
+    reason = _move_error(_working(k4.without_vertex("a")), bad)
+    assert reason and str(exc.value) == reason
+    assert produced == [good, bad]
