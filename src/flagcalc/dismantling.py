@@ -413,35 +413,37 @@ def replay_unchecked(g: Graph, moves: Iterable[GraphMove]) -> tuple[Graph, Check
     return _graph_of(end), report
 
 
-def normalize_certificate(c: MoveCertificate) -> MoveCertificate:
-    """Reorder a vertex-move certificate so additions precede removals.
+def _additions_first(moves: Iterable[GraphMove]) -> tuple[list[GraphMove], list[GraphMove]]:
+    """A vertex-move sequence's additions, then its removals, each in their order.
 
-    An adjacent (removal, addition) pair commutes because the added vertex is
-    never adjacent to the removed one; repeated swaps push every removal to
-    the end without touching witnesses or the end graph.
+    An added vertex is never adjacent to one removed before it, so the two
+    moves commute, and the reordered sequence keeps its witnesses and its end.
+    Raises NormalizationError on an edge move, wherever it stands, or else on
+    the first addition that reuses a label an earlier removal freed.
     """
+    adds, removals, freed, reused = [], [], set(), []
+    for m in moves:
+        if m.kind not in VERTEX_MOVES:
+            raise NormalizationError("edge moves present; rewrite them as vertex moves first")
+        if m.kind is MoveKind.REMOVE_VERTEX:
+            freed.add(m.target)
+        elif m.target in freed:
+            reused.append(m.target)
+        (removals if m.kind is MoveKind.REMOVE_VERTEX else adds).append(m)
+    if reused:
+        raise NormalizationError(
+            f"addition of {reused[0]!r} reuses a removed label; the swap needs fresh labels")
+    return adds, removals
+
+
+def normalize_certificate(c: MoveCertificate) -> MoveCertificate:
+    """Reorder a valid vertex-move certificate so additions precede removals."""
     report = check_certificate(c)
     if not report:
         raise NormalizationError(
             f"certificate invalid at step {report.failed_at}: {report.reason}")
-    for m in c.moves:
-        if m.kind not in VERTEX_MOVES:
-            raise NormalizationError(
-                "edge moves present; rewrite them as vertex moves first")
-    moves = list(c.moves)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(moves) - 1):
-            if moves[i].kind is MoveKind.REMOVE_VERTEX and \
-                    moves[i + 1].kind is MoveKind.ADD_VERTEX:
-                if moves[i].target == moves[i + 1].target:
-                    raise NormalizationError(
-                        f"addition of {moves[i].target!r} reuses a removed label; "
-                        "the swap needs fresh labels")
-                moves[i], moves[i + 1] = moves[i + 1], moves[i]
-                changed = True
-    out = MoveCertificate(c.start, tuple(moves), c.end)
+    adds, removals = _additions_first(c.moves)
+    out = MoveCertificate(c.start, tuple(adds + removals), c.end)
     report = check_certificate(out)
     if not report:  # pragma: no cover - would indicate a bug above
         raise NormalizationError(
@@ -498,10 +500,6 @@ def _edge_deletion_moves(adj: dict[str, set[str]], renamed: str, other: str,
     return x
 
 
-def _certificate_removals(c: MoveCertificate) -> list[str]:
-    return [m.target for m in c.moves if m.kind is MoveKind.REMOVE_VERTEX]
-
-
 def realize_s_neighborhood_deletion(g: Graph, v: str,
                                     witness: MoveCertificate | None = None) -> SearchVerdict:
     """Certificate from g to g minus v, given that N(v) reduces to a point.
@@ -535,12 +533,10 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
 
     if any(m.kind not in VERTEX_MOVES for m in witness.moves):
         raise CertificateError("neighborhood witness must use vertex moves only")
-    if any(m.kind is MoveKind.ADD_VERTEX for m in witness.moves):
-        witness = normalize_certificate(witness)
+    adds, removals = _additions_first(witness.moves)
     adj = _working(g)
 
     def moves() -> Iterator[GraphMove]:
-        adds = [m for m in witness.moves if m.kind is MoveKind.ADD_VERTEX]
         used, rename = set(g.vertices), {}
         for m in adds:
             label = m.target if m.target not in used else fresh_labels(used, 1)[0]
@@ -552,7 +548,7 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
         # Delete the edges from v to its (expanded) neighborhood in removal order,
         # each deletion renaming the surviving copy of v.
         proxy = v
-        for r in _certificate_removals(witness):
+        for r in (m.target for m in removals):
             proxy = yield from _edge_deletion_moves(adj, proxy, rename.get(r, r), used)
             used.add(proxy)
         yield GraphMove(MoveKind.REMOVE_VERTEX, proxy, witness=DismantlingOrder(()))

@@ -113,6 +113,15 @@ def _describe(x: Graph | Poset | SimplicialComplex) -> str:
     return f"{kind}<{hashlib.sha256(form.format(x).encode()).hexdigest()[:8]}>"
 
 
+def _star_collapses(g: Graph, v: str) -> bool:
+    """The star of v in the clique complex of g collapses, by the collapse
+    certificate of N(v), onto the clique complex of g minus v."""
+    lc = collapse_certificate_for_dismantlable(g.open_neighborhood_subgraph(v))
+    cert = star_collapse_certificate(clique_complex(g), frozenset((v,)), lc)
+    return bool(check_complex_certificate(cert)) and \
+        cert.end == clique_complex(g.without_vertex(v))
+
+
 def run_property_suite(seed: int = 0, max_size: int = 6,
                        budget: int = DEFAULT_SEARCH_BUDGET,
                        samples: int = 24) -> list[PropertyReport]:
@@ -137,12 +146,7 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
     for g in graphs:
         name = _describe(g)
         for v in s_dismantlable_vertices(g):
-            kk = clique_complex(g)
-            lc = collapse_certificate_for_dismantlable(g.open_neighborhood_subgraph(v))
-            cert = star_collapse_certificate(kk, frozenset((v,)), lc)
-            ok = bool(check_complex_certificate(cert)) and \
-                cert.end == clique_complex(g.without_vertex(v))
-            record(pid, f"{name}/{v}", ok)
+            record(pid, f"{name}/{v}", _star_collapses(g, v))
 
     pid = "collapse-induces-two-inclusion-graph-moves"
     for k in complexes:
@@ -203,13 +207,8 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
         cur_g = g
         ok = True
         for move in verdict.certificate.moves:
-            kk = clique_complex(cur_g)
-            lc = collapse_certificate_for_dismantlable(
-                cur_g.open_neighborhood_subgraph(move.target))
-            cert = star_collapse_certificate(kk, frozenset((move.target,)), lc)
+            ok = _star_collapses(cur_g, move.target) and ok
             cur_g = cur_g.without_vertex(move.target)
-            ok = ok and bool(check_complex_certificate(cert)) and \
-                cert.end == clique_complex(cur_g)
         record(pid, name, ok)
 
     pid = "s-removable-vertex-is-i-removable"

@@ -476,16 +476,14 @@ def weak_point_cascade(g: Graph, v: str) -> PosetCertificate:
     if not nb.vertices or greedy_dismantling(nb) is None:
         raise CertificateError(f"open neighborhood of {v!r} is not dismantlable")
     start = clique_poset(g)
-    nb_cliques = complete_subgraphs(nb)
-    order = greedy_poset_dismantling(clique_poset(nb))
+    label_to_clique = {subset_label(c): c for c in complete_subgraphs(nb)}
+    order = greedy_poset_dismantling(_inclusion_poset(label_to_clique.values()))
     assert order is not None  # clique posets of dismantlable graphs dismantle
-    label_to_clique = {subset_label(c): c for c in nb_cliques}
     removed_labels = [s.removed for s in order.steps]
-    survivor = next(l for l in map(subset_label, nb_cliques) if l not in removed_labels)
+    (survivor,) = label_to_clique.keys() - set(removed_labels)
 
     targets = [subset_label({v})]
-    targets.extend(subset_label(label_to_clique[l] | {v}) for l in removed_labels)
-    targets.append(subset_label(label_to_clique[survivor] | {v}))
+    targets.extend(subset_label(label_to_clique[l] | {v}) for l in removed_labels + [survivor])
 
     state = _order_sets(start)
 

@@ -17,6 +17,7 @@ from flagcalc import (
     GraphMove,
     MoveCertificate,
     MoveKind,
+    NormalizationError,
     Poset,
     apply_move,
     subset_label,
@@ -183,6 +184,60 @@ def random_ws_move_certificate(rng: random.Random, g: Graph,
         cur = apply_move(cur, move)
         moves.append(move)
     return MoveCertificate(g, tuple(moves), cur)
+
+
+def random_label_reusing_certificate(rng: random.Random, g: Graph,
+                                     length: int) -> MoveCertificate:
+    """A random valid vertex-move certificate whose additions often take a label
+    that an earlier removal freed, which random_vertex_move_certificate never does."""
+    moves: list[GraphMove] = []
+    cur, freed = g, []
+    for i in range(length):
+        verts = cur.sorted_vertices()
+        removals = []
+        for v in verts if len(verts) > 1 else ():
+            nb = cur.open_neighborhood_subgraph(v)
+            order = greedy_dismantling(nb) if nb.vertices else None
+            if order is not None:
+                removals.append(GraphMove(MoveKind.REMOVE_VERTEX, v, witness=order))
+        att = frozenset(rng.sample(verts, rng.randint(1, min(3, len(verts)))))
+        order = greedy_dismantling(cur.induced(att))
+        if removals and (order is None or rng.random() < 0.5):
+            move = rng.choice(removals)
+            freed.append(move.target)
+        elif order is not None:
+            spare = sorted(set(freed) - cur.vertices)
+            label = rng.choice(spare) if spare and rng.random() < 0.7 else f"n{i}"
+            move = GraphMove(MoveKind.ADD_VERTEX, label, witness=order, attachment=att)
+        else:
+            break
+        cur = apply_move(cur, move)
+        moves.append(move)
+    return MoveCertificate(g, tuple(moves), cur)
+
+
+def swap_additions_first(moves) -> list[GraphMove]:
+    """Additions before removals by swapping adjacent (removal, addition) pairs
+    until none is left: normalize_certificate's reordering as first written,
+    the reference for the one-pass partition."""
+    for m in moves:
+        if m.kind not in (MoveKind.REMOVE_VERTEX, MoveKind.ADD_VERTEX):
+            raise NormalizationError(
+                "edge moves present; rewrite them as vertex moves first")
+    moves = list(moves)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(moves) - 1):
+            if moves[i].kind is MoveKind.REMOVE_VERTEX and \
+                    moves[i + 1].kind is MoveKind.ADD_VERTEX:
+                if moves[i].target == moves[i + 1].target:
+                    raise NormalizationError(
+                        f"addition of {moves[i].target!r} reuses a removed label; "
+                        "the swap needs fresh labels")
+                moves[i], moves[i + 1] = moves[i + 1], moves[i]
+                changed = True
+    return moves
 
 
 def brute_force_chains(simplices: list[frozenset[str]]) -> set[frozenset[frozenset[str]]]:

@@ -253,3 +253,33 @@ def test_every_top_level_definition_is_named_elsewhere():
     unused = [f"{os.path.basename(path)}:{name}" for name, path in defined
               if not used.get(name, set()) - {(path, name)}]
     assert not unused, unused
+
+
+def test_every_method_is_named_as_an_attribute_elsewhere():
+    """Each non-dunder method of a class in src/flagcalc appears as `x.method`
+    somewhere in src/, tests/ or benchmarks/ outside its own body."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.abspath(flagcalc.__file__))
+    methods, used = [], {}
+    for folder in ("src", "tests", "benchmarks"):
+        for dirpath, _, files in os.walk(os.path.join(root, folder)):
+            for name in sorted(f for f in files if f.endswith(".py")):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), path)
+                owner = {}  # id of each node inside a method -> that method
+                for cls in ast.walk(tree):
+                    if not isinstance(cls, ast.ClassDef):
+                        continue
+                    for fn in cls.body:
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            where = (path, cls.name, fn.name)
+                            owner.update((id(node), where) for node in ast.walk(fn))
+                            if dirpath == src and not fn.name.startswith("__"):
+                                methods.append(where)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Attribute):
+                        used.setdefault(node.attr, set()).add(owner.get(id(node)))
+    unused = [f"{os.path.basename(path)}:{cls}.{fn}" for path, cls, fn in methods
+              if not used.get(fn, set()) - {(path, cls, fn)}]
+    assert methods and not unused, unused
