@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Generator, Iterable, Iterator, Optional
 
 from .graphs import (
@@ -26,7 +26,6 @@ from .graphs import (
     barycentric_graph,
     canonical_form,
     complete_subgraphs,
-    edge_key,
     fresh_labels,
     sorted_pair,
     subset_label,
@@ -171,7 +170,6 @@ def dismantling_core(g: Graph) -> tuple[Graph, DismantlingOrder]:
     return _graph_of(core), DismantlingOrder(steps)
 
 
-@lru_cache(maxsize=262144)
 def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
     """Full greedy order down to a single vertex, or None if stuck earlier.
 
@@ -193,25 +191,28 @@ def is_dismantlable(g: Graph) -> bool:
     return greedy_dismantling(g) is not None
 
 
+def _s_witness(adj, local) -> DismantlingOrder | None:
+    """The greedy order of the subgraph a nonempty `local` induces in adj, or None."""
+    return _greedy_order(_induced(adj, local)) if local else None
+
+
 def is_s_dismantlable_vertex(g: Graph, v: str) -> bool:
-    nb = g.open_neighborhood_subgraph(v)
-    return bool(nb.vertices) and greedy_dismantling(nb) is not None
+    return _s_witness(g.adjacency, g.neighbors(v)) is not None
 
 
 def s_dismantlable_vertices(g: Graph) -> list[str]:
-    return [v for v in g.sorted_vertices() if is_s_dismantlable_vertex(g, v)]
+    return [m.target for m in _s_vertex_candidates(g.adjacency, partial(_s_witness, g.adjacency))]
 
 
 def is_s_dismantlable_edge(g: Graph, e: Iterable[str]) -> bool:
     a, b = sorted_pair(e)
     if not g.has_edge(a, b):
         raise UnknownEdgeError(f"unknown edge {a!r}-{b!r}")
-    common = g.neighbors(a) & g.neighbors(b)
-    return bool(common) and greedy_dismantling(g.induced(common)) is not None
+    return _s_witness(g.adjacency, g.neighbors(a) & g.neighbors(b)) is not None
 
 
 def s_dismantlable_edges(g: Graph) -> list[frozenset[str]]:
-    return [e for e in map(frozenset, g.sorted_edges()) if is_s_dismantlable_edge(g, e)]
+    return [m.target for m in _s_edge_candidates(g.adjacency, partial(_s_witness, g.adjacency))]
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +276,12 @@ def _move_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
             return f"attachment vertices {sorted(missing)} not present"
         local = m.attachment
     else:
-        a, b = sorted_pair(m.target)
+        ends = sorted(m.target)
+        if len(ends) != 2 or ends[0] == ends[1]:
+            return f"{m.kind.value} needs two distinct endpoints, not {ends}"
+        a, b = ends
         if a not in adj or b not in adj:
             return f"edge endpoint of {a!r}-{b!r} not present"
-        try:
-            edge_key(a, b)
-        except GraphError as exc:
-            return str(exc)
         if m.kind is MoveKind.REMOVE_EDGE and b not in adj[a]:
             return f"edge {a!r}-{b!r} not present"
         if m.kind is MoveKind.ADD_EDGE and b in adj[a]:
@@ -405,14 +405,6 @@ def _fit_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
     return f"edge {a!r}-{b!r} already present" if b in adj[a] else None
 
 
-def replay_unchecked(g: Graph, moves: Iterable[GraphMove]) -> tuple[Graph, CheckReport]:
-    """Like replay_moves, but witnesses are not looked at: a move fails only
-    when it does not fit the graph (an absent vertex or edge, or one already
-    there)."""
-    end, report = replay(_working(g), moves, _fit_error, _apply_move)
-    return _graph_of(end), report
-
-
 def _additions_first(moves: Iterable[GraphMove]) -> tuple[list[GraphMove], list[GraphMove]]:
     """A vertex-move sequence's additions, then its removals, each in their order.
 
@@ -475,11 +467,9 @@ def _edge_deletion_moves(adj: dict[str, set[str]], renamed: str, other: str,
     """realize_edge_deletion's two moves on the working state; returns the clone's label."""
     a, b = sorted_pair((renamed, other))
     common = adj[renamed] & adj[other]
-    if not common:
-        raise CertificateError(f"edge {a!r}-{b!r} has an empty common neighborhood")
-    common_order = _greedy_order(_induced(adj, common))
+    common_order = _s_witness(adj, common)
     if common_order is None:
-        raise CertificateError(f"common neighborhood of {a!r}-{b!r} is not dismantlable")
+        raise CertificateError(f"common neighborhood of {a!r}-{b!r} is empty or not dismantlable")
 
     x = fresh_labels(adj.keys() | set(avoid), 1)[0]
     attach = (adj[renamed] | {renamed}) - {other}
@@ -604,7 +594,7 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
                 a, b = sorted(m.target)
                 ca, cb = mu[a], mu[b]
                 attach = adj[ca] | {ca, cb}
-                witness = _greedy_order(_induced(adj, attach))
+                witness = _s_witness(adj, attach)
                 if witness is None:  # pragma: no cover - guaranteed by the move's validity
                     raise CertificateError(f"clone neighborhood for edge {a}-{b} not dismantlable")
                 x = fresh_labels(used | adj.keys(), 1)[0]
@@ -786,7 +776,7 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
         def order(nb: frozenset[str]) -> DismantlingOrder | None:
             k = (nb, frozenset(e for e in cut if e <= nb) if cut else cut)
             if k not in orders:
-                orders[k] = _greedy_order(_induced(adj, nb))
+                orders[k] = _s_witness(adj, nb)
             return orders[k]
         return candidates(adj, order)
 
@@ -831,21 +821,22 @@ def _dominated_candidates(allowed: frozenset[str]):
 
 def _s_vertex_candidates(adj, order) -> Iterator[GraphMove]:
     for v in sorted(adj):
-        if adj[v]:
-            witness = order(adj[v])
+        witness = order(adj[v])
+        if witness is not None:
+            yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=witness)
+
+
+def _s_edge_candidates(adj, order) -> Iterator[GraphMove]:
+    for a in sorted(adj):
+        for b in sorted(w for w in adj[a] if w > a):
+            witness = order(adj[a] & adj[b])
             if witness is not None:
-                yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=witness)
+                yield GraphMove(MoveKind.REMOVE_EDGE, frozenset((a, b)), witness=witness)
 
 
 def _ws_candidates(adj, order) -> Iterator[GraphMove]:
     yield from _s_vertex_candidates(adj, order)
-    for a in sorted(adj):
-        for b in sorted(w for w in adj[a] if w > a):
-            common = adj[a] & adj[b]
-            if common:
-                witness = order(common)
-                if witness is not None:
-                    yield GraphMove(MoveKind.REMOVE_EDGE, frozenset((a, b)), witness=witness)
+    yield from _s_edge_candidates(adj, order)
 
 
 def dismantles_onto(g: Graph, h: Graph,
@@ -861,12 +852,10 @@ def greedy_dismantling_certificate(g: Graph) -> MoveCertificate | None:
     order = greedy_dismantling(g)
     if order is None:
         return None
-    moves = []
     adj = _working(g)
-    for v, w in order.steps:
-        moves.append(GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w)))
-        _delete(adj, v)
-    return MoveCertificate(g, tuple(moves), _graph_of(adj))
+    adj, moves = build(adj, (GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
+                             for v, w in order.steps), _move_error, _apply_move)
+    return MoveCertificate(g, moves, _graph_of(adj))
 
 
 def s_collapse_search(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchVerdict:

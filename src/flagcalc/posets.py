@@ -18,7 +18,7 @@ from .dismantling import (
     build,
     check_replay,
     greedy_core,
-    greedy_dismantling,
+    is_s_dismantlable_vertex,
     replay,
 )
 from .simplicial import SimplicialComplex, chains
@@ -472,11 +472,11 @@ def weak_point_cascade(g: Graph, v: str) -> PosetCertificate:
     Removes the singleton clique of v first, then every clique through v in the
     greedy dismantling order of the clique poset of its open neighborhood.
     """
-    nb = g.open_neighborhood_subgraph(v)
-    if not nb.vertices or greedy_dismantling(nb) is None:
+    if not is_s_dismantlable_vertex(g, v):
         raise CertificateError(f"open neighborhood of {v!r} is not dismantlable")
     start = clique_poset(g)
-    label_to_clique = {subset_label(c): c for c in complete_subgraphs(nb)}
+    label_to_clique = {subset_label(c): c
+                       for c in complete_subgraphs(g.open_neighborhood_subgraph(v))}
     order = greedy_poset_dismantling(_inclusion_poset(label_to_clique.values()))
     assert order is not None  # clique posets of dismantlable graphs dismantle
     removed_labels = [s.removed for s in order.steps]

@@ -27,6 +27,7 @@ from .dismantling import (
     GraphMove,
     MoveKind,
     SearchVerdict,
+    _s_witness,
     backtrack,
     build,
     check_replay,
@@ -259,18 +260,6 @@ def apply_pair_unchecked(k: SimplicialComplex, op: str,
     return SimplicialComplex(k.simplices | {pair.sigma, pair.tau})
 
 
-def apply_pairs_unchecked(k: SimplicialComplex,
-                          moves: Iterable[tuple[str, CollapsePair]]) -> SimplicialComplex:
-    """The end of a move sequence applied to one mutable simplex set, unvetted."""
-    simplices = set(k.simplices)
-    for op, pair in moves:
-        if op == COLLAPSE:
-            simplices -= {pair.sigma, pair.tau}
-        else:
-            simplices |= {pair.sigma, pair.tau}
-    return SimplicialComplex(frozenset(simplices))
-
-
 def _pair_move_error(counts: dict[frozenset[str], int],
                      move: tuple[str, CollapsePair]) -> str | None:
     op, pair = move
@@ -279,6 +268,12 @@ def _pair_move_error(counts: dict[frozenset[str], int],
     if op == ANTICOLLAPSE:
         return _anticollapse_error(counts, pair)
     return f"unknown operation {op!r}"
+
+
+def _pair_fit_error(counts, move: tuple[str, CollapsePair]) -> str | None:
+    """_pair_move_error without the check that a collapse's face is free."""
+    op, pair = move
+    return _pair_shape_error(counts, pair) if op == COLLAPSE else _pair_move_error(counts, move)
 
 
 def _apply_pair_move(counts: dict[frozenset[str], int],
@@ -340,12 +335,17 @@ def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],
     return cert
 
 
-def _domination_moves(simplices, v: str, w: str) -> list[tuple[str, CollapsePair]]:
-    """Every simplex through v avoiding w paired with its extension by w,
-    in decreasing size."""
-    carriers = sorted((s for s in simplices if v in s and w not in s),
-                      key=lambda s: (-len(s), tuple(sorted(s))))
-    return [(COLLAPSE, CollapsePair(s | {w}, s)) for s in carriers]
+def _collapse_dominated(start: SimplicialComplex, steps) -> tuple[dict, tuple]:
+    """Collapse start along domination steps (v, w), pairing each simplex through
+    v avoiding w with its extension by w, largest first: (coface counts, moves)."""
+    counts = _coface_counts(start)
+
+    def moves():
+        for v, w in steps:
+            carriers = sorted((s for s in counts if v in s and w not in s),
+                              key=lambda s: (-len(s), tuple(sorted(s))))
+            yield from ((COLLAPSE, CollapsePair(s | {w}, s)) for s in carriers)
+    return build(counts, moves(), _pair_move_error, _apply_pair_move)
 
 
 def domination_collapse(g: Graph, v: str, w: str) -> ComplexCertificate:
@@ -359,13 +359,11 @@ def domination_collapse(g: Graph, v: str, w: str) -> ComplexCertificate:
     if not g.closed_neighborhood(v) <= g.closed_neighborhood(w):
         raise CertificateError(f"{w!r} does not dominate {v!r}")
     start = clique_complex(g)
-    moves = tuple(_domination_moves(start.simplices, v, w))
+    counts, moves = _collapse_dominated(start, ((v, w),))
     end = clique_complex(g.without_vertex(v))
-    cert = ComplexCertificate(start, moves, end)
-    rep = check_complex_certificate(cert)
-    if not rep:  # pragma: no cover - construction guarantees this
-        raise CertificateError(f"collapse invalid at step {rep.failed_at}: {rep.reason}")
-    return cert
+    if counts.keys() != end.simplices:  # pragma: no cover - construction guarantees this
+        raise CertificateError("collapse did not end at the clique complex of g minus v")
+    return ComplexCertificate(start, moves, end)
 
 
 def collapse_certificate_for_dismantlable(g: Graph) -> ComplexCertificate:
@@ -378,10 +376,7 @@ def collapse_certificate_for_dismantlable(g: Graph) -> ComplexCertificate:
     if order is None:
         raise CertificateError("graph is not greedily dismantlable")
     start = clique_complex(g)
-    counts = _coface_counts(start)
-    counts, moves = build(counts, (move for v, w in order.steps
-                                   for move in _domination_moves(counts, v, w)),
-                          _pair_move_error, _apply_pair_move)
+    counts, moves = _collapse_dominated(start, order.steps)
     return ComplexCertificate(start, moves, SimplicialComplex(frozenset(counts)))
 
 
@@ -453,9 +448,9 @@ def skeleton_move_for_collapse(k: SimplicialComplex,
         return GraphMove(MoveKind.REMOVE_VERTEX, next(iter(pair.tau)),
                          witness=DismantlingOrder(()))  # single-vertex neighborhood
     if len(pair.tau) == 2:
-        skel = one_skeleton(k)
+        adj = one_skeleton(k).adjacency
         a, b = sorted(pair.tau)
-        order = greedy_dismantling(skel.induced(skel.neighbors(a) & skel.neighbors(b)))
+        order = _s_witness(adj, adj[a] & adj[b])
         if order is None:
             raise CertificateError(f"common neighborhood of {a!r}-{b!r} in the 1-skeleton "
                                    "is empty or not dismantlable")
@@ -478,8 +473,7 @@ def inclusion_graph_moves_for_collapse(k: SimplicialComplex,
     tl, sl = subset_label(pair.tau), subset_label(pair.sigma)
     first = GraphMove(MoveKind.REMOVE_VERTEX, tl,
                       witness=cone_order(gam.neighbors(tl), sl))
-    reduced = gam.without_vertex(tl)
-    order = greedy_dismantling(reduced.open_neighborhood_subgraph(sl))
+    order = _s_witness(gam.adjacency, gam.neighbors(sl) - {tl})
     if order is None:
         raise CertificateError(
             f"neighborhood of {sl} did not dismantle after removing {tl}")

@@ -15,7 +15,11 @@ from .dismantling import (
     GraphMove,
     MoveCertificate,
     MoveKind,
-    replay_unchecked,
+    _apply_move,
+    _fit_error,
+    _graph_of,
+    _working,
+    replay,
 )
 from .simplicial import (
     ANTICOLLAPSE,
@@ -23,7 +27,9 @@ from .simplicial import (
     CollapsePair,
     ComplexCertificate,
     SimplicialComplex,
-    apply_pairs_unchecked,
+    _apply_pair_move,
+    _coface_counts,
+    _pair_fit_error,
 )
 from .posets import Poset, PosetError
 
@@ -249,14 +255,21 @@ def parse_moves(text: str) -> tuple[GraphMove, ...]:
     return tuple(m for _, m in _parse_move_lines(text))
 
 
-def parse_move_certificate(text: str, start: Graph) -> MoveCertificate:
-    rows = _parse_move_lines(text)
-    moves = tuple(m for _, m in rows)
-    end, report = replay_unchecked(start, moves)
+def _replay_rows(rows: list[tuple[int, object]], state, error: Callable, apply: Callable,
+                 kind: str):
+    """The state that parsed (line, move) rows reach, each vetted by `error`
+    for fit only; the first move that does not fit is a ParseError at its line."""
+    end, report = replay(state, (m for _, m in rows), error, apply)
     if not report:
         raise ParseError(rows[report.failed_at][0],
-                         f"moves do not replay on the start graph: {report.reason}")
-    return MoveCertificate(start, moves, end)
+                         f"moves do not replay on the start {kind}: {report.reason}")
+    return end
+
+
+def parse_move_certificate(text: str, start: Graph) -> MoveCertificate:
+    rows = _parse_move_lines(text)
+    end = _replay_rows(rows, _working(start), _fit_error, _apply_move, "graph")
+    return MoveCertificate(start, tuple(m for _, m in rows), _graph_of(end))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +284,7 @@ def format_complex_certificate(cert: ComplexCertificate) -> str:
 
 
 def parse_complex_certificate(text: str, start: SimplicialComplex) -> ComplexCertificate:
-    moves: list[tuple[str, CollapsePair]] = []
+    rows: list[tuple[int, tuple[str, CollapsePair]]] = []
     for no, line in _content_lines(text):
         op, _, rest = line.partition(" ")
         if op not in (COLLAPSE, ANTICOLLAPSE):
@@ -283,5 +296,6 @@ def parse_complex_certificate(text: str, start: SimplicialComplex) -> ComplexCer
         tauset = frozenset(tau.split())
         if not sigma or not tauset:
             raise ParseError(no, "empty simplex in pair")
-        moves.append((op, CollapsePair(sigma, tauset)))
-    return ComplexCertificate(start, tuple(moves), apply_pairs_unchecked(start, moves))
+        rows.append((no, (op, CollapsePair(sigma, tauset))))
+    end = _replay_rows(rows, _coface_counts(start), _pair_fit_error, _apply_pair_move, "complex")
+    return ComplexCertificate(start, tuple(m for _, m in rows), SimplicialComplex(frozenset(end)))

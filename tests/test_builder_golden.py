@@ -2,9 +2,10 @@
 
 Each entry pins a digest of what one builder makes from one seeded input, so
 a change to the moves, their order, their labels or their witnesses shows up
-here.  Graph certificates are digested in their text form; poset certificates
-have none, so each cascade move is written out as a tuple with its witness
-steps and its relation sets sorted.
+here.  Graph and complex certificates are digested in their text form; poset
+certificates have none, so each cascade move is written out as a tuple with
+its witness steps and its relation sets sorted, and a single graph move as its
+description and witness steps.
 """
 
 import hashlib
@@ -13,9 +14,13 @@ import random
 import pytest
 
 from flagcalc import (
+    CertificateError,
     MoveCertificate,
     MoveKind,
     Outcome,
+    dominated_vertices,
+    domination_collapse,
+    free_pairs,
     realize_edge_deletion,
     realize_s_neighborhood_deletion,
     rewrite_edge_moves,
@@ -25,7 +30,13 @@ from flagcalc import (
     textio,
     weak_point_cascade,
 )
-from flagcalc.identities import random_graph
+from flagcalc.dismantling import greedy_dismantling_certificate
+from flagcalc.identities import random_complex, random_graph
+from flagcalc.simplicial import (
+    collapse_certificate_for_dismantlable,
+    inclusion_graph_moves_for_collapse,
+    skeleton_move_for_collapse,
+)
 
 from .helpers import random_copwin_graph, random_vertex_move_certificate, random_ws_move_certificate
 
@@ -88,9 +99,57 @@ def _cascades(seed: int) -> str:
     return _digest(*moves)
 
 
+def _collapses(seed: int) -> str:
+    g = random_copwin_graph(random.Random(seed), 10)
+    return _digest(textio.format_complex_certificate(collapse_certificate_for_dismantlable(g)))
+
+
+def _dominations(seed: int) -> str:
+    g = random_copwin_graph(random.Random(seed), 9)
+    return _digest(*(textio.format_complex_certificate(domination_collapse(g, v, w))
+                     for v, w in dominated_vertices(g)))
+
+
+def _greedy_certificates(seed: int) -> str:
+    """A cop-win graph, which dismantles, and a random graph, which may not."""
+    rng = random.Random(seed)
+    certs = [greedy_dismantling_certificate(random_copwin_graph(rng, 12)),
+             greedy_dismantling_certificate(random_graph(rng, 8, 0.6))]
+    return _digest(*(c and _text(c) for c in certs))
+
+
+def _move_row(m) -> tuple:
+    return m and (m.describe(), m.witness.steps)
+
+
+def _complexes(seed: int) -> list:
+    rng = random.Random(seed)
+    return [random_complex(rng, 7, p) for p in (0.3, 0.5, 0.7)]
+
+
+def _skeleton_moves(seed: int) -> str:
+    """The move, or the refusal, for every free pair of three seeded complexes
+    (seed 2 has a free edge whose common neighbourhood does not dismantle)."""
+    rows = []
+    for k in _complexes(seed):
+        for pair in free_pairs(k):
+            try:
+                rows.append(_move_row(skeleton_move_for_collapse(k, pair)))
+            except CertificateError as exc:
+                rows.append(str(exc))
+    return _digest(*rows)
+
+
+def _inclusion_moves(seed: int) -> str:
+    return _digest(*(tuple(map(_move_row, inclusion_graph_moves_for_collapse(k, pair)))
+                     for k in _complexes(seed) for pair in free_pairs(k)))
+
+
 BUILDERS = {"edge": _edge_deletions, "searched": _searched_neighborhood_deletions,
             "expanded": _expanded_neighborhood_deletion, "rewrite": _rewrites,
-            "cascade": _cascades}
+            "cascade": _cascades, "collapse": _collapses, "domination": _dominations,
+            "greedy": _greedy_certificates, "skeleton": _skeleton_moves,
+            "inclusion": _inclusion_moves}
 SEEDS = range(4)
 
 GOLDEN = {
@@ -114,6 +173,26 @@ GOLDEN = {
     'cascade/1': '6c87b42b5b9fcf76',
     'cascade/2': 'cb251b4998c82333',
     'cascade/3': 'c18f2854f851df6b',
+    'collapse/0': '9011e4d8e67c61e0',
+    'collapse/1': '5883f4a4eb72104d',
+    'collapse/2': '56ffc9d3b5d17da7',
+    'collapse/3': '5bf8830b8a06995d',
+    'domination/0': 'ee5262738d9a7878',
+    'domination/1': '3cbd9c3ffee96a97',
+    'domination/2': '38ef3c41d0f31009',
+    'domination/3': '0647f0288072988f',
+    'greedy/0': '6bacdffbb435f47a',
+    'greedy/1': 'e3351bbba996d715',
+    'greedy/2': '1a290f9c2d521a3c',
+    'greedy/3': 'de504c76e3c7ca51',
+    'skeleton/0': 'cf24a8d2ecf8cae1',
+    'skeleton/1': 'abc49d3d24b8b394',
+    'skeleton/2': 'c0f1d70104838861',
+    'skeleton/3': '676278c0ce5d5e02',
+    'inclusion/0': '3e22971432f45183',
+    'inclusion/1': '1d4d276d8e9eaaaa',
+    'inclusion/2': 'bf89b2ae1c58542d',
+    'inclusion/3': 'b8ce56caa501d86a',
 }
 
 

@@ -30,13 +30,25 @@ from flagcalc import (
     realize_edge_deletion,
     realize_s_neighborhood_deletion,
     s_collapse_search,
+    s_dismantlable_edges,
     s_dismantlable_vertices,
     ws_reduction_search,
 )
 from flagcalc.corpus import prism_graph, s_collapsible_rigid_graph
+from flagcalc.dismantling import replay_moves
 from flagcalc.identities import random_graph
+from flagcalc.simplicial import (
+    clique_complex,
+    free_pairs,
+    inclusion_graph_moves_for_collapse,
+    skeleton_move_for_collapse,
+)
 
-from .helpers import exhaustive_graph_dismantlable, random_vertex_move_certificate
+from .helpers import (
+    exhaustive_graph_dismantlable,
+    random_copwin_graph,
+    random_vertex_move_certificate,
+)
 
 
 def test_dominated_vertices_examples():
@@ -343,3 +355,42 @@ def test_dismantlable_graphs_are_contractible():
             continue
         assert is_i_contractible(g, checker) == "yes"
         found += 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_s_dismantlable_lists_match_the_exhaustive_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.7)))
+        assert s_dismantlable_vertices(g) == [
+            v for v in g.sorted_vertices()
+            if g.neighbors(v) and exhaustive_graph_dismantlable(g.open_neighborhood_subgraph(v))]
+        commons = [(frozenset((a, b)), g.neighbors(a) & g.neighbors(b)) for a, b in g.sorted_edges()]
+        assert s_dismantlable_edges(g) == [
+            e for e, common in commons if common and exhaustive_graph_dismantlable(g.induced(common))]
+
+
+def test_dismantlability_questions_build_no_induced_graph(monkeypatch):
+    g = random_copwin_graph(random.Random(5), 9)
+    k = clique_complex(random_copwin_graph(random.Random(2), 7))
+    induced = Graph.induced
+    calls = []
+    monkeypatch.setattr(Graph, "induced", lambda self, subset: calls.append(1) or induced(self, subset))
+    assert s_dismantlable_vertices(g) and s_dismantlable_edges(g)
+    pairs = free_pairs(k)
+    skeleton = [skeleton_move_for_collapse(k, pair) for pair in pairs]
+    assert any(m is not None and m.kind is MoveKind.REMOVE_EDGE for m in skeleton)
+    assert all(inclusion_graph_moves_for_collapse(k, pair) for pair in pairs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", [MoveKind.REMOVE_EDGE, MoveKind.ADD_EDGE])
+@pytest.mark.parametrize("target", [frozenset("a"), frozenset("abc")],
+                         ids=["one-label", "three-labels"])
+def test_an_edge_move_without_two_endpoints_fails_the_check(kind, target):
+    g = complete_graph("abc")
+    move = GraphMove(kind, target, DismantlingOrder(()))
+    report = check_certificate(MoveCertificate(g, (move,), g))
+    assert not report and report.failed_at == 0
+    assert report.reason == f"{kind.value} needs two distinct endpoints, not {sorted(target)}"
+    assert replay_moves(g, [move]) == (g, report)

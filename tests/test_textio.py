@@ -139,6 +139,26 @@ def test_complex_certificate_round_trip():
     assert format_complex_certificate(back) == text
 
 
+def test_complex_certificate_moves_must_fit_the_start():
+    from flagcalc import SimplicialComplex, check_complex_certificate
+
+    k = parse_complex("a b\n")
+    for text, line in (("- a b | a\n- a b | a\n", 2),  # the pair is already gone
+                       ("+ x y z | q\n", 1),           # not a facet pair
+                       ("# add\n+ b c | c\n+ a b | a\n", 3),  # already present
+                       ("+ b c d | c d\n", 1)):        # facets b c and b d missing
+        with pytest.raises(ParseError) as err:
+            parse_complex_certificate(text, k)
+        assert err.value.line_no == line, text
+    cert = parse_complex_certificate("- a b | a\n+ b c | c\n", k)
+    assert cert.end == SimplicialComplex.from_maximal(["bc"])
+    # freeness is for the checker: b also lies in b c, so it is not free in a b
+    k = parse_complex("a b\nb c\n")
+    cert = parse_complex_certificate("- a b | b\n", k)
+    assert cert.end.simplices == {frozenset("a"), frozenset("c"), frozenset("bc")}
+    assert not check_complex_certificate(cert)
+
+
 def test_subdivision_certificates_round_trip():
     from flagcalc import barycentric_graph, check_certificate
     from flagcalc.corpus import subdivision_demo_graph
