@@ -20,8 +20,6 @@ from .graphs import (
     Graph,
     GraphError,
     IsoWitness,
-    UnknownEdgeError,
-    UnknownVertexError,
     _canonical,
     barycentric_graph,
     canonical_form,
@@ -205,9 +203,7 @@ def s_dismantlable_vertices(g: Graph) -> list[str]:
 
 
 def is_s_dismantlable_edge(g: Graph, e: Iterable[str]) -> bool:
-    a, b = sorted_pair(e)
-    if not g.has_edge(a, b):
-        raise UnknownEdgeError(f"unknown edge {a!r}-{b!r}")
+    a, b = g._require_edge(e)
     return _s_witness(g.adjacency, g.neighbors(a) & g.neighbors(b)) is not None
 
 
@@ -260,32 +256,42 @@ class CheckReport:
         return self.ok
 
 
-def _move_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
-    """move_error on the working state, which it leaves unchanged."""
+def _fit_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
+    """Why m cannot be applied to the working state at all: the half of
+    _move_error that a parser checks, everything but the witness."""
     if m.kind is MoveKind.REMOVE_VERTEX:
-        if m.target not in adj:
-            return f"vertex {m.target!r} not present"
-        local = adj[m.target]
-    elif m.kind is MoveKind.ADD_VERTEX:
+        return None if m.target in adj else f"vertex {m.target!r} not present"
+    if m.kind is MoveKind.ADD_VERTEX:
         if m.target in adj:
             return f"vertex {m.target!r} already present"
         if not m.attachment:
             return "added vertex needs a nonempty attachment"
         missing = set(m.attachment) - adj.keys()
-        if missing:
-            return f"attachment vertices {sorted(missing)} not present"
+        return f"attachment vertices {sorted(missing)} not present" if missing else None
+    ends = sorted(m.target)
+    if len(ends) != 2 or ends[0] == ends[1]:
+        return f"{m.kind.value} needs two distinct endpoints, not {ends}"
+    a, b = ends
+    if a not in adj or b not in adj:
+        return f"edge endpoint of {a!r}-{b!r} not present"
+    if m.kind is MoveKind.REMOVE_EDGE and b not in adj[a]:
+        return f"edge {a!r}-{b!r} not present"
+    if m.kind is MoveKind.ADD_EDGE and b in adj[a]:
+        return f"edge {a!r}-{b!r} already present"
+    return None
+
+
+def _move_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
+    """move_error on the working state, which it leaves unchanged."""
+    err = _fit_error(adj, m)
+    if err:
+        return err
+    if m.kind is MoveKind.REMOVE_VERTEX:
+        local = adj[m.target]
+    elif m.kind is MoveKind.ADD_VERTEX:
         local = m.attachment
     else:
-        ends = sorted(m.target)
-        if len(ends) != 2 or ends[0] == ends[1]:
-            return f"{m.kind.value} needs two distinct endpoints, not {ends}"
-        a, b = ends
-        if a not in adj or b not in adj:
-            return f"edge endpoint of {a!r}-{b!r} not present"
-        if m.kind is MoveKind.REMOVE_EDGE and b not in adj[a]:
-            return f"edge {a!r}-{b!r} not present"
-        if m.kind is MoveKind.ADD_EDGE and b in adj[a]:
-            return f"edge {a!r}-{b!r} already present"
+        a, b = m.target
         local = adj[a] & adj[b]
     if not local:
         return f"{m.describe()}: witness neighborhood is empty"
@@ -303,7 +309,7 @@ def _apply_move(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]]:
         for u in adj[m.target]:
             adj[u].add(m.target)
         return adj
-    a, b = sorted_pair(m.target)
+    a, b = m.target
     if m.kind is MoveKind.REMOVE_EDGE:
         adj[a].discard(b)
         adj[b].discard(a)
@@ -311,18 +317,6 @@ def _apply_move(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]]:
         adj[a].add(b)
         adj[b].add(a)
     return adj
-
-
-def apply_move_unchecked(g: Graph, m: GraphMove) -> Graph:
-    """The immutable replay step that tests compare the working-state kernel against."""
-    if m.kind is MoveKind.REMOVE_VERTEX:
-        return g.without_vertex(m.target)
-    if m.kind is MoveKind.ADD_VERTEX:
-        return g.with_vertex(m.target, m.attachment or ())
-    a, b = sorted_pair(m.target)
-    if m.kind is MoveKind.REMOVE_EDGE:
-        return g.without_edge(a, b)
-    return g.with_edge(a, b)
 
 
 def apply_move(g: Graph, m: GraphMove) -> Graph:
@@ -388,23 +382,6 @@ def replay_moves(g: Graph, moves: Iterable[GraphMove]) -> tuple[Graph, CheckRepo
     return _graph_of(end), report
 
 
-def _fit_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
-    """Why m cannot be applied at all, in the words of the Graph methods."""
-    if m.kind is MoveKind.REMOVE_VERTEX:
-        return None if m.target in adj else f"unknown vertex {m.target!r}"
-    if m.kind is MoveKind.ADD_VERTEX:
-        if m.target in adj:
-            return f"vertex {m.target!r} already present"
-        return next((f"unknown vertex {u!r}" for u in m.attachment or () if u not in adj), None)
-    a, b = sorted_pair(m.target)
-    if m.kind is MoveKind.REMOVE_EDGE:
-        return None if b in adj.get(a, ()) else f"unknown edge {a!r}-{b!r}"
-    missing = next((u for u in (a, b) if u not in adj), None)
-    if missing is not None:
-        return f"unknown vertex {missing!r}"
-    return f"edge {a!r}-{b!r} already present" if b in adj[a] else None
-
-
 def _additions_first(moves: Iterable[GraphMove]) -> tuple[list[GraphMove], list[GraphMove]]:
     """A vertex-move sequence's additions, then its removals, each in their order.
 
@@ -454,9 +431,7 @@ def realize_edge_deletion(g: Graph, e: Iterable[str]) -> MoveCertificate:
     neighborhood minus the other endpoint, then removes the cloned endpoint;
     the end graph is the edge-deleted graph with the endpoint renamed to x.
     """
-    a, b = sorted_pair(e)
-    if not g.has_edge(a, b):
-        raise UnknownEdgeError(f"unknown edge {a!r}-{b!r}")
+    a, b = g._require_edge(e)
     adj = _working(g)
     adj, moves = build(adj, _edge_deletion_moves(adj, a, b, ()), _move_error, _apply_move)
     return MoveCertificate(g, moves, _graph_of(adj))
@@ -499,8 +474,6 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
     witness may also contain additions, which are lifted into g (each new
     vertex additionally attached to v) before the edge-by-edge cascade runs.
     """
-    if v not in g.vertices:
-        raise UnknownVertexError(f"unknown vertex {v!r}")
     nb = g.open_neighborhood_subgraph(v)
     if not nb.vertices:
         raise GraphError(f"{v!r} is isolated; its neighborhood cannot reduce to a point")

@@ -39,8 +39,10 @@ def edge_key(a: str, b: str) -> frozenset[str]:
 
 
 def sorted_pair(e: Iterable[str]) -> tuple[str, str]:
-    a, b = sorted(e)
-    return a, b
+    ends = sorted(e)
+    if len(ends) != 2 or ends[0] == ends[1]:
+        raise GraphError(f"{ends} is not a pair of distinct labels")
+    return ends[0], ends[1]
 
 
 def subset_label(members: Iterable[str]) -> str:
@@ -110,6 +112,13 @@ class Graph:
 
     def has_edge(self, a: str, b: str) -> bool:
         return edge_key(a, b) in self.edges
+
+    def _require_edge(self, e: Iterable[str]) -> tuple[str, str]:
+        """e's endpoints in label order; raises unless e is an edge."""
+        a, b = sorted_pair(e)
+        if not self.has_edge(a, b):
+            raise UnknownEdgeError(f"unknown edge {a!r}-{b!r}")
+        return a, b
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))

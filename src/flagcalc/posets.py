@@ -452,16 +452,6 @@ def _apply_poset_move(state, m: PosetMove):
     return state
 
 
-def apply_poset_move_unchecked(p: Poset, m: PosetMove) -> Poset:
-    if m.kind is PosetMoveKind.REMOVE:
-        return p.without(m.element)
-    rel = set(p.relation)
-    rel.update((l, m.element) for l in m.lower)
-    rel.update((m.element, u) for u in m.upper)
-    rel.update((l, u) for l in m.lower for u in m.upper)
-    return Poset(p.elements | {m.element}, frozenset(rel))
-
-
 def check_poset_certificate(c: PosetCertificate) -> CheckReport:
     return check_replay(c, _order_sets, _poset_move_error, _apply_poset_move, "poset")
 

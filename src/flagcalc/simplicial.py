@@ -313,6 +313,10 @@ def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],
     pair is (sigma plus the surviving link vertex, sigma).
     """
     s = k._require(sigma)
+    # The coface counts that build replays on decide freeness only when closed.
+    bad = _unclosed(k.simplices)
+    if bad is not None:
+        raise CertificateError(f"start not closed under deletion at {subset_label(bad)}")
     lk = link(k, s)
     if link_certificate.start != lk:
         raise CertificateError("link certificate does not start at the link")
@@ -328,11 +332,8 @@ def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],
              for _, p in link_certificate.moves]
     survivor = next(iter(link_certificate.end.simplices))
     moves.append((COLLAPSE, CollapsePair(s | survivor, s)))
-    cert = ComplexCertificate(k, tuple(moves), delete_open_star(k, s))
-    rep = check_complex_certificate(cert)
-    if not rep:  # pragma: no cover - construction guarantees this
-        raise CertificateError(f"star collapse invalid at step {rep.failed_at}: {rep.reason}")
-    return cert
+    counts, made = build(_coface_counts(k), moves, _pair_move_error, _apply_pair_move)
+    return ComplexCertificate(k, made, SimplicialComplex(frozenset(counts)))
 
 
 def _collapse_dominated(start: SimplicialComplex, steps) -> tuple[dict, tuple]:

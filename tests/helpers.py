@@ -22,14 +22,13 @@ from flagcalc import (
     apply_move,
     subset_label,
 )
-from flagcalc.dismantling import apply_move_unchecked, greedy_dismantling
+from flagcalc.dismantling import greedy_dismantling
 from flagcalc.graphs import sorted_pair
 from flagcalc.posets import (
     PosetDismantlingOrder,
     PosetMoveKind,
     PosetStep,
     StepKind,
-    apply_poset_move_unchecked,
 )
 from flagcalc.simplicial import ANTICOLLAPSE, COLLAPSE, apply_pair_unchecked
 
@@ -410,7 +409,10 @@ def naive_move_error(g: Graph, m: GraphMove) -> str | None:
             if missing:
                 return f"attachment vertices {sorted(missing)} not present"
         else:
-            a, b = sorted_pair(m.target)
+            ends = sorted(m.target)
+            if len(ends) != 2 or ends[0] == ends[1]:
+                return f"{m.kind.value} needs two distinct endpoints, not {ends}"
+            a, b = ends
             if a not in g.vertices or b not in g.vertices:
                 return f"edge endpoint of {a!r}-{b!r} not present"
             if m.kind is MoveKind.REMOVE_EDGE and not g.has_edge(a, b):
@@ -426,6 +428,18 @@ def naive_move_error(g: Graph, m: GraphMove) -> str | None:
     if err:
         return f"{m.describe()}: witness invalid ({err})"
     return None
+
+
+def apply_move_unchecked(g: Graph, m: GraphMove) -> Graph:
+    """The immutable replay step that tests compare the working-state kernel against."""
+    if m.kind is MoveKind.REMOVE_VERTEX:
+        return g.without_vertex(m.target)
+    if m.kind is MoveKind.ADD_VERTEX:
+        return g.with_vertex(m.target, m.attachment or ())
+    a, b = sorted_pair(m.target)
+    if m.kind is MoveKind.REMOVE_EDGE:
+        return g.without_edge(a, b)
+    return g.with_edge(a, b)
 
 
 def naive_check_certificate(c: MoveCertificate) -> CheckReport:
@@ -528,6 +542,17 @@ def _naive_poset_move_error(p: Poset, m) -> str | None:
     if err:
         return f"{m.element!r}: witness invalid ({err})"
     return None
+
+
+def apply_poset_move_unchecked(p: Poset, m) -> Poset:
+    """The immutable poset replay step, from the relation alone."""
+    if m.kind is PosetMoveKind.REMOVE:
+        return p.without(m.element)
+    rel = set(p.relation)
+    rel.update((l, m.element) for l in m.lower)
+    rel.update((m.element, u) for u in m.upper)
+    rel.update((l, u) for l in m.lower for u in m.upper)
+    return Poset(p.elements | {m.element}, frozenset(rel))
 
 
 def naive_check_poset_certificate(c) -> CheckReport:

@@ -108,6 +108,13 @@ def test_certify_round_trip(tmp_path, capsys, k3_file):
     assert code == 1 and "invalid" in out
 
 
+def test_certify_reports_an_empty_attachment_as_an_invalid_move(tmp_path, capsys, k3_file):
+    cert = tmp_path / "empty.cert"
+    cert.write_text("+v x ,\nw\n")
+    code, out, _ = run(capsys, "certify", str(cert), "--start", k3_file)
+    assert (code, out) == (1, "invalid at move 0: added vertex needs a nonempty attachment\n")
+
+
 def test_corpus_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "corpus", "list")
     assert code == 0 and "six-regular-10" in out

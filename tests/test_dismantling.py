@@ -43,9 +43,11 @@ from flagcalc.simplicial import (
     inclusion_graph_moves_for_collapse,
     skeleton_move_for_collapse,
 )
+from flagcalc.textio import format_move_certificate
 
 from .helpers import (
     exhaustive_graph_dismantlable,
+    naive_check_certificate,
     random_copwin_graph,
     random_vertex_move_certificate,
 )
@@ -394,3 +396,24 @@ def test_an_edge_move_without_two_endpoints_fails_the_check(kind, target):
     assert not report and report.failed_at == 0
     assert report.reason == f"{kind.value} needs two distinct endpoints, not {sorted(target)}"
     assert replay_moves(g, [move]) == (g, report)
+    assert naive_check_certificate(MoveCertificate(g, (move,), g)) == report
+
+
+def _describe_edge_move(g, labels):
+    return GraphMove(MoveKind.REMOVE_EDGE, frozenset(labels), DismantlingOrder(())).describe()
+
+
+def _format_edge_move(g, labels):
+    move = GraphMove(MoveKind.REMOVE_EDGE, frozenset(labels), DismantlingOrder(()))
+    return format_move_certificate(MoveCertificate(g, (move,), g))
+
+
+@pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")], ids=["one", "three"])
+@pytest.mark.parametrize("call", [_describe_edge_move, _format_edge_move,
+                                  is_s_dismantlable_edge, realize_edge_deletion],
+                         ids=["describe", "format", "is_s_dismantlable_edge",
+                              "realize_edge_deletion"])
+def test_edge_calls_reject_a_target_that_is_not_a_pair(call, labels):
+    with pytest.raises(GraphError) as err:
+        call(complete_graph("abcd"), labels)
+    assert all(repr(x) in str(err.value) for x in labels)

@@ -39,7 +39,6 @@ from flagcalc.posets import (
     PosetMoveKind,
     PosetStep,
     StepKind,
-    apply_poset_move_unchecked,
     greedy_poset_dismantling,
     weak_point_witness,
     weak_points_via_join,
@@ -47,7 +46,7 @@ from flagcalc.posets import (
 from flagcalc.identities import random_graph, random_poset
 from flagcalc.posets import PosetCertificate
 
-from .helpers import exhaustive_poset_dismantlable
+from .helpers import apply_poset_move_unchecked, exhaustive_poset_dismantlable
 
 
 def test_poset_construction_and_closure():

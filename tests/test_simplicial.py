@@ -36,6 +36,7 @@ from flagcalc import (
 )
 from flagcalc.simplicial import (
     COLLAPSE,
+    ComplexCertificate,
     apply_pair_unchecked,
     collapse,
     collapse_certificate_for_dismantlable,
@@ -133,6 +134,14 @@ def test_star_collapse_on_k4():
     cert = star_collapse_certificate(kk, ("a",), lc)
     assert check_complex_certificate(cert).ok
     assert cert.end == clique_complex(complete_graph("bcd"))
+
+
+def test_star_collapse_needs_a_closed_start():
+    # abc lacks its facets ac and bc, so the counts would call a free in ab
+    k = SimplicialComplex(frozenset(map(frozenset, ("a", "b", "ab", "abc"))))
+    lk = link(k, ("a",))
+    with pytest.raises(CertificateError, match="not closed under deletion"):
+        star_collapse_certificate(k, ("a",), ComplexCertificate(lk, (), lk))
 
 
 def test_domination_collapse_examples():

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from flagcalc.textio import (
     parse_move_certificate,
     parse_poset,
 )
+
+from .test_cli import _cli
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,10 +184,32 @@ def test_move_parse_errors_name_their_line():
     for text, line in (("-v a\nw\n+v x [a,b\nw\n", 3),   # unbalanced brackets
                        ("-v a\nw\n+v x a],[b\nw\n", 3),
                        ("-v a\nw\n-v a\nw\n", 3),         # does not replay
+                       ("-v a\nw\n+v x ,\nw\n", 3),      # empty attachment
                        ("# start\n-e a b\nw\n+e a a\nw\n", 4)):
         with pytest.raises(ParseError) as err:
             parse_move_certificate(text, g)
         assert err.value.line_no == line, text
+
+
+_PARSE_MISSING_ATTACHMENT = """
+from flagcalc import complete_graph
+from flagcalc.textio import ParseError, parse_move_certificate
+try:
+    parse_move_certificate("+v x p,q,r,s\\nw\\n", complete_graph("ab"))
+except ParseError as exc:
+    print(exc)
+"""
+
+
+def test_move_parse_errors_do_not_depend_on_the_hash_seed():
+    outs = []
+    for hash_seed in ("0", "1"):
+        _, env = _cli(hash_seed=hash_seed)
+        outs.append(subprocess.run([sys.executable, "-c", _PARSE_MISSING_ATTACHMENT], env=env,
+                                   capture_output=True, check=True, text=True,
+                                   timeout=120).stdout)
+    assert outs[0] == outs[1] == ("line 1: moves do not replay on the start graph: "
+                                  "attachment vertices ['p', 'q', 'r', 's'] not present\n")
 
 
 def test_poset_parse_errors_are_located():
