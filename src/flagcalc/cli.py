@@ -124,7 +124,10 @@ def cmd_reduce(args) -> int:
         verdict = s_collapse_search(g, budget)
     else:
         verdict = ws_reduction_search(g, target, budget)
-    print(f"{verdict.outcome.value} nodes={verdict.stats.nodes} budget={verdict.stats.budget}")
+    head = verdict.outcome.value
+    if verdict.obstruction:  # the start's reduced mod-2 Betti vector
+        head += " betti=" + ",".join(map(str, verdict.obstruction))
+    print(f"{head} nodes={verdict.stats.nodes} budget={verdict.stats.budget}")
     if verdict.outcome is Outcome.YES:
         _emit(textio.format_move_certificate(verdict.certificate), args.out)
         return EXIT_YES

@@ -15,8 +15,10 @@ from .graphs import (
     Graph,
     are_isomorphic,
     barycentric_graph,
+    clique_masks,
     maximal_cliques,
     path_graph,
+    reduced_betti,
     subset_label,
 )
 from .dismantling import (
@@ -265,8 +267,8 @@ def _check_dunce_graph() -> list[Assertion]:
     g = dunce_hat_graph()
     k = clique_complex(g)
     triangles = sum(1 for s in k.simplices if len(s) == 3)
-    euler = (len(k.vertex_set) - sum(1 for s in k.simplices if len(s) == 2)
-             + triangles - sum(1 for s in k.simplices if len(s) == 4))
+    betti = reduced_betti(clique_masks(g.adjacency))
+    euler = 1 + sum((-1) ** d * b for d, b in enumerate(betti))
     return [
         Assertion(name, "17-vertices-52-edges",
                   len(g.vertices) == 17 and len(g.edges) == 52),

@@ -23,8 +23,10 @@ from .graphs import (
     _canonical,
     barycentric_graph,
     canonical_form,
+    clique_masks,
     complete_subgraphs,
     fresh_labels,
+    reduced_betti,
     sorted_pair,
     subset_label,
 )
@@ -181,6 +183,18 @@ def _greedy_order(adj: dict[str, set[str]]) -> DismantlingOrder | None:
     """greedy_dismantling of a working state, which it consumes."""
     core, steps = _greedy_graph_core(adj)
     return DismantlingOrder(steps) if len(core) == 1 else None
+
+
+def _obstruction(g: Graph) -> tuple[int, ...]:
+    """reduced_betti of the clique complex of a nonempty graph; () when acyclic.
+
+    Found on the greedy dismantling core: deleting a dominated vertex is a
+    strong collapse (Barmak and Minian, "Strong homotopy types, nerves and
+    collapses", DCG 47, 2012), which keeps the homotopy type, so the cliques
+    of a dismantlable graph are never listed.
+    """
+    core, _ = _greedy_graph_core(_working(g))
+    return reduced_betti(clique_masks(core))
 
 
 def is_dismantlable(g: Graph) -> bool:
@@ -654,9 +668,15 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SearchVerdict:
+    """A search's answer.  `obstruction` is set only on a NO found before
+    any search: the start's nonzero reduced mod-2 Betti vector
+    (graphs.reduced_betti), which no sequence of the search's moves changes,
+    so a checker can recompute it from the start alone."""
+
     outcome: Outcome
     certificate: object | None
     stats: SearchStats
+    obstruction: tuple[int, ...] | None = None
 
 
 def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Callable,
@@ -729,9 +749,18 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
     that nb induces, or None.  Canonical keys and greedy orders are cached
     for the search, keyed by those frozen sets; the start's key is its
     canonical_form, so a caller that labelled the start shares that work.
+
+    Without a target, a start whose clique complex has homology answers NO
+    at once, with the Betti vector as its obstruction: s-moves and ws-moves
+    keep the simple-homotopy type of the clique complex, so such a start
+    never reaches one vertex.
     """
     if not start.vertices:
         raise GraphError("empty graph")
+    if target is None:
+        betti = _obstruction(start)
+        if betti:
+            return SearchVerdict(Outcome.NO, None, SearchStats(0, budget), betti)
     adj0 = start.adjacency
     begin = (start.vertices, frozenset())
     orders: dict = {}
@@ -852,14 +881,18 @@ class IContractibility:
     """Bounded decision procedure for reducibility to a point under deletions
     and additions of vertices whose neighborhoods are recursively reducible.
 
-    Each question is one `backtrack` over graphs keyed by their canonical
-    form.  Additions are capped by a vertex-count ceiling, every search path
-    by a move-depth cap, and the whole cascade of nested neighborhood
-    questions of one top-level `of` shares one node budget.  "unknown" flags
-    any cap binding on the way, and "no" would mean exhaustion of the bounded
-    move space; but the ceiling binds on every nonempty graph, so `of`
-    answers "yes" or "unknown", and `vertex` answers "no" only for an
-    isolated vertex.
+    A graph whose clique complex has homology is answered "no" at once, and
+    the answer is kept: I-moves keep the homology (Ivashchenko, "Contractible
+    transformations do not change the homology groups of graphs", Discrete
+    Math. 126, 1994), so no I-move sequence takes it to a point.  Every other
+    question is one `backtrack` over graphs keyed by their canonical form.
+    Additions are capped by a vertex-count ceiling, every search path by a
+    move-depth cap, and the whole cascade of nested neighborhood questions of
+    one top-level `of` shares one node budget.  "unknown" flags any cap
+    binding on the way.  Exhaustion would also mean "no", but the ceiling
+    binds on every nonempty graph, so an acyclic graph is answered "yes" or
+    "unknown", and `vertex` answers "no" for an isolated vertex or one whose
+    neighbourhood has homology.
     """
 
     EXTRA_VERTICES = 2  # a question's vertex ceiling, above its own size
@@ -896,6 +929,9 @@ class IContractibility:
         key = canonical_form(g)
         if key in self._memo:
             return self._memo[key]
+        if _obstruction(g):
+            self._memo[key] = "no"
+            return "no"
         if self._nesting >= self.MAX_NESTING:
             return "unknown"
         self._memo[key] = "unknown"  # a question met again inside itself is open

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -307,6 +307,76 @@ def barycentric_graph(g: Graph) -> Graph:
     """Vertices are the complete subgraphs of g, edges the strict inclusions."""
     fam = complete_subgraphs(g)
     return Graph.make(map(subset_label, fam), inclusion_pairs(fam))
+
+
+# ---------------------------------------------------------------------------
+# mod-2 homology
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def clique_masks(adj: Mapping[str, Iterable[str]]) -> list[list[int]]:
+    """The complete subgraphs of an adjacency as bitmasks over its sorted
+    labels (bit i stands for the i-th label), grouped by size: entry d holds
+    the ones with d + 1 vertices, the d-faces of the clique complex."""
+    index = {v: 1 << i for i, v in enumerate(sorted(adj))}
+    later = {bit: 0 for bit in index.values()}  # each vertex's greater neighbours
+    for v, bit in index.items():
+        for u in adj[v]:
+            if index[u] > bit:
+                later[bit] |= index[u]
+    level = list(later.items())  # (clique, the greater vertices adjacent to all of it)
+    faces = []
+    while level:
+        faces.append([c for c, _ in level])
+        level = [(c | b, grow & later[b]) for c, grow in level for b in _bits(grow)]
+    return faces
+
+
+def reduced_betti(faces: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The reduced mod-2 Betti numbers b̃_0, b̃_1, ... of a nonempty simplicial
+    complex, up to the last nonzero one, so an acyclic complex gives ().
+
+    `faces[d]` lists the d-faces as bitmasks of d + 1 bits, and every
+    nonempty subset of a face is a face.  b̃_d is the number of d-faces less
+    the ranks of the boundary maps ∂_d and ∂_{d+1}, where ∂_0 is the
+    augmentation, of rank 1.  Each rank comes from Gaussian elimination over
+    GF(2), one dimension at a time: a face's boundary is a Python int over
+    the indices of the faces below, and the pivot rows are kept in a dict
+    keyed by their highest bit.  The image of ∂_d lies in the kernel of
+    ∂_{d-1}, so the elimination stops once its rank fills that kernel.
+    Vanishing numbers are dropped from the end because they depend on the
+    dimension, not on the homotopy type.
+    """
+    ranks = [1]
+    for below, here in zip(faces, faces[1:]):
+        index = {f: 1 << i for i, f in enumerate(below)}
+        room = len(below) - ranks[-1]
+        pivots: dict[int, int] = {}
+        for f in here:
+            if len(pivots) == room:
+                break
+            row = 0
+            for b in _bits(f):
+                row |= index[f ^ b]
+            while row:
+                top = row.bit_length()
+                if top not in pivots:
+                    pivots[top] = row
+                    break
+                row ^= pivots[top]
+        ranks.append(len(pivots))
+    ranks.append(0)
+    betti = [len(f) - ranks[d] - ranks[d + 1] for d, f in enumerate(faces)]
+    while betti and not betti[-1]:
+        betti.pop()
+    return tuple(betti)
 
 
 # ---------------------------------------------------------------------------

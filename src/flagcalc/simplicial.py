@@ -17,6 +17,7 @@ from .graphs import (
     GraphError,
     complete_subgraphs,
     inclusion_pairs,
+    reduced_betti,
     subset_label,
 )
 from .dismantling import (
@@ -26,6 +27,8 @@ from .dismantling import (
     DismantlingOrder,
     GraphMove,
     MoveKind,
+    Outcome,
+    SearchStats,
     SearchVerdict,
     _s_witness,
     backtrack,
@@ -383,9 +386,21 @@ def collapse_certificate_for_dismantlable(g: Graph) -> ComplexCertificate:
 
 def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = None,
                     budget: int = DEFAULT_SEARCH_BUDGET) -> SearchVerdict:
-    """Backtracking over free pairs; memoizes failed simplex sets exactly."""
+    """Backtracking over free pairs; memoizes failed simplex sets exactly.
+
+    Without a target, a complex with homology answers NO before any search,
+    with its Betti vector as the obstruction: collapses keep the homotopy type.
+    """
     if not k.simplices:
         raise ComplexError("empty complex")
+    if target is None:
+        bit = {v: 1 << i for i, v in enumerate(sorted(k.vertex_set))}
+        faces: list[list[int]] = [[] for _ in range(k.dimension() + 1)]
+        for s in k.simplices:
+            faces[len(s) - 1].append(sum(map(bit.__getitem__, s)))
+        betti = reduced_betti(faces)
+        if betti:
+            return SearchVerdict(Outcome.NO, None, SearchStats(0, budget), betti)
     goal = None if target is None else target.simplices
     return backtrack(k, lambda c: c.simplices,
                      lambda c: [(COLLAPSE, pair) for pair in free_pairs(c)],

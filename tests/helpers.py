@@ -80,6 +80,48 @@ def exhaustive_s_collapsible(g: Graph) -> bool:
     return explore(g.vertices)
 
 
+def _dense_rank(rows: list[list[int]]) -> int:
+    """Rank over GF(2) of a 0/1 matrix, by row reduction column by column."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def naive_reduced_betti(g: Graph) -> tuple[int, ...]:
+    """Ground truth for the reduced mod-2 Betti numbers of g's clique complex,
+    up to the last nonzero one: every vertex subset is tested for being a
+    clique, and each boundary map is a dense 0/1 matrix.  Exponential in the
+    number of vertices."""
+    vs = g.sorted_vertices()
+    faces = [[c for c in itertools.combinations(vs, k) if g.is_complete_set(c)]
+             for k in range(1, len(vs) + 1)]
+    faces = [f for f in faces if f]
+    ranks = [1]  # the augmentation sends every vertex to the empty face
+    for below, here in zip(faces, faces[1:]):
+        column = {c: j for j, c in enumerate(below)}
+        matrix = []
+        for c in here:
+            row = [0] * len(below)
+            for i in range(len(c)):
+                row[column[c[:i] + c[i + 1:]]] = 1
+            matrix.append(row)
+        ranks.append(_dense_rank(matrix))
+    ranks.append(0)
+    betti = [len(f) - ranks[d] - ranks[d + 1] for d, f in enumerate(faces)]
+    while betti and not betti[-1]:
+        betti.pop()
+    return tuple(betti)
+
+
 def exhaustive_poset_dismantlable(p: Poset) -> bool:
     """Ground truth: does ANY irreducible-removal order reach one element?"""
     memo: dict[frozenset[str], bool] = {}

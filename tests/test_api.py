@@ -73,7 +73,7 @@ PUBLIC_SIGNATURES = {
     'SearchStats':
         "(nodes: 'int', budget: 'int') -> None",
     'SearchVerdict':
-        "(outcome: 'Outcome', certificate: 'object | None', stats: 'SearchStats') -> None",
+        "(outcome: 'Outcome', certificate: 'object | None', stats: 'SearchStats', obstruction: 'tuple[int, ...] | None' = None) -> None",
     'SimplicialComplex':
         "(simplices: 'frozenset[frozenset[str]]') -> None",
     'UnknownEdgeError':

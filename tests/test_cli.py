@@ -41,8 +41,12 @@ def test_reduce_modes(tmp_path, capsys, k3_file):
     code, out, _ = run(capsys, "reduce", str(c5), "--mode", "ws")
     assert code == 1 and out.startswith("no")
 
-    code, out, _ = run(capsys, "reduce", str(c5), "--mode", "s", "--budget", "0")
+    code, out, _ = run(capsys, "reduce", k3_file, "--mode", "s", "--budget", "0")
     assert code == 2 and out.startswith("unknown")
+
+    # C5's clique complex is a circle: NO at every budget, with its Betti vector.
+    code, out, _ = run(capsys, "reduce", str(c5), "--mode", "s", "--budget", "0")
+    assert code == 1 and out == "no betti=0,1 nodes=0 budget=0\n"
 
     code, out, _ = run(capsys, "reduce", k3_file, "--mode", "dismantle")
     assert code == 0

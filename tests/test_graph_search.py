@@ -11,10 +11,17 @@ import random
 
 import pytest
 
-from flagcalc import Graph, Outcome, check_certificate, s_collapse_search, ws_reduction_search
+from flagcalc import (
+    Graph,
+    Outcome,
+    check_certificate,
+    corpus,
+    s_collapse_search,
+    ws_reduction_search,
+)
 from flagcalc.identities import random_graph
 
-from .helpers import exhaustive_s_collapsible
+from .helpers import exhaustive_s_collapsible, random_copwin_graph
 
 
 def seeded_graphs(count: int, max_n: int):
@@ -49,9 +56,25 @@ def test_ws_no_means_no_s_collapse():
             assert check_certificate(verdict.certificate).ok
 
 
-@pytest.mark.parametrize("seed, s_outcome", [(1, Outcome.YES), (17, Outcome.NO)])
+def dunce_hat_with_tail(rng: random.Random) -> Graph:
+    """The dunce hat graph with a cop-win graph glued at both graphs' least
+    vertices.  Its clique complex is acyclic, so no Betti number answers for
+    the searches, and they must exhaust to find that it does not s-collapse."""
+    hat = corpus.dunce_hat_graph()
+    tail = random_copwin_graph(rng, 6, 0.5)
+    root, tail_root = min(hat.vertices), min(tail.vertices)
+
+    def name(v):
+        return root if v == tail_root else f"z{v}"
+    return Graph.make(hat.vertices | set(map(name, tail.vertices)),
+                      set(hat.edges) | {frozenset(map(name, e)) for e in tail.edges})
+
+
+@pytest.mark.parametrize("seed, s_outcome", [(1, Outcome.YES), (101, Outcome.NO)])
 def test_searches_build_no_graph_per_state(monkeypatch, seed, s_outcome):
-    g = random_graph(random.Random(seed), 14, 0.5)
+    # The seed draws a G(14, 0.5) that s-collapses, or the dunce hat's tail.
+    rng = random.Random(seed)
+    g = random_graph(rng, 14, 0.5) if s_outcome is Outcome.YES else dunce_hat_with_tail(rng)
     calls = []
     for name in ("induced", "open_neighborhood_subgraph"):
         method = getattr(Graph, name)

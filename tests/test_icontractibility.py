@@ -9,10 +9,12 @@ from flagcalc import (
     Graph,
     IContractibility,
     clique_complex,
+    corpus,
     cycle_graph,
     dismantling,
     is_dismantlable,
 )
+from flagcalc.graphs import clique_masks, reduced_betti
 from flagcalc.identities import random_graph
 
 
@@ -24,7 +26,8 @@ def _seeded_graphs(seed: int, count: int):
 
 # One letter per graph of _seeded_graphs(5, 60), each asked of a fresh checker
 # with node_budget=100; recorded with the checker's earlier, private search.
-GOLDEN_ANSWERS = "uyuuyuuuuuyyuuuyyuuuyyyuuuuuuyyyuuuyyyyuyyyuuyyyuyyyuyuuuyyy"
+# Every graph answered "unknown" there has homology, so it is now a "no".
+GOLDEN_ANSWERS = "nynnynnnnnyynnnyynnnyyynnnnnnyyynnnyyyynyyynnyyynyyynynnnyyy"
 
 
 def test_answers_match_the_recorded_ones():
@@ -44,7 +47,8 @@ def test_node_budget_bounds_the_whole_cascade(monkeypatch, budget):
         return verdict
 
     monkeypatch.setattr(dismantling, "backtrack", counted)
-    assert IContractibility(node_budget=budget).of(cycle_graph("abcde")) == "unknown"
+    # The dunce hat is acyclic, so no Betti number answers for the search.
+    assert IContractibility(node_budget=budget).of(corpus.dunce_hat_graph()) == "unknown"
     assert len(calls) > 1
     assert sum(calls) == budget
 
@@ -66,9 +70,9 @@ def _dismantlable_graphs():
 
 
 def test_an_exhausted_budget_leaves_no_unknown_behind():
-    # The cut leaves nested questions open, P4 and the star K1,3 among them.
+    # The cut leaves nested questions open.
     checker = IContractibility(node_budget=100)
-    assert checker.of(cycle_graph("abcde")) == "unknown"
+    assert checker.of(corpus.dunce_hat_graph()) == "unknown"
     for g in _dismantlable_graphs():
         assert checker.of(g) == "yes"
 
@@ -82,11 +86,20 @@ def test_answers_are_sound():
     answers = []
     for g in _seeded_graphs(23, 40):
         answer = checker.of(g)
-        assert answer != "no"
+        if answer == "no":
+            assert not is_dismantlable(g) and reduced_betti(clique_masks(g.adjacency))
         if answer == "yes":
             assert _euler_characteristic(g) == 1
         answers.append(answer)
-    assert {"yes", "unknown"} <= set(answers)
+    assert {"yes", "no"} <= set(answers)
+
+
+def test_a_graph_with_homology_is_answered_no_without_search(monkeypatch):
+    monkeypatch.setattr(dismantling, "backtrack", None)  # any search would fail
+    checker = IContractibility()
+    assert checker.of(cycle_graph("abcde")) == "no"
+    assert checker.of(cycle_graph("abcd").suspension()) == "no"
+    assert checker.vertex(cycle_graph("abcde").suspension(), "a") == "no"
 
 
 def test_moves_on_more_than_six_vertices_end_undecided():
