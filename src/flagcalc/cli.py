@@ -7,6 +7,7 @@ Exit codes: 0 = yes/pass, 1 = no/fail, 2 = unknown (budget exhausted),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -208,7 +209,12 @@ def cmd_corpus(args) -> int:
     return EXIT_YES if ok else EXIT_NO
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and shared by every later one.
+
+    Parsing keeps no state in the parser: each call gets a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="flagcalc",
         description="Graph dismantling, flag-complex collapse and poset weak "

@@ -289,17 +289,29 @@ def enumerate_complete_subgraphs(g: Graph, mode: str = "all") -> CliqueFamily:
 
 
 def inclusion_pairs(family: Iterable[frozenset[str]]) -> list[tuple[str, str]]:
-    """(subset, superset) label pairs of every strict inclusion in the family.
+    """(subset, superset) label pairs of every strict inclusion in the family, each once.
 
-    The family must be closed under nonempty subsets, so each member's proper
-    nonempty subsets are listed directly and the cost grows with the output.
+    The family must be closed under nonempty subsets.  Each member is labelled
+    once, and members are taken in size order, so a member's strict down-set is
+    the union of its facets' down-sets and the facets' labels: no subset is
+    listed or labelled again.  A member missing one of its facets raises
+    GraphError naming that facet.
     """
+    label = {s: subset_label(s) for s in family}
+    below: dict[frozenset[str], set[str]] = {}
     out = []
-    for top in family:
-        members = sorted(top)
-        label = subset_label(members)
-        for k in range(1, len(members)):
-            out.extend((subset_label(c), label) for c in itertools.combinations(members, k))
+    for top in sorted(label, key=len):
+        down = below[top] = set()
+        if len(top) > 1:
+            for v in top:
+                facet = top - {v}
+                if facet not in label:
+                    raise GraphError(f"{label[top]} is in the family but its facet "
+                                     f"{subset_label(facet)} is not")
+                down.add(label[facet])
+                down |= below[facet]
+        hi = label[top]
+        out.extend((lo, hi) for lo in down)
     return out
 
 

@@ -1,12 +1,19 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from flagcalc.cli import main
+from flagcalc.cli import build_parser, main
 from flagcalc.textio import format_graph, parse_complex, parse_graph, parse_poset
-from flagcalc import barycentric_graph, clique_complex, complete_graph, cycle_graph
+from flagcalc import (
+    barycentric_complex,
+    barycentric_graph,
+    clique_complex,
+    complete_graph,
+    cycle_graph,
+)
 
 
 @pytest.fixture
@@ -172,6 +179,57 @@ def test_bad_environment_value_fails_only_the_commands_that_read_it(monkeypatch,
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "usage" in out
+
+
+# (FLAGCALC_BUDGET for the call or None, argv, expected exit code); each pair
+# of calls would differ if the first left an option, a kind or an exit behind
+# in the shared parser.
+_SEQUENCE = [
+    (None, ["map", "bd", "k3.graph", "--kind", "graph", "--out", "bd.graph"], 0),
+    (None, ["map", "bd", "k3.complex", "--out", "bd.complex"], 0),
+    (None, ["reduce", "k3.graph", "--budget", "0"], 2),
+    ("100", ["reduce", "k3.graph"], 0),
+    ("0", ["reduce", "k3.graph"], 2),
+    (None, ["reduce", "k3.graph", "--budget", "xyz"], 3),
+    (None, ["reduce", "k3.graph", "--mode", "ws"], 0),
+    (None, ["--help"], 0),
+    (None, ["map", "sk", "k3.complex"], 0),
+]
+
+
+def _run_sequence(monkeypatch, capsys, fresh_parser: bool) -> list:
+    rows = []
+    for budget, argv, _ in _SEQUENCE:
+        if fresh_parser:
+            build_parser.cache_clear()
+        with monkeypatch.context() as m:
+            if budget is None:
+                m.delenv("FLAGCALC_BUDGET", raising=False)
+            else:
+                m.setenv("FLAGCALC_BUDGET", budget)
+            code = main(argv)
+        out = capsys.readouterr()
+        written = None
+        if "--out" in argv:
+            path = Path(argv[argv.index("--out") + 1])
+            written = path.read_text()
+            path.unlink()
+        rows.append((argv, code, out.out, out.err, written))
+    return rows
+
+
+def test_the_shared_parser_carries_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k3.graph").write_text(format_graph(complete_graph("abc")))
+    assert main(["map", "delta-g", "k3.graph", "--out", "k3.complex"]) == 0
+    build_parser.cache_clear()
+    shared = _run_sequence(monkeypatch, capsys, fresh_parser=False)
+    assert build_parser.cache_info().misses == 1
+    fresh = _run_sequence(monkeypatch, capsys, fresh_parser=True)
+    assert shared == fresh
+    assert [row[1] for row in shared] == [code for _, _, code in _SEQUENCE]
+    assert parse_complex(shared[1][4]) == barycentric_complex(
+        clique_complex(complete_graph("abc")))
 
 
 def _cli(*argv, hash_seed="0"):
