@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     GraphError,
     IsoWitness,
-    _canonical,
     barycentric_graph,
     canonical_form,
     clique_masks,
@@ -739,16 +738,18 @@ def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Call
 
 def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
                   budget: int) -> SearchVerdict:
-    """Deletion moves down to one vertex, with failed states memoized up to
-    isomorphism, or exactly onto a labeled target, keyed by the state itself.
+    """Deletion moves down to one vertex, or exactly onto a labeled target,
+    with failed states memoized by the state itself.
 
     A state is the frozen set of the start's vertices that remain and the
     frozen set of the start's edges deleted among them; its graph is never
     built.  `candidates(adj, order)` yields the moves of a state from its
     adjacency, where `order(nb)` is the greedy dismantling of the subgraph
-    that nb induces, or None.  Canonical keys and greedy orders are cached
-    for the search, keyed by those frozen sets; the start's key is its
-    canonical_form, so a caller that labelled the start shares that work.
+    that nb induces, or None; greedy orders are cached for the search, keyed
+    by those frozen sets.  The state is its own memo key: a key needs only
+    that two states sharing it be isomorphic, and on every input measured,
+    labeling each state to merge isomorphic ones cost more time than
+    exploring them did.
 
     Without a target, a start whose clique complex has homology answers NO
     at once, with the Betti vector as its obstruction: s-moves and ws-moves
@@ -796,14 +797,7 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
         return MoveCertificate(start, path, graph(end))
 
     if target is None:
-        keys = {begin: canonical_form(start)}
-
-        def canonical_key(state) -> tuple:
-            if state not in keys:
-                keys[state] = _canonical(adjacency(state), dict.fromkeys(state[0], 0))[0]
-            return keys[state]
-
-        return backtrack(begin, canonical_key, moves, apply, lambda s: len(s[0]) == 1,
+        return backtrack(begin, lambda s: s, moves, apply, lambda s: len(s[0]) == 1,
                          lambda s: True, budget, certificate)
     return backtrack(begin, lambda s: s, moves, apply,
                      lambda s: s[0] == target.vertices and graph(s) == target,

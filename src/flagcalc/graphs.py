@@ -288,8 +288,9 @@ def enumerate_complete_subgraphs(g: Graph, mode: str = "all") -> CliqueFamily:
     return CliqueFamily(g, mode, tuple(found))
 
 
-def inclusion_pairs(family: Iterable[frozenset[str]]) -> list[tuple[str, str]]:
-    """(subset, superset) label pairs of every strict inclusion in the family, each once.
+def inclusion_order(family: Iterable[frozenset[str]]) -> tuple[list[str], list[tuple[str, str]]]:
+    """The labels of a family's members, and the (subset, superset) label
+    pairs of every strict inclusion in the family, each once.
 
     The family must be closed under nonempty subsets.  Each member is labelled
     once, and members are taken in size order, so a member's strict down-set is
@@ -312,13 +313,12 @@ def inclusion_pairs(family: Iterable[frozenset[str]]) -> list[tuple[str, str]]:
                 down |= below[facet]
         hi = label[top]
         out.extend((lo, hi) for lo in down)
-    return out
+    return list(label.values()), out
 
 
 def barycentric_graph(g: Graph) -> Graph:
     """Vertices are the complete subgraphs of g, edges the strict inclusions."""
-    fam = complete_subgraphs(g)
-    return Graph.make(map(subset_label, fam), inclusion_pairs(fam))
+    return Graph.make(*inclusion_order(complete_subgraphs(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +419,23 @@ class IsoWitness:
                     if g1.has_edge(a, b) != g2.has_edge(fwd[a], fwd[b]))
 
 
-def _refine(adj: dict[str, frozenset[str]], colors: dict[str, int]) -> dict[str, int]:
+def _refine(adj: dict[str, frozenset[str]], colors: dict[str, int],
+            hit: Iterable[str]) -> dict[str, int]:
     """The coarsest equitable refinement of `colors`, numbered 0, 1, ... in order.
 
     Rounds are synchronous: a round splits each cell by the sorted colours of
     its members' neighbours and keeps the parts in that order. While refining,
     a cell's colour is its first position in the order of cells, so a split
-    raises the colours of all parts but the first. After the first round,
-    which looks at every vertex, a round looks only at the vertices next to
-    one whose colour rose in the round before (McKay and Piperno, "Practical
+    raises the colours of all parts but the first. The first round looks only
+    at the vertices in `hit`, a later one only at the vertices next to one
+    whose colour rose in the round before (McKay and Piperno, "Practical
     graph isomorphism, II", J. Symb. Comput. 60, 2014). The other members of
     their cells keep the sorted neighbour colours that the whole cell shared,
     and a member with a risen neighbour colour now has greater ones, so the
     others stay together as the first part; a cell with no such member
-    cannot split.
+    cannot split. So `hit` holds every vertex, unless `colors` is equitable
+    but for one vertex v moved to a cell of its own just after the rest of
+    its cell: that raises v's colour alone, and N(v) suffices.
     """
     cells: dict[int, list[str]] = {}
     for v, c in colors.items():
@@ -444,9 +447,7 @@ def _refine(adj: dict[str, frozenset[str]], colors: dict[str, int]) -> dict[str,
         part[first] = cells[c]
         colour.update(dict.fromkeys(cells[c], first))
         first += len(cells[c])
-    dirty = [s for s, members in part.items() if len(members) > 1]
-    hit = adj  # the vertices to look at; in the first round, all
-    while dirty:
+    while dirty := [s for s in {colour[u] for u in hit} if len(part[s]) > 1]:
         splits = []
         for s in dirty:
             groups: dict[tuple, list[str]] = {}
@@ -474,7 +475,6 @@ def _refine(adj: dict[str, frozenset[str]], colors: dict[str, int]) -> dict[str,
                 raised += p
                 at += len(p)
         hit = {u for x in raised for u in adj[x]}
-        dirty = [s for s in {colour[u] for u in hit} if len(part[s]) > 1]
     rank = {s: i for i, s in enumerate(sorted(part))}
     return {v: rank[s] for v, s in colour.items()}
 
@@ -510,7 +510,7 @@ def _canonical(adj: dict[str, frozenset[str]],
     def visit(colors: dict[str, int], path: tuple[str, ...]) -> int | None:
         # Returns the depth to resume at after a leaf automorphism, else None.
         nonlocal first, best
-        colors = _refine(adj, colors)
+        colors = _refine(adj, colors, adj[path[-1]] if path else adj)
         cells: dict[int, list[str]] = {}
         for v, c in colors.items():
             cells.setdefault(c, []).append(v)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
-from .graphs import Graph, complete_subgraphs, inclusion_pairs, subset_label
+from .graphs import Graph, complete_subgraphs, inclusion_order, subset_label
 from .dismantling import (
     CheckReport,
     CertificateError,
@@ -358,7 +358,8 @@ def comparability_graph(p: Poset) -> Graph:
 
 def _inclusion_poset(family: Collection[frozenset[str]]) -> Poset:
     """A family closed under nonempty subsets, ordered by inclusion."""
-    return Poset(frozenset(map(subset_label, family)), frozenset(inclusion_pairs(family)))
+    labels, pairs = inclusion_order(family)
+    return Poset(frozenset(labels), frozenset(pairs))
 
 
 def clique_poset(g: Graph) -> Poset:

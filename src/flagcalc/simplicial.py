@@ -16,7 +16,7 @@ from .graphs import (
     Graph,
     GraphError,
     complete_subgraphs,
-    inclusion_pairs,
+    inclusion_order,
     reduced_betti,
     subset_label,
 )
@@ -416,7 +416,7 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
 
 def inclusion_graph(k: SimplicialComplex) -> Graph:
     """Graph on the simplices of k, joined when one strictly contains the other."""
-    return Graph.make(map(subset_label, k.simplices), inclusion_pairs(k.simplices))
+    return Graph.make(*inclusion_order(k.simplices))
 
 
 def chains(above: dict[str, Iterable[str]]) -> list[frozenset[str]]:
@@ -437,8 +437,9 @@ def chains(above: dict[str, Iterable[str]]) -> list[frozenset[str]]:
 
 def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
     """Simplices are the chains of simplices of k ordered by inclusion."""
-    above: dict[str, list[str]] = {subset_label(s): [] for s in k.simplices}
-    for lo, hi in inclusion_pairs(k.simplices):
+    labels, pairs = inclusion_order(k.simplices)
+    above: dict[str, list[str]] = {label: [] for label in labels}
+    for lo, hi in pairs:
         above[lo].append(hi)
     return SimplicialComplex(frozenset(chains(above)))
 

@@ -104,9 +104,9 @@ def test_symmetric_graphs_refine_a_bounded_number_of_times(monkeypatch, g, cap):
     calls = []
     refine = graphs._refine
 
-    def counting(adj, colors):
+    def counting(adj, colors, hit):
         calls.append(len(adj))
-        return refine(adj, colors)
+        return refine(adj, colors, hit)
 
     monkeypatch.setattr(graphs, "_refine", counting)
     graphs._canonical_full.cache_clear()
@@ -144,7 +144,28 @@ def test_refinement_matches_the_round_robin_one(seed, start):
         colors = {v: rng.choice((-4, 3, 11, 40)) for v in vs}
     elif start == "individualised":
         colors[rng.choice(vs)] = 1
-    assert graphs._refine(g.adjacency, dict(colors)) == _naive_refine(g.adjacency, colors)
+    assert graphs._refine(g.adjacency, dict(colors), g.adjacency) == \
+        _naive_refine(g.adjacency, colors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_refinement_seeded_with_an_individualised_vertex_matches_the_round_robin_one(seed):
+    # As _canonical's children are refined: an equitable colouring with one
+    # vertex v of a non-singleton cell moved to a cell of its own just after
+    # the rest of the cell, refined by looking first at v's neighbours only.
+    rng = random.Random(seed)
+    g = random_gnp(rng, rng.randint(2, 12), rng.choice((0.2, 0.5, 0.8)))
+    vs = g.sorted_vertices()
+    colors = _naive_refine(g.adjacency, {v: rng.choice((0, 0, 1)) for v in vs})
+    cells = sorted({c for c in colors.values() if list(colors.values()).count(c) > 1})
+    if not cells:
+        return
+    split = rng.choice(cells)
+    v = rng.choice([u for u in vs if colors[u] == split])
+    child = {u: c + (c > split or u == v) for u, c in colors.items()}
+    assert graphs._refine(g.adjacency, dict(child), g.adjacency[v]) == \
+        _naive_refine(g.adjacency, child)
 
 
 class CountingAdjacency(dict):
@@ -159,18 +180,19 @@ class CountingAdjacency(dict):
 
 def test_refinement_of_a_long_cycle_reads_few_neighbourhoods(monkeypatch):
     # Each neighbour signature reads one neighbourhood. Recomputing every
-    # vertex's signature in every round would read 99,600 here.
+    # vertex's signature in every round would read 99,600 here, and reading
+    # every vertex in each child's first round 2,951.
     views = []
     refine = graphs._refine
 
-    def counting(adj, colors):
+    def counting(adj, colors, hit):
         views.append(CountingAdjacency(adj))
-        return refine(views[-1], colors)
+        return refine(views[-1], colors, hit)
 
     monkeypatch.setattr(graphs, "_refine", counting)
     graphs._canonical_full.cache_clear()
     canonical_form(cycle(200))
-    assert sum(view.reads for view in views) <= 25_000
+    assert sum(view.reads for view in views) <= 2_500
 
 
 def test_canonical_forms_agree_with_networkx():

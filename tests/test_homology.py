@@ -20,7 +20,6 @@ from flagcalc import (
     complete_graph,
     corpus,
     cycle_graph,
-    dismantling,
     graphs,
     s_collapse_search,
     ws_reduction_search,
@@ -120,7 +119,6 @@ def test_an_obstructed_start_is_answered_without_labeling(monkeypatch, g):
         return labeling(*args)
 
     monkeypatch.setattr(graphs, "_canonical", counted)
-    monkeypatch.setattr(dismantling, "_canonical", counted)
     for search in (s_collapse_search, ws_reduction_search):
         verdict = search(g)
         assert verdict.outcome is Outcome.NO and verdict.stats.nodes == 0

@@ -30,7 +30,7 @@ from flagcalc import (
     textio,
 )
 from flagcalc.corpus import dunce_hat_graph, dunce_hat_poset
-from flagcalc.graphs import inclusion_pairs
+from flagcalc.graphs import inclusion_order
 from flagcalc.identities import random_complex, random_graph, random_poset
 
 from .helpers import (
@@ -47,8 +47,10 @@ def _sorted_family(family):
 
 
 def _check_pairs(family) -> None:
-    """inclusion_pairs lists each strict inclusion of the family exactly once."""
-    pairs = inclusion_pairs(family)
+    """inclusion_order labels each member and lists each strict inclusion of
+    the family exactly once."""
+    labels, pairs = inclusion_order(family)
+    assert sorted(labels) == sorted(map(subset_label, family))
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == pairwise_inclusion_pairs(family)
 
@@ -106,7 +108,7 @@ def test_builders_match_pairwise_reference_on_the_dunce_hat():
 
 
 # ---------------------------------------------------------------------------
-# inclusion_pairs on long chains and on unclosed families
+# inclusion_order on long chains and on unclosed families
 
 
 def _long_chain_families():
@@ -127,7 +129,7 @@ def _long_chain_families():
     return families
 
 
-def test_inclusion_pairs_of_long_chain_families_match_pairwise_reference():
+def test_inclusion_order_of_long_chain_families_matches_pairwise_reference():
     families = _long_chain_families()
     assert len(families) >= 6
     for family in families:
@@ -141,7 +143,7 @@ def test_inclusion_pairs_of_long_chain_families_match_pairwise_reference():
 ])
 def test_an_unclosed_family_is_refused_naming_the_missing_facet(family, missing):
     with pytest.raises(GraphError, match=re.escape(missing)):
-        inclusion_pairs(family)
+        inclusion_order(family)
 
 
 # ---------------------------------------------------------------------------
