@@ -872,25 +872,27 @@ def ws_reduction_search(g: Graph, target: Graph | None = None,
 
 
 class IContractibility:
-    """Bounded decision procedure for reducibility to a point under deletions
-    and additions of vertices whose neighborhoods are recursively reducible.
+    """Bounded decision procedure for reducibility to a point by I-deletions:
+    removing vertices whose open neighborhoods are recursively reducible.
 
     A graph whose clique complex has homology is answered "no" at once, and
     the answer is kept: I-moves keep the homology (Ivashchenko, "Contractible
     transformations do not change the homology groups of graphs", Discrete
     Math. 126, 1994), so no I-move sequence takes it to a point.  Every other
-    question is one `backtrack` over graphs keyed by their canonical form.
-    Additions are capped by a vertex-count ceiling, every search path by a
-    move-depth cap, and the whole cascade of nested neighborhood questions of
-    one top-level `of` shares one node budget.  "unknown" flags any cap
-    binding on the way.  Exhaustion would also mean "no", but the ceiling
-    binds on every nonempty graph, so an acyclic graph is answered "yes" or
-    "unknown", and `vertex` answers "no" for an isolated vertex or one whose
-    neighbourhood has homology.
+    question is one `backtrack` over graphs keyed by their canonical form, and
+    the whole cascade of nested neighborhood questions of one top-level `of`
+    shares one node budget.  Every move deletes a vertex, so a path has at
+    most n - 1 moves; MAX_NESTING, the one fixed bound, caps the questions
+    open at once.  "unknown" flags a cap binding on the way.
+
+    Ivashchenko's additions (a vertex joined to a reducible attachment) are
+    not searched.  On every nonempty graph with at most seven vertices an
+    acyclic clique complex already means dismantlable, so deletions decide
+    them; on larger graphs the affordable attachments, closed neighborhoods
+    and the whole vertex set, only add a twin of a vertex or ask the state's
+    own question again.  So running out of deletions is "unknown", never "no".
     """
 
-    EXTRA_VERTICES = 2  # a question's vertex ceiling, above its own size
-    MAX_DEPTH = 16  # moves on one search path
     MAX_NESTING = 16  # nested questions open at once
 
     def __init__(self, node_budget: int = 20000):
@@ -931,52 +933,25 @@ class IContractibility:
         self._memo[key] = "unknown"  # a question met again inside itself is open
         self._nesting += 1
         try:
-            verdict = backtrack((g, 0), lambda s: canonical_form(s[0]),
-                                self._moves(len(g.vertices) + self.EXTRA_VERTICES),
-                                _apply_i_move, lambda s: len(s[0].vertices) == 1,
-                                lambda s: True, self.node_budget, lambda *_: None,
-                                self._tally)
+            verdict = backtrack(g, canonical_form, self._moves, Graph.without_vertex,
+                                lambda s: len(s.vertices) == 1, lambda s: True,
+                                self.node_budget, lambda *_: None, self._tally)
         finally:
             self._nesting -= 1
         self._memo[key] = verdict.outcome.value
         return self._memo[key]
 
-    def _moves(self, ceiling: int) -> Callable:
-        """I-moves of a (graph, depth) state: deletions, dominated vertices
-        first, then additions; None for each move or set of moves left undecided."""
-        def gen(state):
-            g, depth = state
-            if depth >= self.MAX_DEPTH:
-                yield None
-                return
-            verts = g.sorted_vertices()
-            for v in sorted(verts, key=lambda v: _dominated_step(g.adjacency, v) is None):
-                answer = self.vertex(g, v)
-                if answer != "no":
-                    yield (v, None) if answer == "yes" else None
-            if len(verts) >= ceiling:
-                yield None
-                return
-            if len(verts) <= 6:
-                attachments = [frozenset(c) for r in range(1, len(verts) + 1)
-                               for c in itertools.combinations(verts, r)]
-            else:
-                attachments = sorted({g.closed_neighborhood(v) for v in verts} | {g.vertices},
-                                     key=lambda a: tuple(sorted(a)))
-            x = fresh_labels(g.vertices, 1, stem="_i")[0]
-            for att in attachments:
-                answer = self.of(g.induced(att))
-                if answer != "no":
-                    yield (x, att) if answer == "yes" else None
-            if len(verts) > 6:
-                yield None  # not every attachment was tried
-        return gen
-
-
-def _apply_i_move(state, move):
-    """Delete vertex v, or add x attached to att, for move (v, None) or (x, att)."""
-    (g, depth), (v, att) = state, move
-    return (g.without_vertex(v) if att is None else g.with_vertex(v, att)), depth + 1
+    def _moves(self, g: Graph) -> Iterator[str | None]:
+        """Deletable vertices of g, dominated ones first; None for each vertex
+        left undecided, and a final None for the additions not searched."""
+        adj = g.adjacency
+        # A dominated vertex's open neighborhood is a cone: deletable, no question asked.
+        dominated = {v for v in adj if _dominated_step(adj, v)}
+        for v in sorted(adj, key=lambda v: (v not in dominated, v)):
+            answer = "yes" if v in dominated else self.vertex(g, v)
+            if answer != "no":
+                yield v if answer == "yes" else None
+        yield None
 
 
 def is_i_contractible(g: Graph, checker: IContractibility | None = None) -> str:

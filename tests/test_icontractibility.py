@@ -9,13 +9,17 @@ from flagcalc import (
     Graph,
     IContractibility,
     clique_complex,
+    complete_graph,
     corpus,
     cycle_graph,
     dismantling,
     is_dismantlable,
+    path_graph,
 )
 from flagcalc.graphs import clique_masks, reduced_betti
 from flagcalc.identities import random_graph
+
+from .test_graph_search import hard_family_member
 
 
 def _seeded_graphs(seed: int, count: int):
@@ -36,8 +40,8 @@ def test_answers_match_the_recorded_ones():
     assert answers == GOLDEN_ANSWERS
 
 
-@pytest.mark.parametrize("budget", [50, 100, 200])
-def test_node_budget_bounds_the_whole_cascade(monkeypatch, budget):
+def _counted_searches(monkeypatch) -> list[int]:
+    """Node counts of the `backtrack` calls made from now on, in call order."""
     calls = []
     search = dismantling.backtrack
 
@@ -47,10 +51,42 @@ def test_node_budget_bounds_the_whole_cascade(monkeypatch, budget):
         return verdict
 
     monkeypatch.setattr(dismantling, "backtrack", counted)
-    # The dunce hat is acyclic, so no Betti number answers for the search.
-    assert IContractibility(node_budget=budget).of(corpus.dunce_hat_graph()) == "unknown"
+    return calls
+
+
+@pytest.mark.parametrize("budget", [50, 100, 200])
+def test_node_budget_bounds_the_whole_cascade(monkeypatch, budget):
+    calls = _counted_searches(monkeypatch)
+    # The dunce hat with a cop-win tail is acyclic, so no Betti number answers
+    # for the search, and deleting along the tail asks nested questions.
+    assert IContractibility(node_budget=budget).of(hard_family_member(0, 10)) == "unknown"
     assert len(calls) > 1
     assert sum(calls) == budget
+
+
+def test_an_undecidable_graph_costs_one_node(monkeypatch):
+    # The dunce hat is acyclic and has no deletable vertex; additions are not
+    # searched, so its one state yields only the final None: "unknown".
+    calls = _counted_searches(monkeypatch)
+    assert IContractibility().of(corpus.dunce_hat_graph()) == "unknown"
+    assert sum(calls) <= 1
+
+
+def test_long_paths_and_large_cliques_are_yes():
+    # Dominated vertices are deleted without a nested question, so neither
+    # the nesting cap nor a depth cap binds on n - 1 deletions.
+    assert IContractibility().of(complete_graph(f"v{i:02d}" for i in range(20))) == "yes"
+    assert IContractibility().of(path_graph(f"v{i:02d}" for i in range(30))) == "yes"
+
+
+def test_answers_match_dismantlability_on_the_graph_atlas():
+    # Every nonempty graph on at most seven vertices: acyclic means
+    # dismantlable there, so deletions alone decide each one.
+    nx = pytest.importorskip("networkx")
+    checker = IContractibility()
+    for h in nx.graph_atlas_g()[1:]:
+        g = Graph.make([str(v) for v in h], [(str(a), str(b)) for a, b in h.edges])
+        assert checker.of(g) == ("yes" if is_dismantlable(g) else "no")
 
 
 def _dismantlable_graphs():
@@ -72,7 +108,8 @@ def _dismantlable_graphs():
 def test_an_exhausted_budget_leaves_no_unknown_behind():
     # The cut leaves nested questions open.
     checker = IContractibility(node_budget=100)
-    assert checker.of(corpus.dunce_hat_graph()) == "unknown"
+    assert checker.of(hard_family_member(0, 10)) == "unknown"
+    assert "unknown" not in checker._memo.values()
     for g in _dismantlable_graphs():
         assert checker.of(g) == "yes"
 
@@ -102,12 +139,11 @@ def test_a_graph_with_homology_is_answered_no_without_search(monkeypatch):
     assert checker.vertex(cycle_graph("abcde").suspension(), "a") == "no"
 
 
-def test_moves_on_more_than_six_vertices_end_undecided():
-    # Above six vertices only the closed neighbourhoods and the whole vertex
-    # set are tried as attachments, so the move list ends with one None.
-    g = cycle_graph("abcdefg")
-    moves = list(IContractibility(node_budget=100)._moves(9)((g, 0)))
-    additions = [m[1] for m in moves if m is not None and m[1] is not None]
-    closed = [g.closed_neighborhood(v) for v in g.vertices]
-    assert sorted(map(sorted, additions)) == sorted(map(sorted, closed))
-    assert moves[-1] is None
+def test_moves_are_deletions_and_end_undecided():
+    # No vertex of C7 is deletable, and additions are not searched, so the
+    # moves are one None: running out of deletions is not a "no".
+    checker = IContractibility(node_budget=100)
+    assert list(checker._moves(cycle_graph("abcdefg"))) == [None]
+    # P4's ends are dominated and come first; an inner vertex's neighbourhood
+    # is two points, so it is not deletable.
+    assert list(checker._moves(path_graph("abcd"))) == ["a", "d", None]
