@@ -11,7 +11,6 @@ dismantling order witnessing it, so any claimed reduction can be replayed.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Generator, Iterable, Iterator, Optional
@@ -20,14 +19,13 @@ from .graphs import (
     Graph,
     GraphError,
     IsoWitness,
-    barycentric_graph,
     canonical_form,
     clique_masks,
     complete_subgraphs,
     fresh_labels,
+    inclusion_order,
     reduced_betti,
     sorted_pair,
-    subset_label,
 )
 
 DEFAULT_SEARCH_BUDGET = 100_000
@@ -606,45 +604,42 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
     cardinality: the hat of c attaches to the hats of the proper subsets of c,
     to the largest-labeled member of c, and to every later vertex extending c,
     which makes its neighborhood a cone.  Then the original vertices are
-    removed in label order; the witness removes hats of subgraphs not peaking
-    at the removed vertex (largest first, each dominated by its extension)
+    removed in label order; the witness removes hats of subgraphs not holding
+    the removed vertex (largest first, each dominated by its extension)
     and finishes on the cone over the removed vertex's singleton hat.  Each
     move is vetted as it is applied to the working state.
     """
-    order = g.sorted_vertices()
-    rank = {v: i for i, v in enumerate(order)}
-    cliques = sorted(complete_subgraphs(g), key=lambda c: (len(c), tuple(sorted(c))))
-    clique_set = set(cliques)
-    hats = {c: subset_label(c) for c in cliques}
-    hat_members = {hats[c]: c for c in cliques}
+    cliques = complete_subgraphs(g)  # by size, then labels
+    labels, pairs = inclusion_order(cliques)
+    hats = dict(zip(cliques, labels))
+    hat_members = dict(zip(labels, cliques))
+    below: dict[str, set[str]] = {hat: set() for hat in labels}
+    for lo, hi in pairs:
+        below[hi].add(lo)
+    extenders: dict[frozenset[str], set[str]] = {c: set() for c in cliques}
+    for c in cliques:
+        if len(c) > 1:  # c extends c - {max(c)} by a later vertex
+            extenders[c - {max(c)}].add(max(c))
     adj = _working(g)
 
     def moves() -> Iterator[GraphMove]:
         for c in cliques:
-            members = sorted(c)
-            peak = max(c, key=rank.__getitem__)
-            attach = {subset_label(d) for k in range(1, len(members))
-                      for d in itertools.combinations(members, k)}
-            attach.add(peak)
-            attach.update(u for u in order
-                          if rank[u] > rank[peak] and (c | {u}) in clique_set)
+            peak = max(c)
+            attach = below[hats[c]] | extenders[c] | {peak}
             yield GraphMove(MoveKind.ADD_VERTEX, hats[c], witness=cone_order(attach, peak),
                             attachment=frozenset(attach))
-        for v in order:
+        for v in g.sorted_vertices():
             # N(v) now holds the hats attached to v and the neighbors not yet removed.
-            i, nbhd = rank[v], adj[v]
-            shrinking = sorted(
-                (u for u in nbhd
-                 if u in hat_members and rank[max(hat_members[u], key=rank.__getitem__)] < i),
-                key=lambda u: (-len(hat_members[u]), u))
+            shrinking = sorted((u for u in adj[v] if u in hat_members and v not in hat_members[u]),
+                               key=lambda u: (-len(hat_members[u]), u))
             steps = [(u, hats[hat_members[u] | {v}]) for u in shrinking]
             apex = hats[frozenset((v,))]
-            steps.extend((u, apex) for u in sorted(nbhd - set(shrinking)) if u != apex)
+            steps.extend((u, apex) for u in sorted(adj[v] - set(shrinking)) if u != apex)
             yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=DismantlingOrder(tuple(steps)))
 
     adj, made = build(adj, moves(), _move_error, _apply_move)
     cur = _graph_of(adj)
-    if cur != barycentric_graph(g):  # pragma: no cover - construction guarantees this
+    if cur != Graph.make(labels, pairs):  # pragma: no cover - construction guarantees this
         raise CertificateError("subdivision moves did not end at the subdivision graph")
     return MoveCertificate(g, made, cur)
 

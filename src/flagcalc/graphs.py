@@ -262,17 +262,46 @@ def maximal_cliques(g: Graph) -> list[frozenset[str]]:
     return sorted(out, key=lambda c: tuple(sorted(c)))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def clique_masks(adj: Mapping[str, Iterable[str]]) -> Iterator[list[int]]:
+    """The complete subgraphs of an adjacency as bitmasks over its sorted
+    labels (bit i stands for the i-th label), one list per size, smallest
+    first: list d holds the ones with d + 1 vertices, the d-faces of the
+    clique complex.  Each clique is its prefix, the clique less its top bit,
+    grown by a greater label, so every list is in lexicographic order."""
+    index = {v: 1 << i for i, v in enumerate(sorted(adj))}
+    later = {bit: 0 for bit in index.values()}  # each vertex's greater neighbours
+    for v, bit in index.items():
+        for u in adj[v]:
+            if index[u] > bit:
+                later[bit] |= index[u]
+    level = list(later.items())  # (clique, the greater vertices adjacent to all of it)
+    while level:
+        yield [c for c, _ in level]
+        level = [(c | b, grow & later[b]) for c, grow in level for b in _bits(grow)]
+
+
 def complete_subgraphs(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> list[frozenset[str]]:
-    """Every nonempty vertex set inducing a complete subgraph, lexicographic order."""
-    seen: set[frozenset[str]] = set()
-    for m in maximal_cliques(g):
-        members = sorted(m)
-        for k in range(1, len(members) + 1):
-            for comb in itertools.combinations(members, k):
-                seen.add(frozenset(comb))
-                if len(seen) > cap:
-                    raise BudgetExceededError(f"more than {cap} complete subgraphs")
-    return sorted(seen, key=lambda c: tuple(sorted(c)))
+    """Every nonempty vertex set inducing a complete subgraph, by size and then
+    lexicographically, decoded from `clique_masks`; raises BudgetExceededError
+    at the level that takes the count past `cap`, before listing a larger one."""
+    labels = g.sorted_vertices()
+    out: list[frozenset[str]] = []
+    prefix = {0: frozenset()}  # the last level's members by mask
+    for level in clique_masks(g.adjacency):
+        if len(out) + len(level) > cap:
+            raise BudgetExceededError(f"more than {cap} complete subgraphs")
+        prefix = {c: prefix[c ^ (1 << top)] | {labels[top]}
+                  for c in level for top in (c.bit_length() - 1,)}
+        out.extend(prefix.values())
+    return out
 
 
 def enumerate_complete_subgraphs(g: Graph, mode: str = "all") -> CliqueFamily:
@@ -289,8 +318,8 @@ def enumerate_complete_subgraphs(g: Graph, mode: str = "all") -> CliqueFamily:
 
 
 def inclusion_order(family: Iterable[frozenset[str]]) -> tuple[list[str], list[tuple[str, str]]]:
-    """The labels of a family's members, and the (subset, superset) label
-    pairs of every strict inclusion in the family, each once.
+    """The labels of a family's members, in its order, and the (subset,
+    superset) label pairs of every strict inclusion in the family, each once.
 
     The family must be closed under nonempty subsets.  Each member is labelled
     once, and members are taken in size order, so a member's strict down-set is
@@ -325,33 +354,7 @@ def barycentric_graph(g: Graph) -> Graph:
 # mod-2 homology
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first, each as a one-bit mask."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def clique_masks(adj: Mapping[str, Iterable[str]]) -> list[list[int]]:
-    """The complete subgraphs of an adjacency as bitmasks over its sorted
-    labels (bit i stands for the i-th label), grouped by size: entry d holds
-    the ones with d + 1 vertices, the d-faces of the clique complex."""
-    index = {v: 1 << i for i, v in enumerate(sorted(adj))}
-    later = {bit: 0 for bit in index.values()}  # each vertex's greater neighbours
-    for v, bit in index.items():
-        for u in adj[v]:
-            if index[u] > bit:
-                later[bit] |= index[u]
-    level = list(later.items())  # (clique, the greater vertices adjacent to all of it)
-    faces = []
-    while level:
-        faces.append([c for c, _ in level])
-        level = [(c | b, grow & later[b]) for c, grow in level for b in _bits(grow)]
-    return faces
-
-
-def reduced_betti(faces: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def reduced_betti(faces: Iterable[Sequence[int]]) -> tuple[int, ...]:
     """The reduced mod-2 Betti numbers b̃_0, b̃_1, ... of a nonempty simplicial
     complex, up to the last nonzero one, so an acyclic complex gives ().
 
@@ -366,6 +369,7 @@ def reduced_betti(faces: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Vanishing numbers are dropped from the end because they depend on the
     dimension, not on the homotopy type.
     """
+    faces = list(faces)
     ranks = [1]
     for below, here in zip(faces, faces[1:]):
         index = {f: 1 << i for i, f in enumerate(below)}

@@ -139,8 +139,8 @@ def one_skeleton(k: SimplicialComplex) -> Graph:
 def is_flag(k: SimplicialComplex) -> tuple[bool, frozenset[str] | None]:
     """True iff every pairwise-joined vertex set is a simplex.
 
-    On failure, returns a minimal non-simplex (>= 3 vertices, all proper
-    subsets present).
+    On failure, returns the first non-simplex by size and then labels, which
+    is minimal (>= 3 vertices, all proper subsets present).
     """
     skel = one_skeleton(k)
     for c in complete_subgraphs(skel):

@@ -30,7 +30,7 @@ from flagcalc import (
     textio,
     weak_point_cascade,
 )
-from flagcalc.dismantling import greedy_dismantling_certificate
+from flagcalc.dismantling import greedy_dismantling_certificate, subdivision_certificate
 from flagcalc.identities import random_complex, random_graph
 from flagcalc.simplicial import (
     collapse_certificate_for_dismantlable,
@@ -118,6 +118,13 @@ def _greedy_certificates(seed: int) -> str:
     return _digest(*(c and _text(c) for c in certs))
 
 
+def _subdivisions(seed: int) -> str:
+    """A cop-win graph and a random graph, which need not be one."""
+    rng = random.Random(seed)
+    return _digest(*(_text(subdivision_certificate(g))
+                     for g in (random_copwin_graph(rng, 8), random_graph(rng, 7, 0.5))))
+
+
 def _move_row(m) -> tuple:
     return m and (m.describe(), m.witness.steps)
 
@@ -149,7 +156,7 @@ BUILDERS = {"edge": _edge_deletions, "searched": _searched_neighborhood_deletion
             "expanded": _expanded_neighborhood_deletion, "rewrite": _rewrites,
             "cascade": _cascades, "collapse": _collapses, "domination": _dominations,
             "greedy": _greedy_certificates, "skeleton": _skeleton_moves,
-            "inclusion": _inclusion_moves}
+            "inclusion": _inclusion_moves, "subdivision": _subdivisions}
 SEEDS = range(4)
 
 GOLDEN = {
@@ -193,6 +200,10 @@ GOLDEN = {
     'inclusion/1': '1d4d276d8e9eaaaa',
     'inclusion/2': 'bf89b2ae1c58542d',
     'inclusion/3': 'b8ce56caa501d86a',
+    'subdivision/0': '7da42756af586b2c',
+    'subdivision/1': '320e117fb9268a02',
+    'subdivision/2': '352f847772613093',
+    'subdivision/3': '64da4e536ef88dc4',
 }
 
 

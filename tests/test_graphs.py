@@ -123,15 +123,22 @@ def test_enumerate_examples():
     assert len(maxi.cliques) == 4 and maxi.validate() is None
 
 
-def test_enumeration_budget():
-    with pytest.raises(BudgetExceededError):
-        complete_subgraphs(complete_graph("abcdefgh"), cap=10)
+@pytest.mark.parametrize("cap,count", [(0, None), (8, None), (36, None), (254, None), (255, 255)])
+def test_enumeration_budget(cap, count):
+    """K8 has 255 complete subgraphs, 8 + 28 = 36 of them with at most two
+    vertices: the cap raises iff there are more than `cap`."""
+    if count is None:
+        with pytest.raises(BudgetExceededError):
+            complete_subgraphs(complete_graph("abcdefgh"), cap=cap)
+    else:
+        assert len(complete_subgraphs(complete_graph("abcdefgh"), cap=cap)) == count
 
 
 @settings(max_examples=40, deadline=None)
 @given(graphs())
 def test_enumeration_closure_properties(g):
-    allc = set(complete_subgraphs(g))
+    listed = complete_subgraphs(g)
+    allc = set(listed)
     maxi = maximal_cliques(g)
     for c in allc:
         for v in c:
@@ -139,6 +146,9 @@ def test_enumeration_closure_properties(g):
                 assert (c - {v}) in allc
         assert any(c <= m for m in maxi)
     assert set(maxi) <= allc
+    assert listed == sorted(listed, key=lambda c: (len(c), sorted(c)))
+    assert allc == {frozenset(s) for m in maxi
+                    for k in range(1, len(m) + 1) for s in itertools.combinations(m, k)}
 
 
 def test_isomorphism_examples():

@@ -67,9 +67,14 @@ def test_clique_complex_examples():
     assert c4.dimension() == 1 and len(c4.simplices) == 8
 
 
-def test_clique_complex_budget():
-    with pytest.raises(BudgetExceededError):
-        clique_complex(complete_graph("abcdefgh"), cap=10)
+@pytest.mark.parametrize("cap,count", [(0, None), (8, None), (36, None), (254, None), (255, 255)])
+def test_clique_complex_budget(cap, count):
+    """K8 has 255 complete subgraphs: the cap raises iff there are more."""
+    if count is None:
+        with pytest.raises(BudgetExceededError):
+            clique_complex(complete_graph("abcdefgh"), cap=cap)
+    else:
+        assert len(clique_complex(complete_graph("abcdefgh"), cap=cap).simplices) == count
 
 
 def test_is_flag():
@@ -77,6 +82,11 @@ def test_is_flag():
     assert ok
     ok, witness = is_flag(HOLLOW)
     assert not ok and witness == frozenset("abc")
+    # K4's 1-skeleton with three of its four triangles: both bcd and abcd are
+    # missing, and only bcd has all its proper subsets present.
+    k = SimplicialComplex.from_maximal(["abc", "abd", "acd", "bc", "bd", "cd"])
+    ok, witness = is_flag(k)
+    assert not ok and witness == frozenset("bcd")
 
 
 def test_link_examples():
