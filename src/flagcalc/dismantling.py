@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     GraphError,
     IsoWitness,
+    _order_graph,
     canonical_form,
     clique_masks,
     complete_subgraphs,
@@ -86,29 +87,33 @@ class DismantlingOrder:
     steps: tuple[tuple[str, str], ...]
 
 
-def _domination_step_error(adj: dict[str, set[str]], step: tuple[str, str]) -> str | None:
-    v, w = step
-    if v not in adj:
-        return f"removed vertex {v!r} not present"
-    if w not in adj:
-        return f"dominator {w!r} not present"
-    if v == w:
-        return f"vertex {v!r} equals its dominator"
-    if not _dominates(adj, v, w):
-        return f"{w!r} does not dominate {v!r}"
-    return None
-
-
 def _remove_dominated(adj: dict[str, set[str]], step: tuple[str, str]) -> dict[str, set[str]]:
     return _delete(adj, step[0])
 
 
-def _order_error(adj: dict[str, set[str]], order: DismantlingOrder) -> str | None:
-    cur, report = replay(adj, order.steps, _domination_step_error, _remove_dominated)
-    if not report:
-        return f"step {report.failed_at}: {report.reason}"
-    if len(cur) != 1:
-        return f"{len(cur)} vertices remain after replay"
+def _order_error(adj: dict[str, set[str]], local: Iterable[str],
+                 order: DismantlingOrder) -> str | None:
+    """Why `order` does not dismantle the subgraph that `local` induces in adj.
+
+    The subgraph is never copied: `alive` holds its vertices not yet removed,
+    and in it w dominates v exactly when (N(v) & alive) - N(w) is {w}.
+    """
+    alive = set(local)
+    for i, (v, w) in enumerate(order.steps):
+        if v not in alive:
+            err = f"removed vertex {v!r} not present"
+        elif w not in alive:
+            err = f"dominator {w!r} not present"
+        elif v == w:
+            err = f"vertex {v!r} equals its dominator"
+        elif (adj[v] & alive) - adj[w] != {w}:
+            err = f"{w!r} does not dominate {v!r}"
+        else:
+            alive.discard(v)
+            continue
+        return f"step {i}: {err}"
+    if len(alive) != 1:
+        return f"{len(alive)} vertices remain after replay"
     return None
 
 
@@ -277,7 +282,8 @@ def _fit_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
             return f"vertex {m.target!r} already present"
         if not m.attachment:
             return "added vertex needs a nonempty attachment"
-        missing = set(m.attachment) - adj.keys()
+        # difference() looks each member up in adj; `- adj.keys()` scans all of adj
+        missing = set(m.attachment).difference(adj)
         return f"attachment vertices {sorted(missing)} not present" if missing else None
     ends = sorted(m.target)
     if len(ends) != 2 or ends[0] == ends[1]:
@@ -293,7 +299,9 @@ def _fit_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
 
 
 def _move_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
-    """move_error on the working state, which it leaves unchanged."""
+    """Why m cannot be applied to the working state, or None; adj is left
+    unchanged.  The witness is replayed on adj itself, through the set of
+    m's local vertices still present, so no local subgraph is copied."""
     err = _fit_error(adj, m)
     if err:
         return err
@@ -306,7 +314,7 @@ def _move_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
         local = adj[a] & adj[b]
     if not local:
         return f"{m.describe()}: witness neighborhood is empty"
-    err = _order_error(_induced(adj, local), m.witness)
+    err = _order_error(adj, local, m.witness)
     if err:
         return f"{m.describe()}: witness invalid ({err})"
     return None
@@ -639,7 +647,7 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
 
     adj, made = build(adj, moves(), _move_error, _apply_move)
     cur = _graph_of(adj)
-    if cur != Graph.make(labels, pairs):  # pragma: no cover - construction guarantees this
+    if cur != _order_graph(labels, pairs):  # pragma: no cover - construction guarantees this
         raise CertificateError("subdivision moves did not end at the subdivision graph")
     return MoveCertificate(g, made, cur)
 

@@ -139,11 +139,22 @@ class Graph:
         return self.induced(self.neighbors(v))
 
     def without_vertices(self, subset: Iterable[str]) -> "Graph":
+        """The graph less the vertices in subset and their edges.  Its
+        adjacency is derived from this graph's and cached with it: only the
+        removed vertices' neighbours change, and the rest share their sets."""
         gone = frozenset(subset)
         for v in gone:
             self._require(v)
-        keep = self.vertices - gone
-        return Graph(keep, frozenset(e for e in self.edges if e <= keep))
+        adj = self.adjacency
+        kept = dict(adj)
+        for v in gone:
+            del kept[v]
+        for u in {u for v in gone for u in adj[v]} - gone:
+            kept[u] = adj[u] - gone
+        child = Graph(self.vertices - gone,
+                      self.edges - {frozenset((v, u)) for v in gone for u in adj[v]})
+        child.__dict__["adjacency"] = kept
+        return child
 
     def without_vertex(self, v: str) -> "Graph":
         return self.without_vertices((v,))
@@ -345,9 +356,15 @@ def inclusion_order(family: Iterable[frozenset[str]]) -> tuple[list[str], list[t
     return list(label.values()), out
 
 
+def _order_graph(labels: list[str], pairs: list[tuple[str, str]]) -> Graph:
+    """The graph of an `inclusion_order`, built unvalidated: its pairs join
+    distinct labels of the family, since a strict superset's label is longer."""
+    return Graph(frozenset(labels), frozenset(map(frozenset, pairs)))
+
+
 def barycentric_graph(g: Graph) -> Graph:
     """Vertices are the complete subgraphs of g, edges the strict inclusions."""
-    return Graph.make(*inclusion_order(complete_subgraphs(g)))
+    return _order_graph(*inclusion_order(complete_subgraphs(g)))
 
 
 # ---------------------------------------------------------------------------

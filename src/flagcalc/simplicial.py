@@ -15,6 +15,7 @@ from .graphs import (
     DEFAULT_CLIQUE_CAP,
     Graph,
     GraphError,
+    _order_graph,
     complete_subgraphs,
     inclusion_order,
     reduced_betti,
@@ -416,7 +417,7 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
 
 def inclusion_graph(k: SimplicialComplex) -> Graph:
     """Graph on the simplices of k, joined when one strictly contains the other."""
-    return Graph.make(*inclusion_order(k.simplices))
+    return _order_graph(*inclusion_order(k.simplices))
 
 
 def chains(above: dict[str, Iterable[str]]) -> list[frozenset[str]]:

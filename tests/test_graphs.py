@@ -68,6 +68,30 @@ def test_deletions():
         k3.without_vertex("z")
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_chained_deletions_derive_the_adjacency_of_the_filtered_graph(g, data):
+    """Each deletion derives its adjacency from its parent's; after any chain
+    of them the graph and its adjacency are those the kept edges give."""
+    cur, keep = g, g.vertices
+    for _ in range(data.draw(st.integers(1, 4))):
+        gone = data.draw(st.sets(st.sampled_from(g.sorted_vertices()), max_size=3))
+        if gone - keep:  # one of them is already deleted
+            with pytest.raises(UnknownVertexError):
+                cur.without_vertices(gone)
+            continue
+        if len(gone) == 1 and data.draw(st.booleans()):
+            cur = cur.without_vertex(*gone)
+        else:
+            cur = cur.without_vertices(gone)
+        keep -= gone
+        assert cur == Graph(keep, frozenset(e for e in g.edges if e <= keep))
+        assert cur.adjacency == Graph(cur.vertices, cur.edges).adjacency
+        with pytest.raises(UnknownVertexError):
+            cur.without_vertex("z")
+    assert g.adjacency == Graph(g.vertices, g.edges).adjacency
+
+
 def test_suspension_point_and_k2():
     pt = Graph.make(["p"])
     spt = pt.suspension()

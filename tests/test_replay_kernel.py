@@ -39,7 +39,7 @@ from flagcalc import (
     subdivision_certificate,
     weak_point_cascade,
 )
-from flagcalc import simplicial, textio
+from flagcalc import dismantling, simplicial, textio
 from flagcalc.dismantling import (
     _apply_move,
     _move_error,
@@ -50,7 +50,13 @@ from flagcalc.dismantling import (
     greedy_dismantling_certificate,
 )
 from flagcalc.identities import random_graph, random_poset
-from flagcalc.posets import PosetDismantlingOrder, PosetMoveKind, poset_dismantling_core
+from flagcalc.posets import (
+    PosetDismantlingOrder,
+    PosetMoveKind,
+    _apply_poset_move,
+    _order_sets,
+    poset_dismantling_core,
+)
 from flagcalc.simplicial import ANTICOLLAPSE, COLLAPSE, collapse_certificate_for_dismantlable
 
 from .helpers import (
@@ -64,7 +70,7 @@ from .helpers import (
 )
 
 MUTATIONS = ("valid", "drop-step", "swap-steps", "wrong-dominator", "absent-attachment",
-             "unknown-pair", "wrong-end")
+             "unknown-pair", "wrong-end", "outside-local")
 ABSENT = "zz"
 
 
@@ -86,8 +92,38 @@ def _edit_steps(rng, steps: tuple, mutation: str, labels: list[str], repivot) ->
     return tuple(steps)
 
 
+def _outside_local(rng, moves: list, state, apply, local_of) -> tuple[int, str] | None:
+    """A move with witness steps and a label present before it but outside its
+    local set, `local_of(state, move)` giving (present, local): (index, label)."""
+    options = []
+    for i, m in enumerate(moves):
+        present, local = local_of(state, m)
+        outside = sorted(set(present) - set(local))
+        if m.witness.steps and outside:
+            options.append((i, rng.choice(outside)))
+        state = apply(state, m)
+    return _pick(rng, options)
+
+
+def _step_outside(rng, steps: tuple, label: str, replace_removed, replace_pivot) -> tuple:
+    """The steps with one step's removed label or its pivot set to `label`."""
+    steps = list(steps)
+    i = rng.randrange(len(steps))
+    steps[i] = rng.choice((replace_removed, replace_pivot))(steps[i], label)
+    return tuple(steps)
+
+
 # ---------------------------------------------------------------------------
 # graphs
+
+
+def _graph_local(adj, m: GraphMove):
+    if m.kind is MoveKind.REMOVE_VERTEX:
+        return adj, adj[m.target]
+    if m.kind is MoveKind.ADD_VERTEX:
+        return adj, m.attachment
+    a, b = m.target
+    return adj, adj[a] & adj[b]
 
 
 def _graph_certificate(rng) -> MoveCertificate:
@@ -124,6 +160,13 @@ def _mutate_graph(rng, c: MoveCertificate, mutation: str) -> MoveCertificate:
                                DismantlingOrder(())))
     elif mutation == "wrong-end":
         return MoveCertificate(c.start, c.moves, c.end.with_vertex(ABSENT))
+    elif mutation == "outside-local":
+        picked = _outside_local(rng, moves, _working(c.start), _apply_move, _graph_local)
+        if picked is not None:
+            i, label = picked
+            steps = _step_outside(rng, moves[i].witness.steps, label,
+                                  lambda step, v: (v, step[1]), lambda step, w: (step[0], w))
+            moves[i] = dataclasses.replace(moves[i], witness=DismantlingOrder(steps))
     return MoveCertificate(c.start, tuple(moves), c.end)
 
 
@@ -167,6 +210,14 @@ def _mutate_complex(rng, c: ComplexCertificate, mutation: str) -> ComplexCertifi
     elif mutation == "wrong-end":
         end = c.end.simplices | {frozenset({ABSENT})}
         return ComplexCertificate(c.start, c.moves, simplicial.SimplicialComplex(end))
+    elif mutation == "outside-local" and moves:
+        # a pair has no witness; its face is taken from outside its simplex
+        i = rng.randrange(len(moves))
+        op, pair = moves[i]
+        others = sorted((s for s in c.start.simplices | c.end.simplices
+                         if len(s) == len(pair.tau) and not s < pair.sigma), key=sorted)
+        if others:
+            moves[i] = (op, CollapsePair(pair.sigma, rng.choice(others)))
     return ComplexCertificate(c.start, tuple(moves), c.end)
 
 
@@ -206,6 +257,13 @@ def _poset_certificate(rng) -> PosetCertificate:
     return PosetCertificate(c.end, tuple(reversed(adds)), c.start)
 
 
+def _poset_local(state, m: PosetMove):
+    up, down = state
+    if m.kind is PosetMoveKind.REMOVE:
+        return up, down[m.element] if m.witness_side == "below" else up[m.element]
+    return up, m.lower if m.witness_side == "below" else m.upper
+
+
 def _mutate_poset(rng, c: PosetCertificate, mutation: str) -> PosetCertificate:
     moves = list(c.moves)
     labels = sorted(c.start.elements | c.end.elements)
@@ -224,6 +282,14 @@ def _mutate_poset(rng, c: PosetCertificate, mutation: str) -> PosetCertificate:
                      PosetMove(PosetMoveKind.REMOVE, ABSENT, "below", moves[0].witness))
     elif mutation == "wrong-end":
         return PosetCertificate(c.start, c.moves, c.end.without(sorted(c.end.elements)[0]))
+    elif mutation == "outside-local":
+        picked = _outside_local(rng, moves, _order_sets(c.start), _apply_poset_move, _poset_local)
+        if picked is not None:
+            i, label = picked
+            steps = _step_outside(rng, moves[i].witness.steps, label,
+                                  lambda step, x: dataclasses.replace(step, removed=x),
+                                  lambda step, x: dataclasses.replace(step, pivot=x))
+            moves[i] = dataclasses.replace(moves[i], witness=PosetDismantlingOrder(steps))
     return PosetCertificate(c.start, tuple(moves), c.end)
 
 
@@ -290,6 +356,24 @@ def test_subdivision_check_builds_adjacency_a_fixed_number_of_times(monkeypatch)
     steps = sum(len(m.witness.steps) for m in cert.moves)
     assert steps > 1000
     assert len(builds) <= 3  # start and end graphs, not one per witness step
+
+
+def test_subdivision_check_copies_no_local_subgraph(monkeypatch):
+    g = random_copwin_graph(random.Random(7), 20)
+    cert = subdivision_certificate(g)
+    copies = []
+    induced = dismantling._induced
+
+    def counting(adj, subset):
+        copies.append(subset)
+        return induced(adj, subset)
+
+    monkeypatch.setattr(dismantling, "_induced", counting)
+    assert check_certificate(cert).ok
+    assert len(cert.moves) > 100
+    assert copies == []  # witnesses are replayed on the working state itself
+    # a greedy witness still works on a copy, and the count sees it
+    assert s_dismantlable_vertices(g) and len(copies) == len(g.vertices)
 
 
 def test_valid_complex_check_never_scans_the_complex(monkeypatch):
