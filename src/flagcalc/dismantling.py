@@ -682,20 +682,17 @@ class SearchVerdict:
 
 
 def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Callable,
-              feasible: Callable, budget: int, certificate: Callable,
+              budget: int, certificate: Callable,
               tally: list[int] | None = None) -> SearchVerdict:
     """Budgeted depth-first search for a move sequence from `start` to a `done` state.
 
-    Children failing `feasible` are skipped.  A state whose `key` is on the
-    current path, or was once exhausted, is not expanded again.  `moves` may
-    yield None for a move it could not decide, which counts as a budget cut.
-    `tally`, a one-item list, holds a node count shared with other searches;
-    the budget bounds it, and `stats.nodes` counts this search's part.  YES
-    carries `certificate(start, moves, end)`; NO means every feasible path was
-    exhausted; UNKNOWN means the budget or an undecided move cut some path off.
+    A state whose `key` is on the current path, or was once exhausted, is not
+    expanded again.  `moves` may yield None for a move it could not decide,
+    which counts as a budget cut.  `tally`, a one-item list, holds a node count
+    shared with other searches; the budget bounds it, and `stats.nodes` counts
+    this search's part.  YES carries `certificate(start, moves, end)`; NO means
+    every path was exhausted; UNKNOWN, that the budget or an undecided move cut one.
     """
-    if not feasible(start):
-        return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
     tally = [0] if tally is None else tally
     nodes = 0
     seen: set = set()
@@ -726,7 +723,7 @@ def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Call
                 res = Outcome.UNKNOWN
                 break
             child = apply(frame[0], m)
-            res = enter(child, m) if feasible(child) else Outcome.NO
+            res = enter(child, m)
             if res is Outcome.YES:
                 end, path = child, tuple(f[4] for f in frames[1:]) + (m,)
             break
@@ -757,7 +754,7 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
     Without a target, a start whose clique complex has homology answers NO
     at once, with the Betti vector as its obstruction: s-moves and ws-moves
     keep the simple-homotopy type of the clique complex, so such a start
-    never reaches one vertex.
+    never reaches one vertex.  No move on a target vertex or edge is offered.
     """
     if not start.vertices:
         raise GraphError("empty graph")
@@ -765,6 +762,9 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
         betti = _obstruction(start)
         if betti:
             return SearchVerdict(Outcome.NO, None, SearchStats(0, budget), betti)
+    elif not target.edges <= start.edges:
+        return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
+    kept = frozenset() if target is None else target.vertices | target.edges
     adj0 = start.adjacency
     begin = (start.vertices, frozenset())
     orders: dict = {}
@@ -784,7 +784,8 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
             if k not in orders:
                 orders[k] = _s_witness(adj, nb)
             return orders[k]
-        return candidates(adj, order)
+        found = candidates(adj, order)
+        return (m for m in found if m.target not in kept) if kept else found
 
     def apply(state, m: GraphMove):
         vs, cut = state
@@ -799,23 +800,9 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
     def certificate(_, path, end) -> MoveCertificate:
         return MoveCertificate(start, path, graph(end))
 
-    if target is None:
-        return backtrack(begin, lambda s: s, moves, apply, lambda s: len(s[0]) == 1,
-                         lambda s: True, budget, certificate)
-    return backtrack(begin, lambda s: s, moves, apply,
-                     lambda s: s[0] == target.vertices and graph(s) == target,
-                     lambda s: target.vertices <= s[0] and target.edges <= start.edges
-                     and target.edges.isdisjoint(s[1]),
-                     budget, certificate)
-
-
-def _dominated_candidates(allowed: frozenset[str]):
-    def gen(adj, order) -> Iterator[GraphMove]:
-        for v in sorted(allowed & adj.keys()):
-            step = _dominated_step(adj, v)
-            if step:
-                yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], step[1]))
-    return gen
+    done = ((lambda s: len(s[0]) == 1) if target is None
+            else lambda s: s[0] == target.vertices and graph(s) == target)
+    return backtrack(begin, lambda s: s, moves, apply, done, budget, certificate)
 
 
 def _s_vertex_candidates(adj, order) -> Iterator[GraphMove]:
@@ -838,23 +825,41 @@ def _ws_candidates(adj, order) -> Iterator[GraphMove]:
     yield from _s_edge_candidates(adj, order)
 
 
+def _greedy_certificate(g: Graph, keep: frozenset[str]) -> tuple[dict[str, set[str]], tuple]:
+    """build() the greedy deletions outside `keep`, each with its cone witness."""
+    _, steps = greedy_core(_working(g), g.vertices - keep, _dominated_step, _remove_dominated,
+                           lambda a, step: a[step[0]] - keep)
+    adj = _working(g)
+    return build(adj, (GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
+                       for v, w in steps), _move_error, _apply_move)
+
+
 def dismantles_onto(g: Graph, h: Graph,
                     budget: int = DEFAULT_SEARCH_BUDGET) -> SearchVerdict:
-    """Search for dominated-vertex deletions taking g exactly onto h."""
+    """Do dominated-vertex deletions take g exactly onto its induced subgraph h?
+
+    Deleting the least dominated vertex outside h until none is left decides
+    it, as when g dismantles onto h and w dominates v outside h, so does g - v.
+    Induct on the sequence; let its first deletion u != v be dominated by x.
+    If x != v, u stays dominated in g - v, and v in g - u (by w, or by x if
+    w = u, as N[v] <= N[u] <= N[x]).  If x = v, w dominates u unless w = u,
+    and then swapping the twins u, v maps a sequence from g - u to one from
+    g - v.  So `budget` cannot bind; stats count the deletions, plus 1 on a NO.
+    """
     if not (h.vertices <= g.vertices) or g.induced(h.vertices) != h:
         raise GraphError("target is not a label-exact induced subgraph")
-    return _graph_search(g, h, _dominated_candidates(g.vertices - h.vertices), budget)
+    if not g.vertices:
+        raise GraphError("empty graph")
+    adj, moves = _greedy_certificate(g, h.vertices)
+    if adj.keys() != h.vertices:
+        return SearchVerdict(Outcome.NO, None, SearchStats(len(moves) + 1, budget))
+    return SearchVerdict(Outcome.YES, MoveCertificate(g, moves, h), SearchStats(len(moves), budget))
 
 
 def greedy_dismantling_certificate(g: Graph) -> MoveCertificate | None:
     """The greedy dismantling of g packaged as a replayable move certificate."""
-    order = greedy_dismantling(g)
-    if order is None:
-        return None
-    adj = _working(g)
-    adj, moves = build(adj, (GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
-                             for v, w in order.steps), _move_error, _apply_move)
-    return MoveCertificate(g, moves, _graph_of(adj))
+    adj, moves = _greedy_certificate(g, frozenset())
+    return MoveCertificate(g, moves, _graph_of(adj)) if len(adj) == 1 else None
 
 
 def s_collapse_search(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchVerdict:
@@ -886,7 +891,7 @@ class IContractibility:
     the whole cascade of nested neighborhood questions of one top-level `of`
     shares one node budget.  Every move deletes a vertex, so a path has at
     most n - 1 moves; MAX_NESTING, the one fixed bound, caps the questions
-    open at once.  "unknown" flags a cap binding on the way.
+    open at once, each smaller than its asker.  "unknown" flags a cap binding.
 
     Ivashchenko's additions (a vertex joined to a reducible attachment) are
     not searched.  On every nonempty graph with at most seven vertices an
@@ -900,7 +905,7 @@ class IContractibility:
 
     def __init__(self, node_budget: int = 20000):
         self.node_budget = node_budget
-        self._memo: dict = {}  # canonical form -> answer; "unknown" while open
+        self._memo: dict = {}  # canonical form -> answer
         self._tally: list[int] | None = None
         self._nesting = 0
 
@@ -933,11 +938,10 @@ class IContractibility:
             return "no"
         if self._nesting >= self.MAX_NESTING:
             return "unknown"
-        self._memo[key] = "unknown"  # a question met again inside itself is open
         self._nesting += 1
         try:
             verdict = backtrack(g, canonical_form, self._moves, Graph.without_vertex,
-                                lambda s: len(s.vertices) == 1, lambda s: True,
+                                lambda s: len(s.vertices) == 1,
                                 self.node_budget, lambda *_: None, self._tally)
         finally:
             self._nesting -= 1

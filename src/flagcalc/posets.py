@@ -19,7 +19,6 @@ from .dismantling import (
     check_replay,
     greedy_core,
     is_s_dismantlable_vertex,
-    replay,
 )
 from .simplicial import SimplicialComplex, chains
 
@@ -207,30 +206,31 @@ class PosetDismantlingOrder:
     steps: tuple[PosetStep, ...]
 
 
-def _irreducible_step_error(state, step: PosetStep) -> str | None:
-    up, down = state
-    if step.removed not in up:
-        return f"{step.removed!r} not present"
-    if step.pivot not in up:
-        return f"pivot {step.pivot!r} not present"
-    if step.kind is StepKind.MAX_BELOW:
-        if _extreme(down, down[step.removed]) != step.pivot:
-            return f"{step.pivot!r} is not the maximum below {step.removed!r}"
-    elif _extreme(up, up[step.removed]) != step.pivot:
-        return f"{step.pivot!r} is not the minimum above {step.removed!r}"
-    return None
-
-
 def _remove_irreducible(state, step: PosetStep):
     return _drop(state, step.removed)
 
 
-def _order_error(state, order: PosetDismantlingOrder) -> str | None:
-    cur, report = replay(state, order.steps, _irreducible_step_error, _remove_irreducible)
-    if not report:
-        return f"step {report.failed_at}: {report.reason}"
-    if len(cur[0]) != 1:
-        return f"{len(cur[0])} elements remain after replay"
+def _order_error(state, local, order: PosetDismantlingOrder) -> str | None:
+    """Why `order` does not dismantle the sub-poset `local` induces, never copied:
+    in the closed order, p is the extreme of x among the elements still `alive`
+    exactly when (near[x] & alive) - near[p] is {p}, near the down- or up-sets."""
+    up, down = state
+    alive = set(local)
+    for i, step in enumerate(order.steps):
+        x, p = step.removed, step.pivot
+        near = down if step.kind is StepKind.MAX_BELOW else up
+        if x not in alive:
+            err = f"{x!r} not present"
+        elif p not in alive:
+            err = f"pivot {p!r} not present"
+        elif (near[x] & alive) - near[p] != {p}:
+            err = f"{p!r} is not the {'maximum below' if near is down else 'minimum above'} {x!r}"
+        else:
+            alive.discard(x)
+            continue
+        return f"step {i}: {err}"
+    if len(alive) != 1:
+        return f"{len(alive)} elements remain after replay"
     return None
 
 
@@ -435,7 +435,7 @@ def _poset_move_error(state, m: PosetMove) -> str | None:
         return f"unknown witness side {m.witness_side!r}"
     if not local:
         return f"{m.element!r}: witness sub-poset is empty"
-    err = _order_error(_restrict(state, local), m.witness)
+    err = _order_error(state, local, m.witness)
     if err:
         return f"{m.element!r}: witness invalid ({err})"
     return None

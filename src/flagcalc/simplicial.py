@@ -227,26 +227,6 @@ def _shift(counts: dict[frozenset[str], int], s: frozenset[str], by: int) -> Non
                 counts[face] += by
 
 
-def _collapse_error(counts: dict[frozenset[str], int], pair: CollapsePair) -> str | None:
-    err = _pair_shape_error(counts, pair)
-    if err or counts[pair.tau] == 1:
-        return err
-    return _coface_error(counts, pair)  # only to name the other coface
-
-
-def _anticollapse_error(counts: dict[frozenset[str], int], pair: CollapsePair) -> str | None:
-    # tau is absent, so in a downward closed family nothing contains it yet
-    if pair.sigma in counts or pair.tau in counts:
-        return "pair members already present"
-    if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
-        return "pair is not a facet pair"
-    for v in pair.sigma:
-        face = pair.sigma - {v}
-        if face != pair.tau and face and face not in counts:
-            return f"facet {subset_label(face)} missing"
-    return None
-
-
 COLLAPSE, ANTICOLLAPSE = "-", "+"
 
 
@@ -264,20 +244,33 @@ def apply_pair_unchecked(k: SimplicialComplex, op: str,
     return SimplicialComplex(k.simplices | {pair.sigma, pair.tau})
 
 
+def _pair_fit_error(counts: dict[frozenset[str], int],
+                    move: tuple[str, CollapsePair]) -> str | None:
+    """_pair_move_error without the check that a collapse's face is free."""
+    op, pair = move
+    if op == COLLAPSE:
+        return _pair_shape_error(counts, pair)
+    if op != ANTICOLLAPSE:
+        return f"unknown operation {op!r}"
+    # tau is absent, so in a downward closed family nothing contains it yet
+    if pair.sigma in counts or pair.tau in counts:
+        return "pair members already present"
+    if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
+        return "pair is not a facet pair"
+    for v in pair.sigma:
+        face = pair.sigma - {v}
+        if face != pair.tau and face and face not in counts:
+            return f"facet {subset_label(face)} missing"
+    return None
+
+
 def _pair_move_error(counts: dict[frozenset[str], int],
                      move: tuple[str, CollapsePair]) -> str | None:
     op, pair = move
-    if op == COLLAPSE:
-        return _collapse_error(counts, pair)
-    if op == ANTICOLLAPSE:
-        return _anticollapse_error(counts, pair)
-    return f"unknown operation {op!r}"
-
-
-def _pair_fit_error(counts, move: tuple[str, CollapsePair]) -> str | None:
-    """_pair_move_error without the check that a collapse's face is free."""
-    op, pair = move
-    return _pair_shape_error(counts, pair) if op == COLLAPSE else _pair_move_error(counts, move)
+    err = _pair_fit_error(counts, move)
+    if err or op != COLLAPSE or counts[pair.tau] == 1:
+        return err
+    return _coface_error(counts, pair)  # only to name the other coface
 
 
 def _apply_pair_move(counts: dict[frozenset[str], int],
@@ -391,6 +384,7 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
 
     Without a target, a complex with homology answers NO before any search,
     with its Betti vector as the obstruction: collapses keep the homotopy type.
+    With one, no pair that meets the target is offered.
     """
     if not k.simplices:
         raise ComplexError("empty complex")
@@ -402,12 +396,14 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
         betti = reduced_betti(faces)
         if betti:
             return SearchVerdict(Outcome.NO, None, SearchStats(0, budget), betti)
-    goal = None if target is None else target.simplices
+    goal = frozenset() if target is None else target.simplices
+    if not goal <= k.simplices:
+        return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
     return backtrack(k, lambda c: c.simplices,
-                     lambda c: [(COLLAPSE, pair) for pair in free_pairs(c)],
+                     lambda c: [(COLLAPSE, p) for p in free_pairs(c)
+                                if goal.isdisjoint((p.sigma, p.tau))],
                      lambda c, move: apply_pair_unchecked(c, *move),
-                     lambda c: len(c.simplices) == 1 if goal is None else c.simplices == goal,
-                     lambda c: goal is None or goal <= c.simplices,
+                     lambda c: len(c.simplices) == 1 if target is None else c.simplices == goal,
                      budget, ComplexCertificate)
 
 

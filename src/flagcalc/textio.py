@@ -50,6 +50,22 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
         yield i, line
 
 
+_RESERVED = frozenset(":|#,")  # a line with none of these needs no _check_labels
+
+
+def _check_labels(no: int, labels: Iterable[str]) -> None:
+    """Raise at line `no` on a label that a text form could not write back:
+    ':' and '|' split witness steps and collapse pairs, a leading '#' starts a
+    comment, and a comma splits an attachment list outside a subset label."""
+    for label in labels:
+        if ":" in label or "|" in label:
+            raise ParseError(no, f"label {label!r} holds ':' or '|'")
+        if label[0] == "#":  # split() gives no empty label
+            raise ParseError(no, f"label {label!r} starts with '#'")
+        if label[0] != "[" and "," in label:
+            raise ParseError(no, f"label {label!r} holds a comma but does not start with '['")
+
+
 # ---------------------------------------------------------------------------
 # graphs: `v <label>` and `e <a> <b>`
 
@@ -70,6 +86,8 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "v":
             if len(parts) != 2:
                 raise ParseError(no, "expected `v <label>`")
+            if not _RESERVED.isdisjoint(line):
+                _check_labels(no, parts[1:])
             if parts[1] in seen_v:
                 raise ParseError(no, f"duplicate vertex {parts[1]!r}")
             seen_v.add(parts[1])
@@ -105,6 +123,8 @@ def parse_complex(text: str) -> SimplicialComplex:
     tops: list[list[str]] = []
     for no, line in _content_lines(text):
         labels = line.split()
+        if not _RESERVED.isdisjoint(line):
+            _check_labels(no, labels)
         if len(set(labels)) != len(labels):
             raise ParseError(no, "repeated vertex in a simplex")
         tops.append(labels)
@@ -131,6 +151,8 @@ def parse_poset(text: str) -> Poset:
         if parts[0] == "p":
             if len(parts) != 2:
                 raise ParseError(no, "expected `p <label>`")
+            if not _RESERVED.isdisjoint(line):
+                _check_labels(no, parts[1:])
             if parts[1] in seen:
                 raise ParseError(no, f"duplicate element {parts[1]!r}")
             seen.add(parts[1])

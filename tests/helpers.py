@@ -56,6 +56,23 @@ def exhaustive_graph_dismantlable(g: Graph) -> bool:
     return explore(g)
 
 
+def exhaustive_dismantles_onto(g: Graph, h: Graph) -> bool:
+    """Ground truth: does ANY order of dominated-vertex deletions outside the
+    induced subgraph h take g onto h?  A breadth-first search over the vertex
+    sets reached; each deletion removes one vertex, so a level never repeats."""
+    level = {g.vertices}
+    while level and h.vertices not in level:
+        reached = set()
+        for vs in level:
+            sub = g.induced(vs)
+            for v in vs - h.vertices:
+                nv = sub.closed_neighborhood(v)
+                if any(nv <= sub.closed_neighborhood(w) for w in sub.neighbors(v)):
+                    reached.add(vs - {v})
+        level = reached
+    return bool(level)
+
+
 def exhaustive_s_collapsible(g: Graph) -> bool:
     """Ground truth: does ANY order of s-dismantlable vertex deletions reach one
     vertex?  A memoized depth-first search over labelled vertex subsets, where

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ from flagcalc import (
     s_dismantlable_vertices,
     ws_reduction_search,
 )
-from flagcalc.corpus import prism_graph, s_collapsible_rigid_graph
+from flagcalc.corpus import dunce_hat_graph, prism_graph, s_collapsible_rigid_graph
 from flagcalc.dismantling import replay_moves
 from flagcalc.identities import random_graph
 from flagcalc.simplicial import (
@@ -46,6 +47,7 @@ from flagcalc.simplicial import (
 from flagcalc.textio import format_move_certificate
 
 from .helpers import (
+    exhaustive_dismantles_onto,
     exhaustive_graph_dismantlable,
     naive_check_certificate,
     random_copwin_graph,
@@ -94,6 +96,54 @@ def test_dismantles_onto():
     assert dismantles_onto(g1, g1.without_vertex("a")).outcome is Outcome.NO
     with pytest.raises(GraphError):
         dismantles_onto(k3, Graph.make("ab", []))  # not induced
+
+
+def _with_closed_twins(rng: random.Random, g: Graph, count: int) -> Graph:
+    """g plus `count` vertices, each a twin of an earlier one: the same closed
+    neighborhood.  A new vertex meets both or neither of two twins, so every
+    twin pair stays one."""
+    for i in range(count):
+        x = rng.choice(g.sorted_vertices())
+        g = Graph.make(g.vertices | {f"t{i}"},
+                       g.sorted_edges() + [(f"t{i}", y) for y in sorted(g.closed_neighborhood(x))])
+    return g
+
+
+def test_dismantles_onto_agrees_with_the_exhaustive_oracle():
+    rng = random.Random(18)
+    answers = []
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        g = (random_copwin_graph(rng, n) if rng.random() < 0.5
+             else random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))))
+        g = _with_closed_twins(rng, g, rng.randint(0, 2))
+        vs = g.sorted_vertices()
+        h = g.induced([v for v in vs if rng.random() < 0.3] or [rng.choice(vs)])
+        verdict = dismantles_onto(g, h)
+        truth = exhaustive_dismantles_onto(g, h)
+        assert verdict.outcome is (Outcome.YES if truth else Outcome.NO)
+        if truth:
+            assert check_certificate(verdict.certificate).ok
+            assert verdict.certificate.end == h
+            assert verdict.stats.nodes == len(verdict.certificate.moves)
+        answers.append(truth)
+    assert 60 <= sum(answers) <= 240  # both answers are well represented
+
+
+def test_dismantles_onto_answers_the_pendant_family_at_once():
+    # The dunce hat graph has no dominated vertex, so no deletion order reaches
+    # it minus a vertex; a search over the orders of the 17 leaves ran out of
+    # its 100,000-node budget.
+    hat = dunce_hat_graph()
+    vs = hat.sorted_vertices()
+    leaves = [f"z{i:02d}" for i in range(17)]
+    g = Graph.make(list(vs) + leaves,
+                   list(hat.sorted_edges()) + [(z, vs[i % len(vs)]) for i, z in enumerate(leaves)])
+    start = time.perf_counter()
+    verdict = dismantles_onto(g, hat.without_vertex("1"))
+    elapsed = time.perf_counter() - start
+    assert verdict.outcome is Outcome.NO and verdict.stats.nodes <= 18
+    assert elapsed < 0.05
 
 
 def test_s_dismantlable_vertex_examples():

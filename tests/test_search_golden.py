@@ -104,21 +104,21 @@ GOLDEN = {
     's/subdivision-demo-7/2000': ('no', 0, None),
     'ws/subdivision-demo-7': ('no', 0, None),
     'ws-target/subdivision-demo-7': ('no', 1, None),
-    'onto/subdivision-demo-7': ('no', 5, None),
+    'onto/subdivision-demo-7': ('no', 4, None),
     'collapse/subdivision-demo-7': ('no', 0, None),
     'collapse-target/subdivision-demo-7': ('no', 1, None),
     's/gnp0/3': ('no', 0, None),
     's/gnp0/2000': ('no', 0, None),
     'ws/gnp0': ('no', 0, None),
     'ws-target/gnp0': ('yes', 1, '0dc54ef473fc2172'),
-    'onto/gnp0': ('no', 6, None),
+    'onto/gnp0': ('no', 3, None),
     'collapse/gnp0': ('no', 0, None),
     'collapse-target/gnp0': ('yes', 6, 'c19f9df3b2eea8d6'),
     's/gnp1/3': ('unknown', 3, None),
     's/gnp1/2000': ('yes', 4, '9510eab78edcffee'),
     'ws/gnp1': ('yes', 4, '9510eab78edcffee'),
     'ws-target/gnp1': ('yes', 1, '4ab0ebb09a7c1ac1'),
-    'onto/gnp1': ('no', 6, None),
+    'onto/gnp1': ('no', 3, None),
     'collapse/gnp1': ('yes', 8, '73657d1b34ad85a9'),
     'collapse-target/gnp1': ('yes', 3, '08c1c3e4fc8e3389'),
     's/gnp2/3': ('no', 0, None),
@@ -146,7 +146,7 @@ GOLDEN = {
     's/gnp5/2000': ('no', 0, None),
     'ws/gnp5': ('no', 0, None),
     'ws-target/gnp5': ('no', 1, None),
-    'onto/gnp5': ('no', 8, None),
+    'onto/gnp5': ('no', 4, None),
     'collapse/gnp5': ('no', 0, None),
     'collapse-target/gnp5': ('no', 1, None),
     's/gnp6/3': ('no', 0, None),
@@ -177,7 +177,7 @@ GOLDEN = {
     's/gnp10/2000': ('no', 0, None),
     'ws/gnp10': ('no', 0, None),
     'ws-target/gnp10': ('no', 1, None),
-    'onto/gnp10': ('no', 12, None),
+    'onto/gnp10': ('no', 4, None),
     'collapse/gnp10': ('no', 0, None),
     'collapse-target/gnp10': ('yes', 1, 'ee556eab9bc4b40e'),
     's/gnp11/3': ('unknown', 3, None),
@@ -190,7 +190,7 @@ GOLDEN = {
     's/gnp13/2000': ('yes', 6, 'd1683f4ce4a25f32'),
     'ws/gnp13': ('yes', 6, 'd1683f4ce4a25f32'),
     'ws-target/gnp13': ('yes', 1, '4ab0ebb09a7c1ac1'),
-    'onto/gnp13': ('no', 13, None),
+    'onto/gnp13': ('no', 4, None),
     'collapse/gnp13': ('yes', 17, 'a1a600a3378fb41e'),
     'collapse-target/gnp13': ('yes', 2, '27416c7ccd85e297'),
     's/gnp14/3': ('unknown', 3, None),
@@ -225,7 +225,7 @@ GOLDEN = {
     's/gnp18/2000': ('yes', 4, '5ed17dc7b2fd2b39'),
     'ws/gnp18': ('yes', 4, '5ed17dc7b2fd2b39'),
     'ws-target/gnp18': ('yes', 1, '4ab0ebb09a7c1ac1'),
-    'onto/gnp18': ('no', 4, None),
+    'onto/gnp18': ('no', 3, None),
     'collapse/gnp18': ('yes', 5, '8a5f303790e705ff'),
     'collapse-target/gnp18': ('no', 3, None),
     's/gnp19/3': ('unknown', 3, None),

@@ -87,6 +87,35 @@ def test_complex_parse_errors():
         parse_complex("a b a\n")
 
 
+@pytest.mark.parametrize("parse,text,line", [
+    (parse_graph, "v d\nv e\nv z:z\ne d e\n", 3),  # its witness step would read z:z:d
+    (parse_graph, "v #a\nv b\ne #a b\n", 1),        # written back, `#a b` is a comment
+    (parse_graph, "v p,q\n", 1),                    # an attachment list would split it
+    (parse_complex, "c d\na|b c\n", 2),             # a collapse pair would split it
+    (parse_complex, "c #d\n", 1),
+    (parse_poset, "p a\np x:y\n", 2),
+])
+def test_labels_a_text_form_cannot_write_back_are_rejected(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line_no == line
+
+
+def test_subset_labels_keep_their_commas():
+    g = parse_graph("v [p,q]\nv r\ne [p,q] r\n")
+    assert parse_graph(format_graph(g)) == g
+    assert parse_complex("[p,q] r\n").vertex_set == {"[p,q]", "r"}
+
+
+def test_reduce_rejects_a_label_its_certificate_cannot_hold(tmp_path, capsys):
+    from flagcalc.cli import main
+
+    graph = tmp_path / "k3.graph"
+    graph.write_text("v d\nv e\nv z:z\ne d e\ne d z:z\ne e z:z\n")
+    assert main(["reduce", str(graph), "--mode", "dismantle"]) == 3
+    assert "line 3: label 'z:z'" in capsys.readouterr().err
+
+
 def test_move_certificate_round_trip():
     g = s_collapsible_rigid_graph()
     verdict = s_collapse_search(g)
