@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Generator, Iterable, Iterator, Optional
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
     Graph,
     GraphError,
     IsoWitness,
+    _bits,
+    _clique_levels,
+    _masks_of,
     _order_graph,
     canonical_form,
-    clique_masks,
     complete_subgraphs,
     fresh_labels,
     inclusion_order,
@@ -45,7 +46,7 @@ class NormalizationError(ValueError):
 
 
 def _working(g: Graph) -> dict[str, set[str]]:
-    """A mutable copy of g's adjacency for replays and greedy loops to update."""
+    """A mutable copy of g's adjacency for replays and builders to update."""
     return {v: set(nb) for v, nb in g.adjacency.items()}
 
 
@@ -54,26 +55,81 @@ def _graph_of(adj: dict[str, set[str]]) -> Graph:
                                            for v in nb if u < v))
 
 
-def _induced(adj, subset) -> dict[str, set[str]]:
-    """A working state for the subgraph that `subset` induces in adj."""
-    sub = set(subset)
-    return {u: sub & adj[u] for u in sub}
-
-
 def _delete(adj: dict[str, set[str]], v: str) -> dict[str, set[str]]:
     for u in adj.pop(v):
         adj[u].discard(v)
     return adj
 
 
-def _dominates(adj, v: str, w: str) -> bool:
-    """N[v] contained in N[w], for v != w: w is the one neighbor of v outside N(w)."""
-    return adj[v] - adj[w] == {w}
+# ---------------------------------------------------------------------------
+# dominated vertices on bitmasks
+#
+# A mask state maps each vertex's bit to its closed neighbourhood's mask, as
+# Graph._masks does, over the sorted labels.  w dominates v, N[v] <= N[w],
+# exactly when w lies in the closed neighbourhood of every vertex of N[v], so
+# v's dominators are the bits of the AND of those masks less v's own, and the
+# least dominator is the lowest of them.
 
 
-def _dominators(adj, v: str) -> Iterator[str]:
-    """Each w dominating v, in label order; a dominator is always a neighbor."""
-    return (w for w in sorted(adj[v]) if _dominates(adj, v, w))
+def _dominator_mask(cl: dict[int, int], b: int) -> int:
+    """The vertices dominating b in the mask state cl, as a mask."""
+    common = m = cl[b]
+    while m and common != b:
+        low = m & -m
+        common &= cl[low]
+        m ^= low
+    return common ^ b
+
+
+def _mask_step(cl: dict[int, int], b: int) -> tuple[int, int] | None:
+    d = _dominator_mask(cl, b)
+    return (b, d & -d) if d else None
+
+
+def _mask_delete(cl: dict[int, int], step: tuple[int, int]) -> dict[int, int]:
+    b = step[0]
+    m = cl.pop(b) ^ b
+    while m:
+        low = m & -m
+        cl[low] ^= b
+        m ^= low
+    return cl
+
+
+def _mask_core(cl: dict[int, int], keep: int = 0) -> tuple[dict[int, int], tuple]:
+    """Delete the least dominated vertex outside `keep` against its least
+    dominator until none is left, updating the mask state cl: (cl, steps).
+
+    Deleting v changes N[x] only for neighbors x of v, and no other vertex
+    has v in its closed neighborhood, so only N(v) can gain or lose a dominator.
+    """
+    return greedy_core(cl, [b for b in cl if not b & keep], _mask_step, _mask_delete,
+                       lambda c, step: _bits(c[step[0]] & ~(keep | step[0])))
+
+
+def _sub_masks(closed: dict[int, int], sub: int, cut: Iterable[int] = ()) -> dict[int, int]:
+    """The mask state of the subgraph `sub` induces, less the `cut` edges
+    (two-bit masks) inside it."""
+    cl = {b: closed[b] & sub for b in _bits(sub)}
+    for e in cut:
+        a = e & -e
+        cl[a] ^= e ^ a
+        cl[e ^ a] ^= a
+    return cl
+
+
+def _label(labels: Sequence[str], b: int) -> str:
+    return labels[b.bit_length() - 1]
+
+
+def _labelled(labels: Sequence[str], steps) -> DismantlingOrder:
+    return DismantlingOrder(tuple((_label(labels, v), _label(labels, w)) for v, w in steps))
+
+
+def _mask_order(labels: Sequence[str], cl: dict[int, int]) -> DismantlingOrder | None:
+    """The greedy dismantling of a mask state, which it consumes, or None."""
+    core, steps = _mask_core(cl)
+    return _labelled(labels, steps) if len(core) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +141,6 @@ class DismantlingOrder:
     """Ordered (removed, dominator) pairs replayed against a parent graph."""
 
     steps: tuple[tuple[str, str], ...]
-
-
-def _remove_dominated(adj: dict[str, set[str]], step: tuple[str, str]) -> dict[str, set[str]]:
-    return _delete(adj, step[0])
 
 
 def _order_error(adj: dict[str, set[str]], local: Iterable[str],
@@ -124,13 +176,9 @@ def cone_order(vertices: Iterable[str], apex: str) -> DismantlingOrder:
 
 def dominated_vertices(g: Graph) -> list[tuple[str, str]]:
     """All pairs (v, w) with v != w and N[v] contained in N[w], sorted."""
-    adj = g.adjacency
-    return [(v, w) for v in g.sorted_vertices() for w in _dominators(adj, v)]
-
-
-def _dominated_step(adj, v: str) -> tuple[str, str] | None:
-    w = next(_dominators(adj, v), None)
-    return None if w is None else (v, w)
+    labels, _, closed = g._masks
+    return [(v, _label(labels, w))
+            for v, b in zip(labels, closed) for w in _bits(_dominator_mask(closed, b))]
 
 
 def greedy_core(state, elements: Iterable, step_of: Callable, remove: Callable,
@@ -157,19 +205,13 @@ def greedy_core(state, elements: Iterable, step_of: Callable, remove: Callable,
     return state, tuple(steps)
 
 
-def _greedy_graph_core(adj: dict[str, set[str]]) -> tuple[dict[str, set[str]], tuple]:
-    # Deleting v changes N[x] only for neighbors x of v, and no other vertex
-    # has v in its closed neighborhood, so only N(v) can gain or lose a dominator.
-    return greedy_core(adj, list(adj), _dominated_step, _remove_dominated,
-                       lambda a, step: a[step[0]])
-
-
 def dismantling_core(g: Graph) -> tuple[Graph, DismantlingOrder]:
     """Greedily delete dominated vertices until none remains."""
     if not g.vertices:
         raise GraphError("empty graph has no dismantling core")
-    core, steps = _greedy_graph_core(_working(g))
-    return _graph_of(core), DismantlingOrder(steps)
+    mv = g._masks
+    core, steps = _mask_core(dict(mv.closed))
+    return g.induced(mv.label_set(sum(core))), _labelled(mv.labels, steps)
 
 
 def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
@@ -178,13 +220,9 @@ def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
     Greedy deletion is complete here: removing a dominated vertex leaves a
     retract, so it never destroys dismantlability.
     """
-    return _greedy_order(_working(g))
-
-
-def _greedy_order(adj: dict[str, set[str]]) -> DismantlingOrder | None:
-    """greedy_dismantling of a working state, which it consumes."""
-    core, steps = _greedy_graph_core(adj)
-    return DismantlingOrder(steps) if len(core) == 1 else None
+    if not g.vertices:
+        raise GraphError("empty graph")
+    return _mask_order(g._masks.labels, dict(g._masks.closed))
 
 
 def _obstruction(g: Graph) -> tuple[int, ...]:
@@ -195,8 +233,8 @@ def _obstruction(g: Graph) -> tuple[int, ...]:
     collapses", DCG 47, 2012), which keeps the homotopy type, so the cliques
     of a dismantlable graph are never listed.
     """
-    core, _ = _greedy_graph_core(_working(g))
-    return reduced_betti(clique_masks(core))
+    core, _ = _mask_core(dict(g._masks.closed))
+    return reduced_betti(_clique_levels(core))
 
 
 def is_dismantlable(g: Graph) -> bool:
@@ -206,16 +244,24 @@ def is_dismantlable(g: Graph) -> bool:
 
 
 def _s_witness(adj, local) -> DismantlingOrder | None:
-    """The greedy order of the subgraph a nonempty `local` induces in adj, or None."""
-    return _greedy_order(_induced(adj, local)) if local else None
+    """The greedy order of the subgraph `local` induces in the dict state adj,
+    or None when it is empty or not dismantlable."""
+    mv = _masks_of(adj, local)
+    return _mask_order(mv.labels, mv.closed)
 
 
 def is_s_dismantlable_vertex(g: Graph, v: str) -> bool:
     return _s_witness(g.adjacency, g.neighbors(v)) is not None
 
 
+def _moves_of(g: Graph, candidates: Callable) -> Iterator[GraphMove]:
+    labels, _, closed = g._masks
+    return candidates(labels, sum(closed), lambda b: closed[b] ^ b,
+                      lambda nb: _mask_order(labels, _sub_masks(closed, nb)))
+
+
 def s_dismantlable_vertices(g: Graph) -> list[str]:
-    return [m.target for m in _s_vertex_candidates(g.adjacency, partial(_s_witness, g.adjacency))]
+    return [m.target for m in _moves_of(g, _s_vertex_candidates)]
 
 
 def is_s_dismantlable_edge(g: Graph, e: Iterable[str]) -> bool:
@@ -224,7 +270,7 @@ def is_s_dismantlable_edge(g: Graph, e: Iterable[str]) -> bool:
 
 
 def s_dismantlable_edges(g: Graph) -> list[frozenset[str]]:
-    return [m.target for m in _s_edge_candidates(g.adjacency, partial(_s_witness, g.adjacency))]
+    return [m.target for m in _moves_of(g, _s_edge_candidates)]
 
 
 # ---------------------------------------------------------------------------
@@ -741,15 +787,18 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
     """Deletion moves down to one vertex, or exactly onto a labeled target,
     with failed states memoized by the state itself.
 
-    A state is the frozen set of the start's vertices that remain and the
-    frozen set of the start's edges deleted among them; its graph is never
-    built.  `candidates(adj, order)` yields the moves of a state from its
-    adjacency, where `order(nb)` is the greedy dismantling of the subgraph
-    that nb induces, or None; greedy orders are cached for the search, keyed
-    by those frozen sets.  The state is its own memo key: a key needs only
-    that two states sharing it be isomorphic, and on every input measured,
-    labeling each state to merge isomorphic ones cost more time than
-    exploring them did.
+    A state is the mask of the start's vertices that remain, over the start's
+    `Graph._masks`, and the frozen set of the start's edges deleted among
+    them, each a two-bit mask; its graph is never built, and a vertex's
+    neighbourhood in it is its closed mask ANDed with the state.
+    `candidates(labels, vs, nbr, order)` yields the moves of a state from the
+    mask vs of its vertices, where `nbr(b)` is the open neighbourhood of the
+    vertex bit b and `order(nb)` the greedy dismantling of the subgraph that
+    nb induces, or None; greedy orders are cached for the search, keyed by nb
+    and the deleted edges inside it.  The state is its own memo key: a key
+    needs only that two states sharing it be isomorphic, and on every input
+    measured, labeling each state to merge isomorphic ones cost more time
+    than exploring them did.
 
     Without a target, a start whose clique complex has homology answers NO
     at once, with the Betti vector as its obstruction: s-moves and ws-moves
@@ -765,73 +814,86 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
     elif not target.edges <= start.edges:
         return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
     kept = frozenset() if target is None else target.vertices | target.edges
-    adj0 = start.adjacency
-    begin = (start.vertices, frozenset())
+    mv = start._masks
+    labels, bit, closed = mv
     orders: dict = {}
 
-    def adjacency(state) -> dict[str, frozenset[str]]:
-        vs, cut = state
-        adj = {u: adj0[u] & vs for u in vs}
-        for a, b in cut:
-            adj[a], adj[b] = adj[a] - {b}, adj[b] - {a}
-        return adj
-
     def moves(state) -> Iterator[GraphMove]:
-        adj, cut = adjacency(state), state[1]
+        vs, cut = state
 
-        def order(nb: frozenset[str]) -> DismantlingOrder | None:
-            k = (nb, frozenset(e for e in cut if e <= nb) if cut else cut)
+        def nbr(b: int) -> int:
+            m = (closed[b] & vs) ^ b
+            for e in cut:
+                if e & b:
+                    m ^= e ^ b
+            return m
+
+        def order(nb: int) -> DismantlingOrder | None:
+            k = (nb, frozenset(e for e in cut if e & nb == e) if cut else cut)
             if k not in orders:
-                orders[k] = _s_witness(adj, nb)
+                orders[k] = _mask_order(labels, _sub_masks(closed, nb, k[1]))
             return orders[k]
-        found = candidates(adj, order)
+        found = candidates(labels, vs, nbr, order)
         return (m for m in found if m.target not in kept) if kept else found
 
     def apply(state, m: GraphMove):
         vs, cut = state
         if m.kind is MoveKind.REMOVE_EDGE:
-            return vs, cut | {m.target}
-        return vs - {m.target}, frozenset(e for e in cut if m.target not in e) if cut else cut
+            a, b = m.target
+            return vs, cut | {bit[a] | bit[b]}
+        b = bit[m.target]
+        return vs ^ b, frozenset(e for e in cut if not e & b) if cut else cut
 
     def graph(state) -> Graph:
         vs, cut = state
-        return Graph(vs, frozenset(e for e in start.edges if e <= vs) - cut)
+        left = mv.label_set(vs)
+        return Graph(left, frozenset(e for e in start.edges if e <= left)
+                     - {mv.label_set(e) for e in cut})
 
     def certificate(_, path, end) -> MoveCertificate:
         return MoveCertificate(start, path, graph(end))
 
-    done = ((lambda s: len(s[0]) == 1) if target is None
-            else lambda s: s[0] == target.vertices and graph(s) == target)
-    return backtrack(begin, lambda s: s, moves, apply, done, budget, certificate)
+    aim = None if target is None else sum(bit[v] for v in target.vertices)
+
+    def done(state) -> bool:
+        vs = state[0]
+        if target is None:
+            return vs & (vs - 1) == 0  # one bit: one vertex left
+        return vs == aim and graph(state) == target
+
+    return backtrack((sum(closed), frozenset()), lambda s: s, moves, apply, done, budget,
+                     certificate)
 
 
-def _s_vertex_candidates(adj, order) -> Iterator[GraphMove]:
-    for v in sorted(adj):
-        witness = order(adj[v])
+def _s_vertex_candidates(labels, vs: int, nbr: Callable, order: Callable) -> Iterator[GraphMove]:
+    for b in _bits(vs):
+        witness = order(nbr(b))
         if witness is not None:
-            yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=witness)
+            yield GraphMove(MoveKind.REMOVE_VERTEX, _label(labels, b), witness=witness)
 
 
-def _s_edge_candidates(adj, order) -> Iterator[GraphMove]:
-    for a in sorted(adj):
-        for b in sorted(w for w in adj[a] if w > a):
-            witness = order(adj[a] & adj[b])
+def _s_edge_candidates(labels, vs: int, nbr: Callable, order: Callable) -> Iterator[GraphMove]:
+    for a in _bits(vs):
+        na = nbr(a)
+        for b in _bits(na & -(a << 1)):  # the neighbours after a
+            witness = order(na & nbr(b))
             if witness is not None:
-                yield GraphMove(MoveKind.REMOVE_EDGE, frozenset((a, b)), witness=witness)
+                yield GraphMove(MoveKind.REMOVE_EDGE,
+                                frozenset((_label(labels, a), _label(labels, b))), witness=witness)
 
 
-def _ws_candidates(adj, order) -> Iterator[GraphMove]:
-    yield from _s_vertex_candidates(adj, order)
-    yield from _s_edge_candidates(adj, order)
+def _ws_candidates(*state) -> Iterator[GraphMove]:
+    yield from _s_vertex_candidates(*state)
+    yield from _s_edge_candidates(*state)
 
 
 def _greedy_certificate(g: Graph, keep: frozenset[str]) -> tuple[dict[str, set[str]], tuple]:
     """build() the greedy deletions outside `keep`, each with its cone witness."""
-    _, steps = greedy_core(_working(g), g.vertices - keep, _dominated_step, _remove_dominated,
-                           lambda a, step: a[step[0]] - keep)
+    mv = g._masks
+    _, steps = _mask_core(dict(mv.closed), sum(mv.bit[v] for v in keep))
     adj = _working(g)
     return build(adj, (GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
-                       for v, w in steps), _move_error, _apply_move)
+                       for v, w in _labelled(mv.labels, steps).steps), _move_error, _apply_move)
 
 
 def dismantles_onto(g: Graph, h: Graph,
@@ -858,6 +920,8 @@ def dismantles_onto(g: Graph, h: Graph,
 
 def greedy_dismantling_certificate(g: Graph) -> MoveCertificate | None:
     """The greedy dismantling of g packaged as a replayable move certificate."""
+    if not g.vertices:
+        raise GraphError("empty graph")
     adj, moves = _greedy_certificate(g, frozenset())
     return MoveCertificate(g, moves, _graph_of(adj)) if len(adj) == 1 else None
 
@@ -889,9 +953,11 @@ class IContractibility:
     Math. 126, 1994), so no I-move sequence takes it to a point.  Every other
     question is one `backtrack` over graphs keyed by their canonical form, and
     the whole cascade of nested neighborhood questions of one top-level `of`
-    shares one node budget.  Every move deletes a vertex, so a path has at
-    most n - 1 moves; MAX_NESTING, the one fixed bound, caps the questions
-    open at once, each smaller than its asker.  "unknown" flags a cap binding.
+    shares one node budget.  A top-level graph that greedily dismantles is
+    answered "yes" before any labeling.  Every move deletes a vertex, so a
+    path has at most n - 1 moves; MAX_NESTING, the one fixed bound, caps the
+    questions open at once, each smaller than its asker.  "unknown" flags a
+    cap binding.
 
     Ivashchenko's additions (a vertex joined to a reducible attachment) are
     not searched.  On every nonempty graph with at most seven vertices an
@@ -914,6 +980,11 @@ class IContractibility:
             raise GraphError("empty graph")
         if self._tally is not None:
             return self._question(g)
+        # Each greedy step deletes a dominated vertex, which _moves offers with
+        # no question asked, so a greedy dismantling is a deletion sequence.
+        # Nested questions keep to the search, so the budget still bounds them.
+        if greedy_dismantling(g) is not None:
+            return "yes"
         # An "unknown" depends on the budget left, so it lasts for one top-level call.
         self._tally = [0]
         try:
@@ -951,10 +1022,10 @@ class IContractibility:
     def _moves(self, g: Graph) -> Iterator[str | None]:
         """Deletable vertices of g, dominated ones first; None for each vertex
         left undecided, and a final None for the additions not searched."""
-        adj = g.adjacency
+        labels, _, closed = g._masks
         # A dominated vertex's open neighborhood is a cone: deletable, no question asked.
-        dominated = {v for v in adj if _dominated_step(adj, v)}
-        for v in sorted(adj, key=lambda v: (v not in dominated, v)):
+        dominated = {v for v, b in zip(labels, closed) if _dominator_mask(closed, b)}
+        for v in sorted(labels, key=lambda v: (v not in dominated, v)):
             answer = "yes" if v in dominated else self.vertex(g, v)
             if answer != "no":
                 yield v if answer == "yes" else None

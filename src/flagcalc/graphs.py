@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -64,6 +64,34 @@ def fresh_labels(taken: Iterable[str], count: int, stem: str = "_x") -> list[str
     return out
 
 
+class Masks(NamedTuple):
+    """A graph on bitmasks: bit i stands for the i-th of its sorted labels.
+
+    `bit` maps each label to its one-bit mask, and `closed` maps those bits,
+    in label order, to the closed neighbourhoods' masks.  A mask's lowest bit
+    is its least label.
+    """
+
+    labels: tuple[str, ...]
+    bit: dict[str, int]
+    closed: dict[int, int]
+
+    def label_set(self, mask: int) -> frozenset[str]:
+        return frozenset(self.labels[b.bit_length() - 1] for b in _bits(mask))
+
+
+def _masks_of(adj: Mapping[str, Iterable[str]], vertices: Iterable[str]) -> Masks:
+    """The Masks of the subgraph that `vertices` induce in the adjacency adj."""
+    labels = tuple(sorted(vertices))
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    closed = {}
+    for v, b in bit.items():
+        for u in adj[v]:
+            b |= bit.get(u, 0)
+        closed[bit[v]] = b
+    return Masks(labels, bit, closed)
+
+
 @dataclass(frozen=True)
 class Graph:
     vertices: frozenset[str]
@@ -95,6 +123,10 @@ class Graph:
             adj[a].add(b)
             adj[b].add(a)
         return {v: frozenset(s) for v, s in adj.items()}
+
+    @cached_property
+    def _masks(self) -> Masks:
+        return _masks_of(self.adjacency, self.vertices)
 
     def __contains__(self, v: str) -> bool:
         return v in self.vertices
@@ -287,12 +319,13 @@ def clique_masks(adj: Mapping[str, Iterable[str]]) -> Iterator[list[int]]:
     first: list d holds the ones with d + 1 vertices, the d-faces of the
     clique complex.  Each clique is its prefix, the clique less its top bit,
     grown by a greater label, so every list is in lexicographic order."""
-    index = {v: 1 << i for i, v in enumerate(sorted(adj))}
-    later = {bit: 0 for bit in index.values()}  # each vertex's greater neighbours
-    for v, bit in index.items():
-        for u in adj[v]:
-            if index[u] > bit:
-                later[bit] |= index[u]
+    return _clique_levels(_masks_of(adj, adj).closed)
+
+
+def _clique_levels(closed: Mapping[int, int]) -> Iterator[list[int]]:
+    """clique_masks from the closed-neighbourhood masks of a graph's vertex
+    bits, which need not be consecutive."""
+    later = {b: closed[b] & -(b << 1) for b in sorted(closed)}  # the greater neighbours
     level = list(later.items())  # (clique, the greater vertices adjacent to all of it)
     while level:
         yield [c for c, _ in level]

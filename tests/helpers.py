@@ -353,6 +353,63 @@ def random_copwin_graph(rng: random.Random, n: int, keep: float = 0.6) -> Graph:
     return Graph.make(adj, ((u, v) for u in adj for v in adj[u] if u < v))
 
 
+def mixed_width_relabel(g: Graph, rng: random.Random, numbers) -> Graph:
+    """g with its vertices renamed v<k>, each k drawn from `numbers` without
+    repeats; with numbers of several widths, string order (v10 < v2) is not
+    numeric order."""
+    drawn = rng.sample(numbers, len(g.vertices))
+    names = dict(zip(g.sorted_vertices(), (f"v{k}" for k in drawn)))
+    return Graph.make(names.values(), ((names[a], names[b]) for a, b in g.sorted_edges()))
+
+
+# ---------------------------------------------------------------------------
+# greedy dismantling on a plain dict of sets, rescanning after every deletion
+
+
+def plain_adjacency(g: Graph) -> dict[str, set[str]]:
+    """g's adjacency rebuilt from its vertex and edge sets alone."""
+    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
+    for a, b in (tuple(e) for e in g.edges):
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def plain_dominators(adj: dict[str, set[str]], v: str) -> list[str]:
+    """Every w != v with N[v] contained in N[w], in label order; each is a neighbour."""
+    return [w for w in sorted(adj[v]) if adj[v] | {v} <= adj[w] | {w}]
+
+
+def plain_greedy(adj: dict[str, set[str]]) -> tuple[dict[str, set[str]], list[tuple[str, str]]]:
+    """Delete the least-labelled dominated vertex against its least-labelled
+    dominator until none is left: (the residue, the steps).  adj is not changed."""
+    adj = {v: set(nb) for v, nb in adj.items()}
+    steps = []
+    while True:
+        step = next(((v, ws[0]) for v in sorted(adj) if (ws := plain_dominators(adj, v))), None)
+        if step is None:
+            return adj, steps
+        steps.append(step)
+        for u in adj.pop(step[0]):
+            adj[u].discard(step[0])
+
+
+def plain_induced(adj: dict[str, set[str]], sub) -> dict[str, set[str]]:
+    return {v: adj[v] & set(sub) for v in sub}
+
+
+def plain_s_vertices(adj: dict[str, set[str]]) -> list[str]:
+    """The vertices whose nonempty open neighbourhood greedily dismantles."""
+    return [v for v in sorted(adj)
+            if adj[v] and len(plain_greedy(plain_induced(adj, adj[v]))[0]) == 1]
+
+
+def plain_s_edges(adj: dict[str, set[str]]) -> list[frozenset[str]]:
+    """The edges whose nonempty common neighbourhood greedily dismantles, in label order."""
+    return [frozenset((a, b)) for a in sorted(adj) for b in sorted(adj[a]) if a < b
+            and (common := adj[a] & adj[b])
+            and len(plain_greedy(plain_induced(adj, common))[0]) == 1]
+
 
 # ---------------------------------------------------------------------------
 # canonical labeling over the full individualisation-refinement tree, as it was

@@ -2,9 +2,9 @@
 no graph and compute no canonical form per state, and pinned node counts on
 a family that only exhaustion answers.
 
-`s_collapse_search`, `ws_reduction_search` and `dismantles_onto` run on vertex
-sets of the start graph (plus the deleted edges, for ws-moves) instead of on
-`Graph` values, so a verdict here is checked against a search in
+`s_collapse_search` and `ws_reduction_search` run on states that are bitmasks
+of the start graph's vertices (plus the deleted edges, for ws-moves) instead
+of `Graph` values, so a verdict here is checked against a search in
 tests/helpers.py that shares none of that code.
 """
 

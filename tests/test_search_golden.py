@@ -6,6 +6,10 @@ the memo of failed states or the node counting shows up here.  The inputs are
 the corpus graphs and twenty seeded G(n, p) with n <= 9.  A search without a
 target answers a start whose clique complex has homology NO in 0 nodes; each
 such s row was checked against tests/helpers.exhaustive_s_collapsible.
+
+MIXED_GOLDEN pins s and ws searches on graphs relabelled v<k> with numbers of
+one to three digits, whose string order (v10 < v2) differs from their numeric
+order, so moves and witnesses must follow label order, not insertion order.
 """
 
 import hashlib
@@ -17,6 +21,8 @@ from flagcalc import corpus, textio
 from flagcalc.dismantling import dismantles_onto, s_collapse_search, ws_reduction_search
 from flagcalc.identities import random_graph
 from flagcalc.simplicial import clique_complex, collapse_search
+
+from .helpers import mixed_width_relabel
 
 
 def _graphs():
@@ -243,3 +249,94 @@ def test_search_matches_golden(ident, run):
     verdict = run()
     got = (verdict.outcome.value, verdict.stats.nodes, _certificate_digest(verdict.certificate))
     assert got == GOLDEN[ident]
+
+
+MIXED_LABELS = (1, 2, 3, 7, 9, 10, 12, 25, 31, 99, 100, 101, 120, 200)
+
+
+def _mixed_cases():
+    rng = random.Random(19)
+    graphs = [(f"mixed-{name}",
+               mixed_width_relabel(corpus.FIXTURES[name].builder(), rng, MIXED_LABELS))
+              for name in ("rigid-s-collapsible-8", "stuck-7-vertex", "subdivision-demo-7")]
+    for i in range(12):
+        n = rng.randint(6, 11)
+        g = random_graph(rng, n, rng.choice((0.5, 0.6, 0.7)))
+        graphs.append((f"mixed-gnp{i}", mixed_width_relabel(g, rng, MIXED_LABELS)))
+    for name, g in graphs:
+        for budget in (3, 2000):
+            yield f"s/{name}/{budget}", lambda g=g, b=budget: s_collapse_search(g, b)
+        if len(g.vertices) <= 9:
+            yield f"ws/{name}", lambda g=g: ws_reduction_search(g, None, 300)
+            if g.edges:
+                t = g.without_edge(*g.sorted_edges()[0])
+                yield f"ws-target/{name}", lambda g=g, t=t: ws_reduction_search(g, t, 300)
+
+
+MIXED_GOLDEN = {
+    's/mixed-rigid-s-collapsible-8/3': ('unknown', 3, None),
+    's/mixed-rigid-s-collapsible-8/2000': ('yes', 7, 'a5dd87b64ab2dec0'),
+    'ws/mixed-rigid-s-collapsible-8': ('yes', 7, 'a5dd87b64ab2dec0'),
+    'ws-target/mixed-rigid-s-collapsible-8': ('yes', 1, '4cb2df161d39e933'),
+    's/mixed-stuck-7-vertex/3': ('no', 0, None),
+    's/mixed-stuck-7-vertex/2000': ('no', 0, None),
+    'ws/mixed-stuck-7-vertex': ('no', 0, None),
+    'ws-target/mixed-stuck-7-vertex': ('no', 1, None),
+    's/mixed-subdivision-demo-7/3': ('no', 0, None),
+    's/mixed-subdivision-demo-7/2000': ('no', 0, None),
+    'ws/mixed-subdivision-demo-7': ('no', 0, None),
+    'ws-target/mixed-subdivision-demo-7': ('no', 1, None),
+    's/mixed-gnp0/3': ('unknown', 3, None),
+    's/mixed-gnp0/2000': ('yes', 5, 'ef8193020930fab6'),
+    'ws/mixed-gnp0': ('yes', 5, 'ef8193020930fab6'),
+    'ws-target/mixed-gnp0': ('yes', 1, 'f11116634c531d8d'),
+    's/mixed-gnp1/3': ('unknown', 3, None),
+    's/mixed-gnp1/2000': ('yes', 9, '15adcd0cf23891d0'),
+    's/mixed-gnp2/3': ('unknown', 3, None),
+    's/mixed-gnp2/2000': ('yes', 10, 'c2f3bfb2c603bc3f'),
+    's/mixed-gnp3/3': ('unknown', 3, None),
+    's/mixed-gnp3/2000': ('yes', 5, 'b5284c936247832a'),
+    'ws/mixed-gnp3': ('yes', 5, 'b5284c936247832a'),
+    'ws-target/mixed-gnp3': ('yes', 1, '6d931b8ab34e891f'),
+    's/mixed-gnp4/3': ('no', 0, None),
+    's/mixed-gnp4/2000': ('no', 0, None),
+    'ws/mixed-gnp4': ('no', 0, None),
+    'ws-target/mixed-gnp4': ('no', 1, None),
+    's/mixed-gnp5/3': ('unknown', 3, None),
+    's/mixed-gnp5/2000': ('yes', 6, '8d19aa75490f52a8'),
+    'ws/mixed-gnp5': ('yes', 6, '8d19aa75490f52a8'),
+    'ws-target/mixed-gnp5': ('yes', 1, '0a5ee47592f1c6fb'),
+    's/mixed-gnp6/3': ('unknown', 3, None),
+    's/mixed-gnp6/2000': ('yes', 9, '98b4747857adbe5b'),
+    's/mixed-gnp7/3': ('unknown', 3, None),
+    's/mixed-gnp7/2000': ('yes', 7, 'a0d064fac3d1da8e'),
+    'ws/mixed-gnp7': ('yes', 7, 'a0d064fac3d1da8e'),
+    'ws-target/mixed-gnp7': ('yes', 1, '9a28abd13ec36396'),
+    's/mixed-gnp8/3': ('no', 0, None),
+    's/mixed-gnp8/2000': ('no', 0, None),
+    'ws/mixed-gnp8': ('no', 0, None),
+    'ws-target/mixed-gnp8': ('no', 1, None),
+    's/mixed-gnp9/3': ('no', 0, None),
+    's/mixed-gnp9/2000': ('no', 0, None),
+    'ws/mixed-gnp9': ('no', 0, None),
+    'ws-target/mixed-gnp9': ('yes', 1, '0f2969cd76e5d989'),
+    's/mixed-gnp10/3': ('unknown', 3, None),
+    's/mixed-gnp10/2000': ('yes', 8, 'b0598263d52094a8'),
+    'ws/mixed-gnp10': ('yes', 8, 'b0598263d52094a8'),
+    'ws-target/mixed-gnp10': ('yes', 1, 'c0889b1ec776e458'),
+    's/mixed-gnp11/3': ('no', 0, None),
+    's/mixed-gnp11/2000': ('no', 0, None),
+    'ws/mixed-gnp11': ('no', 0, None),
+    'ws-target/mixed-gnp11': ('no', 1, None),
+}
+
+
+def test_mixed_golden_table_covers_every_case():
+    assert [ident for ident, _ in _mixed_cases()] == list(MIXED_GOLDEN)
+
+
+@pytest.mark.parametrize("ident,run", list(_mixed_cases()), ids=[i for i, _ in _mixed_cases()])
+def test_mixed_label_search_matches_golden(ident, run):
+    verdict = run()
+    got = (verdict.outcome.value, verdict.stats.nodes, _certificate_digest(verdict.certificate))
+    assert got == MIXED_GOLDEN[ident]
