@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -105,6 +106,16 @@ def _mask_core(cl: dict[int, int], keep: int = 0) -> tuple[dict[int, int], tuple
     """
     return greedy_core(cl, [b for b in cl if not b & keep], _mask_step, _mask_delete,
                        lambda c, step: _bits(c[step[0]] & ~(keep | step[0])))
+
+
+def _greedy_of(g: Graph) -> tuple[Mapping[int, int], tuple]:
+    """_mask_core of g: a read-only view of its core and its steps, computed
+    once per Graph object and kept with it, as g._masks is."""
+    found = g.__dict__.get("_greedy")
+    if found is None:
+        core, steps = _mask_core(dict(g._masks.closed))
+        found = g.__dict__["_greedy"] = MappingProxyType(core), steps
+    return found
 
 
 def _sub_masks(closed: dict[int, int], sub: int, cut: Iterable[int] = ()) -> dict[int, int]:
@@ -209,9 +220,8 @@ def dismantling_core(g: Graph) -> tuple[Graph, DismantlingOrder]:
     """Greedily delete dominated vertices until none remains."""
     if not g.vertices:
         raise GraphError("empty graph has no dismantling core")
-    mv = g._masks
-    core, steps = _mask_core(dict(mv.closed))
-    return g.induced(mv.label_set(sum(core))), _labelled(mv.labels, steps)
+    core, steps = _greedy_of(g)
+    return g.induced(g._masks.label_set(sum(core))), _labelled(g._masks.labels, steps)
 
 
 def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
@@ -222,7 +232,8 @@ def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
     """
     if not g.vertices:
         raise GraphError("empty graph")
-    return _mask_order(g._masks.labels, dict(g._masks.closed))
+    core, steps = _greedy_of(g)
+    return _labelled(g._masks.labels, steps) if len(core) == 1 else None
 
 
 def _obstruction(g: Graph) -> tuple[int, ...]:
@@ -233,8 +244,7 @@ def _obstruction(g: Graph) -> tuple[int, ...]:
     collapses", DCG 47, 2012), which keeps the homotopy type, so the cliques
     of a dismantlable graph are never listed.
     """
-    core, _ = _mask_core(dict(g._masks.closed))
-    return reduced_betti(_clique_levels(core))
+    return reduced_betti(_clique_levels(_greedy_of(g)[0]))
 
 
 def is_dismantlable(g: Graph) -> bool:
@@ -890,7 +900,7 @@ def _ws_candidates(*state) -> Iterator[GraphMove]:
 def _greedy_certificate(g: Graph, keep: frozenset[str]) -> tuple[dict[str, set[str]], tuple]:
     """build() the greedy deletions outside `keep`, each with its cone witness."""
     mv = g._masks
-    _, steps = _mask_core(dict(mv.closed), sum(mv.bit[v] for v in keep))
+    _, steps = _mask_core(dict(mv.closed), sum(mv.bit[v] for v in keep)) if keep else _greedy_of(g)
     adj = _working(g)
     return build(adj, (GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
                        for v, w in _labelled(mv.labels, steps).steps), _move_error, _apply_move)

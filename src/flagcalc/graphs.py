@@ -462,6 +462,8 @@ class IsoWitness:
         fwd = self.as_dict()
         if set(fwd) != set(g1.vertices) or set(fwd.values()) != set(g2.vertices):
             return "mapping is not a bijection between the vertex sets"
+        if len(fwd) != len(self.mapping):
+            return "mapping lists a vertex twice"
         if len(set(fwd.values())) != len(fwd):
             return "mapping is not injective"
         if {frozenset((fwd[a], fwd[b])) for a, b in g1.edges} == g2.edges:
@@ -473,82 +475,99 @@ class IsoWitness:
                     if g1.has_edge(a, b) != g2.has_edge(fwd[a], fwd[b]))
 
 
-def _refine(adj: dict[str, frozenset[str]], colors: dict[str, int],
-            hit: Iterable[str]) -> dict[str, int]:
-    """The coarsest equitable refinement of `colors`, numbered 0, 1, ... in order.
+def _refine(adj: Sequence[Sequence[int]], part: dict[int, set[int]], colour: list[int],
+            raised: Iterable[int] | None) -> None:
+    """Refine, in place, the partition `part` of the vertices 0, 1, ... of adj
+    to the coarsest equitable partition finer than it.
 
-    Rounds are synchronous: a round splits each cell by the sorted colours of
-    its members' neighbours and keeps the parts in that order. While refining,
-    a cell's colour is its first position in the order of cells, so a split
-    raises the colours of all parts but the first. The first round looks only
-    at the vertices in `hit`, a later one only at the vertices next to one
-    whose colour rose in the round before (McKay and Piperno, "Practical
-    graph isomorphism, II", J. Symb. Comput. 60, 2014). The other members of
-    their cells keep the sorted neighbour colours that the whole cell shared,
-    and a member with a risen neighbour colour now has greater ones, so the
-    others stay together as the first part; a cell with no such member
-    cannot split. So `hit` holds every vertex, unless `colors` is equitable
-    but for one vertex v moved to a cell of its own just after the rest of
-    its cell: that raises v's colour alone, and N(v) suffices.
+    `part` maps the first position of each cell in the order of cells to its
+    members, and colour[v] is the first position of v's cell. Rounds are
+    synchronous: a round splits each cell by its members' signatures, the
+    sorted colours of their neighbours, and keeps the parts in that order, so
+    a split raises the colours of all parts but the first (McKay and Piperno,
+    "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
+
+    `raised` lists the vertices whose colours rose before the first round, or
+    is None to sign every vertex then. Given `raised`, each cell's members
+    shared their signature before the rise, and each risen vertex rose from
+    its cell's first position to a later one in that cell's span, as in a
+    child of `_canonical`; every round leaves the same for the next. So a
+    round looks only at the members next to a risen vertex: their signatures
+    exceed the one the rest of the cell keeps, and two of them have equal
+    signatures exactly when their risen neighbours' colours are equal as
+    multisets, as each colour's span tells the first position it rose from.
+    The rest stays as the first part, the others are grouped by those
+    colours, and one member of each group is signed only to order several
+    groups, so a lone hit member splits off unsigned.
     """
-    cells: dict[int, list[str]] = {}
-    for v, c in colors.items():
-        cells.setdefault(c, []).append(v)
-    colour: dict[str, int] = {}
-    part: dict[int, list[str]] = {}  # first position -> members
-    first = 0
-    for c in sorted(cells):
-        part[first] = cells[c]
-        colour.update(dict.fromkeys(cells[c], first))
-        first += len(cells[c])
-    while dirty := [s for s in {colour[u] for u in hit} if len(part[s]) > 1]:
+    get = colour.__getitem__
+    if raised is None:
+        risen = {v: list(map(get, adj[v])) for v in range(len(adj))}
+        touched = {s: list(cell) for s, cell in part.items()}
+    while True:
+        if raised is not None:  # vertex -> its risen neighbours' colours
+            risen, touched = {}, {}
+            for x in raised:
+                c = colour[x]
+                for u in adj[x]:
+                    if u in risen:
+                        risen[u].append(c)
+                    else:
+                        risen[u] = [c]
+                        touched.setdefault(colour[u], []).append(u)
         splits = []
-        for s in dirty:
-            groups: dict[tuple, list[str]] = {}
-            rest = []
-            for v in part[s]:
-                if v in hit:
-                    groups.setdefault(tuple(sorted(map(colour.__getitem__, adj[v]))),
-                                      []).append(v)
-                else:
-                    rest.append(v)
-            keys = sorted(groups)
-            if rest:
-                part[s] = rest
-            elif len(keys) > 1:
-                part[s] = groups[keys.pop(0)]
+        for s, members in touched.items():
+            cell = part[s]
+            if len(cell) == 1:
+                continue
+            if len(members) == 1:
+                parts = [members]
+            else:
+                groups: dict[tuple, list[int]] = {}
+                for v in members:
+                    groups.setdefault(tuple(sorted(risen[v])), []).append(v)
+                parts = list(groups.values())
+                if len(parts) > 1:
+                    parts.sort(key=lambda p: sorted(map(get, adj[p[0]])))
+            if len(members) < len(cell):
+                cell.difference_update(members)
+            elif len(parts) > 1:
+                part[s] = set(parts.pop(0))
             else:
                 continue
-            splits.append((s, [groups[k] for k in keys]))
+            splits.append((s + len(part[s]), parts))
+        if not splits:
+            return
         raised = []
-        for s, parts in splits:
-            at = s + len(part[s])
+        for at, parts in splits:
             for p in parts:
-                part[at] = p
-                colour.update(dict.fromkeys(p, at))
+                part[at] = set(p)
+                for v in p:
+                    colour[v] = at
                 raised += p
                 at += len(p)
-        hit = {u for x in raised for u in adj[x]}
-    rank = {s: i for i, s in enumerate(sorted(part))}
-    return {v: rank[s] for v, s in colour.items()}
 
 
-def _find(parent: dict[str, str], v: str) -> str:
+def _find(parent: dict[int, int], v: int) -> int:
     while parent[v] != v:
         parent[v] = parent[parent[v]]
         v = parent[v]
     return v
 
 
-def _canonical(adj: dict[str, frozenset[str]],
-               colors: dict[str, int]) -> tuple[tuple, dict[str, int]]:
-    """The least leaf encoding of the individualisation-refinement tree, and
-    the discrete colouring of the first leaf in depth-first order reaching it.
+def _canonical(adj: Sequence[Sequence[int]]) -> tuple[tuple, list[int]]:
+    """The least leaf encoding of the individualisation-refinement tree of the
+    graph on the vertices 0, 1, ... of adj, and the discrete colouring of the
+    first leaf in depth-first order reaching it.
 
-    Children are the sorted members of the first non-singleton cell. Two
-    prunings skip only subtrees whose leaves are automorphic images, with equal
-    encodings, of leaves met earlier in that order, so they never skip the
-    leaf returned (McKay and Piperno, "Practical graph isomorphism, II",
+    A node is a partition refined by `_refine`, kept as cells by first
+    position. Children are the sorted members of the first non-singleton
+    cell: a child is its parent's partition with one of them, v, moved to a
+    cell of its own at the last position of the cell, refined from v's rise;
+    a leaf's partition is discrete, so its colours number the vertices. Two
+    prunings skip only subtrees whose leaves are automorphic images, with
+    equal encodings, of leaves met earlier in that order, so they never skip
+    the leaf returned (McKay and Piperno, "Practical graph isomorphism, II",
     J. Symb. Comput. 60, 2014):
 
     - a leaf encoded like the first or the best leaf gives the automorphism
@@ -558,58 +577,70 @@ def _canonical(adj: dict[str, frozenset[str]],
       coming from the automorphisms found so far that fix the node's
       individualised vertices.
     """
+    n = len(adj)
     first = best = None  # (encoding, colouring, path) of a leaf
-    autos: list[dict[str, str]] = []
+    autos: list[list[int]] = []
 
-    def visit(colors: dict[str, int], path: tuple[str, ...]) -> int | None:
+    def visit(part: dict[int, set[int]], colour: list[int], path: tuple[int, ...],
+              raised: list[int] | None) -> int | None:
         # Returns the depth to resume at after a leaf automorphism, else None.
         nonlocal first, best
-        colors = _refine(adj, colors, adj[path[-1]] if path else adj)
-        cells: dict[int, list[str]] = {}
-        for v, c in colors.items():
-            cells.setdefault(c, []).append(v)
-        split = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
-        if split is None:
-            enc = (len(adj), tuple(sorted((colors[v], colors[u]) for v in adj
-                                          for u in adj[v] if colors[v] < colors[u])))
+        _refine(adj, part, colour, raised)
+        if len(part) == n:
+            enc = (n, tuple(sorted((colour[v], colour[u]) for v in range(n)
+                                   for u in adj[v] if colour[v] < colour[u])))
             for ref in (first, best):
                 if ref is not None and enc == ref[0]:
-                    inv = {i: u for u, i in ref[1].items()}
-                    autos.append({u: inv[colors[u]] for u in adj})
+                    inv = [0] * n
+                    for u, i in enumerate(ref[1]):
+                        inv[i] = u
+                    autos.append([inv[i] for i in colour])
                     return next(d for d, (a, b) in enumerate(zip(path, ref[2])) if a != b)
             if best is None or enc < best[0]:
-                best = (enc, colors, path)
+                best = (enc, colour, path)
                 first = first or best
             return None
-        cell = sorted(cells[split])
+        split = min(s for s, c in part.items() if len(c) > 1)
+        cell = sorted(part[split])
+        last = split + len(cell) - 1
         orbit = {v: v for v in cell}
-        seen, explored = 0, []
+        seen, explored = 0, set()  # the orbits of the explored children, by root
         for v in cell:
-            for a in autos[seen:]:
-                if all(a[p] == p for p in path):
-                    for u in cell:
-                        orbit[_find(orbit, u)] = _find(orbit, a[u])
-            seen = len(autos)
-            if any(_find(orbit, v) == _find(orbit, x) for x in explored):
+            if seen < len(autos):
+                for a in autos[seen:]:
+                    if all(a[p] == p for p in path):
+                        for u in cell:
+                            orbit[_find(orbit, u)] = _find(orbit, a[u])
+                seen = len(autos)
+                explored = {_find(orbit, x) for x in explored}
+            root = _find(orbit, v)
+            if root in explored:
                 continue
-            # v moves to a cell of its own, just after the rest of its cell
-            back = visit({u: c + (c > split or u == v) for u, c in colors.items()},
-                         path + (v,))
+            child = {s: c.copy() for s, c in part.items()}
+            child[split].discard(v)
+            child[last] = {v}
+            recolour = colour.copy()
+            recolour[v] = last
+            back = visit(child, recolour, path + (v,), [v])
             if back is not None and back < len(path):
                 return back
-            explored.append(v)
+            explored.add(root)
         return None
 
-    visit(colors, ())
+    visit({0: set(range(n))}, [0] * n, (), None)
     return best[0], best[1]
 
 
 @lru_cache(maxsize=65536)
 def _canonical_full(g: Graph) -> tuple[tuple, tuple[tuple[str, int], ...]]:
+    """_canonical of g with its vertices indexed in sorted label order, and
+    each label paired with its leaf colour."""
     if not g.vertices:
         return (0, ()), ()
-    enc, perm = _canonical(g.adjacency, {v: 0 for v in g.vertices})
-    return enc, tuple(sorted(perm.items()))
+    labels = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(labels)}
+    enc, colour = _canonical(tuple(tuple(index[u] for u in g.adjacency[v]) for v in labels))
+    return enc, tuple(zip(labels, colour))
 
 
 def canonical_form(g: Graph) -> tuple:

@@ -3,8 +3,11 @@
 The labeling prunes its individualisation-refinement tree with the
 automorphisms it finds. It must return exactly the (encoding, perm) of the
 unpruned tree in tests/helpers.py, so canonical forms, isomorphism witnesses
-and every search memo stay the same. The cost guard counts refinement calls
-instead of timing them.
+and every search memo stay the same. Refinement runs on the vertices' indices
+in sorted label order; its tests translate colourings of labels to and from
+that partition and compare with the round-robin refinement of tests/helpers.py.
+The cost guards count refinement calls and neighbourhood reads instead of
+timing them.
 """
 
 import itertools
@@ -104,9 +107,9 @@ def test_symmetric_graphs_refine_a_bounded_number_of_times(monkeypatch, g, cap):
     calls = []
     refine = graphs._refine
 
-    def counting(adj, colors, hit):
+    def counting(adj, part, colour, raised):
         calls.append(len(adj))
-        return refine(adj, colors, hit)
+        return refine(adj, part, colour, raised)
 
     monkeypatch.setattr(graphs, "_refine", counting)
     graphs._canonical_full.cache_clear()
@@ -133,6 +136,27 @@ def double_edge_swaps(g: Graph, rng: random.Random, swaps: int) -> Graph:
     return Graph.make(g.vertices, edges)
 
 
+def refined(g: Graph, colors: dict[str, int], raised: list[str] | None) -> dict[str, int]:
+    """_refine of the colouring `colors` of g's labels, with the labels in
+    `raised` risen, or every vertex signed if None: the refined colour of
+    each label, numbered 0, 1, ... as _naive_refine numbers them."""
+    labels = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(labels)}
+    adj = tuple(tuple(index[u] for u in g.adjacency[v]) for v in labels)
+    part, colour, at = {}, [0] * len(labels), 0
+    for c in sorted(set(colors.values())):
+        part[at] = {index[v] for v in labels if colors[v] == c}
+        for i in part[at]:
+            colour[i] = at
+        at += len(part[at])
+    graphs._refine(adj, part, colour, None if raised is None else [index[v] for v in raised])
+    assert all(colour[i] == s for s, cell in part.items() for i in cell)
+    assert sorted(part) == list(itertools.accumulate(
+        [len(part[s]) for s in sorted(part)][:-1], initial=0))  # first positions
+    rank = {s: r for r, s in enumerate(sorted(part))}
+    return {v: rank[colour[i]] for v, i in index.items()}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(["uniform", "non-dense", "individualised"]))
 def test_refinement_matches_the_round_robin_one(seed, start):
@@ -144,8 +168,7 @@ def test_refinement_matches_the_round_robin_one(seed, start):
         colors = {v: rng.choice((-4, 3, 11, 40)) for v in vs}
     elif start == "individualised":
         colors[rng.choice(vs)] = 1
-    assert graphs._refine(g.adjacency, dict(colors), g.adjacency) == \
-        _naive_refine(g.adjacency, colors)
+    assert refined(g, colors, None) == _naive_refine(g.adjacency, colors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,7 +176,7 @@ def test_refinement_matches_the_round_robin_one(seed, start):
 def test_refinement_seeded_with_an_individualised_vertex_matches_the_round_robin_one(seed):
     # As _canonical's children are refined: an equitable colouring with one
     # vertex v of a non-singleton cell moved to a cell of its own just after
-    # the rest of the cell, refined by looking first at v's neighbours only.
+    # the rest of the cell, refined from v's rise alone.
     rng = random.Random(seed)
     g = random_gnp(rng, rng.randint(2, 12), rng.choice((0.2, 0.5, 0.8)))
     vs = g.sorted_vertices()
@@ -164,11 +187,31 @@ def test_refinement_seeded_with_an_individualised_vertex_matches_the_round_robin
     split = rng.choice(cells)
     v = rng.choice([u for u in vs if colors[u] == split])
     child = {u: c + (c > split or u == v) for u, c in colors.items()}
-    assert graphs._refine(g.adjacency, dict(child), g.adjacency[v]) == \
-        _naive_refine(g.adjacency, child)
+    assert refined(g, child, [v]) == _naive_refine(g.adjacency, child)
 
 
-class CountingAdjacency(dict):
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_refinement_after_several_cells_split_matches_the_round_robin_one(seed):
+    # _refine's promise for a given `raised`: an equitable colouring whose
+    # cells split into a first part that keeps the cell's colour and later
+    # parts whose colours rose, still inside the cell's span.
+    rng = random.Random(seed)
+    g = random_gnp(rng, rng.randint(2, 14), rng.choice((0.2, 0.5, 0.8)))
+    colors = _naive_refine(g.adjacency, {v: rng.choice((0, 0, 1)) for v in g.vertices})
+    child, raised = {}, []
+    for c in sorted(set(colors.values())):
+        cell = sorted(v for v in colors if colors[v] == c)
+        rng.shuffle(cell)
+        cuts = sorted(rng.sample(range(1, len(cell)), rng.randint(0, len(cell) - 1)))
+        for i, (lo, hi) in enumerate(zip([0] + cuts, cuts + [len(cell)])):
+            child.update((v, c * len(colors) + i) for v in cell[lo:hi])
+            if i:
+                raised += cell[lo:hi]
+    assert refined(g, child, raised) == _naive_refine(g.adjacency, child)
+
+
+class CountingAdjacency(tuple):
     """An adjacency that counts the neighbourhoods read from it."""
 
     reads = 0
@@ -179,20 +222,21 @@ class CountingAdjacency(dict):
 
 
 def test_refinement_of_a_long_cycle_reads_few_neighbourhoods(monkeypatch):
-    # Each neighbour signature reads one neighbourhood. Recomputing every
-    # vertex's signature in every round would read 99,600 here, and reading
-    # every vertex in each child's first round 2,951.
+    # A round reads the neighbourhood of each vertex whose colour rose, and
+    # each full signature reads one; refinement reads about 900 here.
+    # Recomputing every vertex's signature in every round would read 99,600,
+    # and reading every vertex in each child's first round 2,951.
     views = []
     refine = graphs._refine
 
-    def counting(adj, colors, hit):
+    def counting(adj, part, colour, raised):
         views.append(CountingAdjacency(adj))
-        return refine(views[-1], colors, hit)
+        return refine(views[-1], part, colour, raised)
 
     monkeypatch.setattr(graphs, "_refine", counting)
     graphs._canonical_full.cache_clear()
     canonical_form(cycle(200))
-    assert sum(view.reads for view in views) <= 2_500
+    assert 0 < sum(view.reads for view in views) <= 2_500
 
 
 def test_canonical_forms_agree_with_networkx():
@@ -234,6 +278,9 @@ def test_witness_error_names_the_first_broken_pair():
     assert onto_path.error(c4, path) == "adjacency of 'a','d' not preserved"
     assert IsoWitness((("a", "w"),)).error(c4, path) == \
         "mapping is not a bijection between the vertex sets"
+    # as_dict keeps the last image of a repeated vertex, here a bijection
+    repeat = IsoWitness((("a", "y"), ("a", "x"), ("b", "y")))
+    assert repeat.error(path_graph("ab"), path_graph("xy")) == "mapping lists a vertex twice"
 
 
 def test_witness_check_of_a_valid_mapping_tests_no_pair(monkeypatch):

@@ -11,11 +11,12 @@ import random
 
 import pytest
 
-from flagcalc import Graph, GraphError, complete_graph, path_graph
+from flagcalc import Graph, GraphError, complete_graph, cycle_graph, path_graph
 from flagcalc import dismantling
 from flagcalc.cli import main
 from flagcalc.dismantling import (
     IContractibility,
+    Outcome,
     check_certificate,
     dismantling_core,
     dominated_vertices,
@@ -23,6 +24,7 @@ from flagcalc.dismantling import (
     greedy_dismantling_certificate,
     is_s_dismantlable_edge,
     is_s_dismantlable_vertex,
+    s_collapse_search,
     s_dismantlable_edges,
     s_dismantlable_vertices,
 )
@@ -125,3 +127,36 @@ def test_icontractibility_answers_dismantlable_graphs_without_labeling(monkeypat
     p30 = path_graph([f"p{i}" for i in range(30)])
     assert IContractibility().of(k40) == "yes"
     assert IContractibility().of(p30) == "yes"
+
+
+@pytest.mark.parametrize("kind", ["obstructed", "cop-win"])
+def test_one_greedy_pass_per_graph_serves_every_whole_graph_question(monkeypatch, kind):
+    # greedy_dismantling, the searches' homology check, dismantling_core, the
+    # greedy certificate and IContractibility share one greedy pass over a
+    # Graph object; a search's local neighbourhoods run their own, smaller ones.
+    calls = []
+    mask_core = dismantling._mask_core
+
+    def counting(cl, keep=0):
+        calls.append(len(cl))
+        return mask_core(cl, keep)
+
+    monkeypatch.setattr(dismantling, "_mask_core", counting)
+    if kind == "obstructed":
+        g = mixed_width_relabel(cycle_graph("abcdefghijkl"), random.Random(3), range(1000))
+    else:
+        g = random_copwin_graph(random.Random(7), 12)
+    greedy_dismantling(g)
+    verdict = s_collapse_search(g)
+    assert calls.count(len(g.vertices)) == 1
+    dismantling_core(g)
+    greedy_dismantling_certificate(g)
+    IContractibility().of(g)
+    assert calls.count(len(g.vertices)) == 1
+    if kind == "obstructed":
+        assert (verdict.outcome, verdict.stats.nodes) == (Outcome.NO, 0) and calls == [12]
+    else:
+        assert verdict.outcome is Outcome.YES and verdict.stats.nodes > 0
+    core, _ = dismantling._greedy_of(g)
+    with pytest.raises(TypeError):
+        core[1] = 1  # the kept core is a read-only view
