@@ -23,7 +23,6 @@ from .graphs import (
     _clique_levels,
     _masks_of,
     _order_graph,
-    canonical_form,
     complete_subgraphs,
     fresh_labels,
     inclusion_order,
@@ -545,9 +544,11 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
     """Certificate from g to g minus v, given that N(v) reduces to a point.
 
     Without a supplied witness the open neighborhood is searched, within
-    DEFAULT_SEARCH_BUDGET nodes, for a pure removal sequence; a supplied
-    witness may also contain additions, which are lifted into g (each new
-    vertex additionally attached to v) before the edge-by-edge cascade runs.
+    DEFAULT_SEARCH_BUDGET nodes, for a pure removal sequence: NO, with the
+    obstruction, if it has homology, else UNKNOWN if none is found, as
+    additions are not searched.  A supplied witness may also contain
+    additions, which are lifted into g (each new vertex additionally attached
+    to v) before the edge-by-edge cascade runs.
     """
     nb = g.open_neighborhood_subgraph(v)
     if not nb.vertices:
@@ -557,6 +558,8 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
     if witness is None:
         verdict = s_collapse_search(nb)
         stats = verdict.stats
+        if verdict.obstruction:
+            return verdict
         if verdict.outcome is not Outcome.YES:
             return SearchVerdict(Outcome.UNKNOWN, None, stats)
         witness = verdict.certificate
@@ -793,7 +796,7 @@ def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Call
 
 
 def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
-                  budget: int) -> SearchVerdict:
+                  budget: int, tally: list[int] | None = None) -> SearchVerdict:
     """Deletion moves down to one vertex, or exactly onto a labeled target,
     with failed states memoized by the state itself.
 
@@ -814,6 +817,7 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
     at once, with the Betti vector as its obstruction: s-moves and ws-moves
     keep the simple-homotopy type of the clique complex, so such a start
     never reaches one vertex.  No move on a target vertex or edge is offered.
+    `tally` is passed to `backtrack`, so searches that share it share the budget.
     """
     if not start.vertices:
         raise GraphError("empty graph")
@@ -872,7 +876,7 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
         return vs == aim and graph(state) == target
 
     return backtrack((sum(closed), frozenset()), lambda s: s, moves, apply, done, budget,
-                     certificate)
+                     certificate, tally)
 
 
 def _s_vertex_candidates(labels, vs: int, nbr: Callable, order: Callable) -> Iterator[GraphMove]:
@@ -957,17 +961,17 @@ class IContractibility:
     """Bounded decision procedure for reducibility to a point by I-deletions:
     removing vertices whose open neighborhoods are recursively reducible.
 
-    A graph whose clique complex has homology is answered "no" at once, and
-    the answer is kept: I-moves keep the homology (Ivashchenko, "Contractible
-    transformations do not change the homology groups of graphs", Discrete
-    Math. 126, 1994), so no I-move sequence takes it to a point.  Every other
-    question is one `backtrack` over graphs keyed by their canonical form, and
-    the whole cascade of nested neighborhood questions of one top-level `of`
-    shares one node budget.  A top-level graph that greedily dismantles is
-    answered "yes" before any labeling.  Every move deletes a vertex, so a
-    path has at most n - 1 moves; MAX_NESTING, the one fixed bound, caps the
-    questions open at once, each smaller than its asker.  "unknown" flags a
-    cap binding.
+    A graph whose clique complex has homology is answered "no" at once: I-moves
+    keep the homology (Ivashchenko, "Contractible transformations do not
+    change the homology groups of graphs", Discrete Math. 126, 1994), so no
+    I-move sequence takes it to a point.  Every other question is one
+    `_graph_search`, and all the nested neighborhood questions of one `of`
+    share one node budget.  A vertex whose neighborhood greedily dismantles is
+    deleted with no question asked.  Each question is an induced subgraph of
+    the graph `of` was asked, so its vertex set keys its answer for that call.
+    Every move deletes a vertex, so a path has at most n - 1 moves;
+    MAX_NESTING, the one fixed bound, caps the questions open at once, each
+    smaller than its asker.  "unknown" flags a cap binding.
 
     Ivashchenko's additions (a vertex joined to a reducible attachment) are
     not searched.  On every nonempty graph with at most seven vertices an
@@ -981,27 +985,48 @@ class IContractibility:
 
     def __init__(self, node_budget: int = 20000):
         self.node_budget = node_budget
-        self._memo: dict = {}  # canonical form -> answer
-        self._tally: list[int] | None = None
-        self._nesting = 0
 
     def of(self, g: Graph) -> str:
         if not g.vertices:
             raise GraphError("empty graph")
-        if self._tally is not None:
-            return self._question(g)
-        # Each greedy step deletes a dominated vertex, which _moves offers with
-        # no question asked, so a greedy dismantling is a deletion sequence.
-        # Nested questions keep to the search, so the budget still bounds them.
+        # Each greedy step deletes a dominated vertex, which `deletions` offers
+        # with no question asked, so a greedy dismantling is a deletion sequence.
         if greedy_dismantling(g) is not None:
             return "yes"
-        # An "unknown" depends on the budget left, so it lasts for one top-level call.
-        self._tally = [0]
-        try:
-            return self._question(g)
-        finally:
-            self._tally = None
-            self._memo = {k: a for k, a in self._memo.items() if a != "unknown"}
+        tally, open_questions = [0], [1]
+        memo: dict[frozenset[str], str] = {}  # a nested question's vertices -> answer
+
+        def question(vs: frozenset[str]) -> str:
+            if vs in memo:
+                return memo[vs]
+            h = g.induced(vs)
+            if open_questions[0] >= self.MAX_NESTING:
+                return "no" if _obstruction(h) else "unknown"
+            open_questions[0] += 1  # an exception ends the whole `of` call
+            memo[vs] = _graph_search(h, None, deletions, self.node_budget, tally).outcome.value
+            open_questions[0] -= 1
+            return memo[vs]
+
+        def deletions(labels, vs: int, nbr: Callable,
+                      order: Callable) -> Iterator[GraphMove | None]:
+            """The I-deletions of a state in label order, None for each one left
+            undecided, and a final None for the additions not searched."""
+            for b in _bits(vs):
+                nb = nbr(b)
+                witness = order(nb)
+                if witness is not None:
+                    answer = "yes"
+                elif nb:  # an I-move: the nested answer is its only witness
+                    answer = question(frozenset(_label(labels, c) for c in _bits(nb)))
+                else:
+                    continue
+                if answer == "yes":
+                    yield GraphMove(MoveKind.REMOVE_VERTEX, _label(labels, b), witness=witness)
+                elif answer == "unknown":
+                    yield None
+            yield None
+
+        return _graph_search(g, None, deletions, self.node_budget, tally).outcome.value
 
     def vertex(self, g: Graph, v: str) -> str:
         """Is v deletable, i.e. is its open neighborhood reducible?"""
@@ -1009,37 +1034,6 @@ class IContractibility:
         if not nb.vertices:
             return "no"
         return self.of(nb)
-
-    def _question(self, g: Graph) -> str:
-        key = canonical_form(g)
-        if key in self._memo:
-            return self._memo[key]
-        if _obstruction(g):
-            self._memo[key] = "no"
-            return "no"
-        if self._nesting >= self.MAX_NESTING:
-            return "unknown"
-        self._nesting += 1
-        try:
-            verdict = backtrack(g, canonical_form, self._moves, Graph.without_vertex,
-                                lambda s: len(s.vertices) == 1,
-                                self.node_budget, lambda *_: None, self._tally)
-        finally:
-            self._nesting -= 1
-        self._memo[key] = verdict.outcome.value
-        return self._memo[key]
-
-    def _moves(self, g: Graph) -> Iterator[str | None]:
-        """Deletable vertices of g, dominated ones first; None for each vertex
-        left undecided, and a final None for the additions not searched."""
-        labels, _, closed = g._masks
-        # A dominated vertex's open neighborhood is a cone: deletable, no question asked.
-        dominated = {v for v, b in zip(labels, closed) if _dominator_mask(closed, b)}
-        for v in sorted(labels, key=lambda v: (v not in dominated, v)):
-            answer = "yes" if v in dominated else self.vertex(g, v)
-            if answer != "no":
-                yield v if answer == "yes" else None
-        yield None
 
 
 def is_i_contractible(g: Graph, checker: IContractibility | None = None) -> str:

@@ -164,10 +164,10 @@ GOLDEN = {
     'edge/1': 'e0f1975fb1200e1e',
     'edge/2': '89b29a7c6b6faa62',
     'edge/3': 'ac4b868bffd72c08',
-    'searched/0': '5890ef7b882892dd',
-    'searched/1': 'e89830941eb8e9ec',
-    'searched/2': '48cb40feb0540a4d',
-    'searched/3': 'cb8bc9007e0c1dd5',
+    'searched/0': 'a93855e141a60083',
+    'searched/1': '76da2fc94e6517b0',
+    'searched/2': 'b377c2d5c13db4e6',
+    'searched/3': 'b60d39eb5be5d358',
     'expanded/0': 'b4fd5e922afb7a28',
     'expanded/1': 'dec701fc385782d0',
     'expanded/2': 'e42435b9760de679',

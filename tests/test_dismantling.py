@@ -283,6 +283,14 @@ def test_realize_s_neighborhood_deletion_apex():
     assert verdict.certificate.end == sg.without_vertex(apex)
 
 
+def test_realize_s_neighborhood_deletion_with_homology_is_no():
+    # N(a) in C5 is two points: vertex moves keep its reduced Betti vector.
+    verdict = realize_s_neighborhood_deletion(cycle_graph("abcde"), "a")
+    assert verdict.outcome is Outcome.NO
+    assert verdict.obstruction == (1,)
+    assert verdict.certificate is None and verdict.stats.nodes == 0
+
+
 def test_realize_s_neighborhood_deletion_k4():
     k4 = complete_graph("abcd")
     verdict = realize_s_neighborhood_deletion(k4, "a")

@@ -16,9 +16,11 @@ from flagcalc import (
     is_dismantlable,
     path_graph,
 )
+from flagcalc import graphs
 from flagcalc.graphs import clique_masks, reduced_betti
 from flagcalc.identities import random_graph
 
+from .helpers import exhaustive_s_collapsible
 from .test_graph_search import hard_family_member
 
 
@@ -57,9 +59,12 @@ def _counted_searches(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("budget", [50, 100, 200])
 def test_node_budget_bounds_the_whole_cascade(monkeypatch, budget):
     calls = _counted_searches(monkeypatch)
-    # The dunce hat with a cop-win tail is acyclic, so no Betti number answers
-    # for the search, and deleting along the tail asks nested questions.
-    assert IContractibility(node_budget=budget).of(hard_family_member(0, 10)) == "unknown"
+    # The dunce hat with a cop-win tail is acyclic and not dismantlable, so no
+    # Betti number and no greedy pass answers for a search.  It is the
+    # apexes' neighbourhood in its suspension, so deleting an apex asks a
+    # nested question that searches too.
+    g = hard_family_member(0, 10).suspension()
+    assert IContractibility(node_budget=budget).of(g) == "unknown"
     assert len(calls) > 1
     assert sum(calls) == budget
 
@@ -109,7 +114,6 @@ def test_an_exhausted_budget_leaves_no_unknown_behind():
     # The cut leaves nested questions open.
     checker = IContractibility(node_budget=100)
     assert checker.of(hard_family_member(0, 10)) == "unknown"
-    assert "unknown" not in checker._memo.values()
     for g in _dismantlable_graphs():
         assert checker.of(g) == "yes"
 
@@ -139,11 +143,30 @@ def test_a_graph_with_homology_is_answered_no_without_search(monkeypatch):
     assert checker.vertex(cycle_graph("abcde").suspension(), "a") == "no"
 
 
-def test_moves_are_deletions_and_end_undecided():
-    # No vertex of C7 is deletable, and additions are not searched, so the
-    # moves are one None: running out of deletions is not a "no".
-    checker = IContractibility(node_budget=100)
-    assert list(checker._moves(cycle_graph("abcdefg"))) == [None]
-    # P4's ends are dominated and come first; an inner vertex's neighbourhood
-    # is two points, so it is not deletable.
-    assert list(checker._moves(path_graph("abcd"))) == ["a", "d", None]
+def test_no_question_labels_a_graph(monkeypatch):
+    def refuse(g):
+        raise AssertionError("canonical labeling ran")
+
+    monkeypatch.setattr(graphs, "_canonical_full", refuse)
+    assert IContractibility().of(corpus.s_collapsible_rigid_graph()) == "yes"
+    g = hard_family_member(0, 10).suspension()
+    assert IContractibility(node_budget=200).of(g) == "unknown"
+
+
+def _acyclic_non_dismantlable(seed: int, count: int):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        g = random_graph(rng, rng.randint(8, 10), rng.uniform(0.3, 0.7))
+        if not reduced_betti(clique_masks(g.adjacency)) and not is_dismantlable(g):
+            found.append(g)
+    return found
+
+
+def test_answers_match_the_exhaustive_oracle():
+    # Every s-collapse is a sequence of I-deletions, and on these draws no
+    # other I-deletion reaches a point, so "yes" means s-collapsible.
+    for g in _acyclic_non_dismantlable(31, 25):
+        answer = IContractibility().of(g)
+        assert answer != "no"
+        assert (answer == "yes") == exhaustive_s_collapsible(g)

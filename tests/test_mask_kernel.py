@@ -12,7 +12,7 @@ import random
 import pytest
 
 from flagcalc import Graph, GraphError, complete_graph, cycle_graph, path_graph
-from flagcalc import dismantling
+from flagcalc import dismantling, graphs
 from flagcalc.cli import main
 from flagcalc.dismantling import (
     IContractibility,
@@ -122,7 +122,7 @@ def test_icontractibility_answers_dismantlable_graphs_without_labeling(monkeypat
     def refuse(g):
         raise AssertionError("canonical labeling ran")
 
-    monkeypatch.setattr(dismantling, "canonical_form", refuse)
+    monkeypatch.setattr(graphs, "_canonical_full", refuse)
     k40 = complete_graph([f"k{i}" for i in range(40)])
     p30 = path_graph([f"p{i}" for i in range(30)])
     assert IContractibility().of(k40) == "yes"
