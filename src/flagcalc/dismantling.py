@@ -304,9 +304,12 @@ class GraphMove:
     attachment: frozenset[str] | None = None
 
     def describe(self) -> str:
+        """The move's line in a certificate: `+v x a,b`, `-v x`, `+e a b` or `-e a b`."""
         if self.kind in (MoveKind.REMOVE_EDGE, MoveKind.ADD_EDGE):
             a, b = sorted_pair(self.target)
             return f"{self.kind.value} {a} {b}"
+        if self.kind is MoveKind.ADD_VERTEX:
+            return f"{self.kind.value} {self.target} {','.join(sorted(self.attachment))}"
         return f"{self.kind.value} {self.target}"
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -488,7 +488,7 @@ def _refine(adj: Sequence[Sequence[int]], part: dict[int, set[int]], colour: lis
     "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
 
     `raised` lists the vertices whose colours rose before the first round, or
-    is None to sign every vertex then. Given `raised`, each cell's members
+    is None to count every vertex as risen. Given a list, each cell's members
     shared their signature before the rise, and each risen vertex rose from
     its cell's first position to a later one in that cell's span, as in a
     child of `_canonical`; every round leaves the same for the next. So a
@@ -498,23 +498,24 @@ def _refine(adj: Sequence[Sequence[int]], part: dict[int, set[int]], colour: lis
     multisets, as each colour's span tells the first position it rose from.
     The rest stays as the first part, the others are grouped by those
     colours, and one member of each group is signed only to order several
-    groups, so a lone hit member splits off unsigned.
+    groups, so a lone hit member splits off unsigned. Given None, a member's
+    risen colours are its whole signature, and the members no vertex touches
+    are the isolated ones, whose empty signature is the least: they keep the
+    first part, where a sort of the whole cell would put them.
     """
     get = colour.__getitem__
     if raised is None:
-        risen = {v: list(map(get, adj[v])) for v in range(len(adj))}
-        touched = {s: list(cell) for s, cell in part.items()}
+        raised = range(len(adj))
     while True:
-        if raised is not None:  # vertex -> its risen neighbours' colours
-            risen, touched = {}, {}
-            for x in raised:
-                c = colour[x]
-                for u in adj[x]:
-                    if u in risen:
-                        risen[u].append(c)
-                    else:
-                        risen[u] = [c]
-                        touched.setdefault(colour[u], []).append(u)
+        risen, touched = {}, {}  # vertex -> its risen neighbours' colours
+        for x in raised:
+            c = colour[x]
+            for u in adj[x]:
+                if u in risen:
+                    risen[u].append(c)
+                else:
+                    risen[u] = [c]
+                    touched.setdefault(colour[u], []).append(u)
         splits = []
         for s, members in touched.items():
             cell = part[s]
@@ -631,7 +632,6 @@ def _canonical(adj: Sequence[Sequence[int]]) -> tuple[tuple, list[int]]:
     return best[0], best[1]
 
 
-@lru_cache(maxsize=65536)
 def _canonical_full(g: Graph) -> tuple[tuple, tuple[tuple[str, int], ...]]:
     """_canonical of g with its vertices indexed in sorted label order, and
     each label paired with its leaf colour."""

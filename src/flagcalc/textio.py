@@ -3,13 +3,18 @@
 All serializers are deterministic (sorted lines), so parse/format round-trips
 are bit-exact.  Parse errors carry 1-based line numbers, or name the whole
 file when no single line is at fault.
+
+Graphs and posets share one line shape, read by `_parse_declared`: lines that
+declare labels (`v`, `p`), and lines that pair two distinct declared labels
+once (`e`, `<`).  An edge is unordered and a cover is ordered.  A graph label
+must also read back whole from a `+v` attachment list.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
 
-from .graphs import Graph, sorted_pair
+from .graphs import Graph
 from .dismantling import (
     DismantlingOrder,
     GraphMove,
@@ -66,6 +71,40 @@ def _check_labels(no: int, labels: Iterable[str]) -> None:
             raise ParseError(no, f"label {label!r} holds a comma but does not start with '['")
 
 
+def _parse_declared(text: str, unit: str, pair: str, noun: str,
+                    ordered: bool) -> tuple[dict[str, int], dict[tuple[str, str], None]]:
+    """The labels that `<unit> <label>` lines declare, each with its line, and
+    the pairs of declared labels on `<pair> <a> <b>` lines, in file order.  A
+    pair joins two distinct labels once; unless `ordered`, `b a` repeats `a b`."""
+    labels: dict[str, int] = {}
+    pairs: dict[tuple[str, str], None] = {}
+    for no, line in _content_lines(text):
+        parts = line.split()
+        if parts[0] == unit:
+            if len(parts) != 2:
+                raise ParseError(no, f"expected `{unit} <label>`")
+            if not _RESERVED.isdisjoint(line):
+                _check_labels(no, parts[1:])
+            if parts[1] in labels:
+                raise ParseError(no, f"duplicate {noun} {parts[1]!r}")
+            labels[parts[1]] = no
+        elif parts[0] == pair:
+            if len(parts) != 3:
+                raise ParseError(no, f"expected `{pair} <label> <label>`")
+            a, b = parts[1], parts[2]
+            if a not in labels or b not in labels:
+                raise ParseError(no, f"`{pair} {a} {b}` uses an undeclared {noun}")
+            if a == b:
+                raise ParseError(no, f"`{pair} {a} {b}` pairs {a!r} with itself")
+            key = (a, b) if ordered or a < b else (b, a)
+            if key in pairs:
+                raise ParseError(no, f"duplicate pair `{pair} {a} {b}`")
+            pairs[key] = None
+        else:
+            raise ParseError(no, f"unknown directive {parts[0]!r}")
+    return labels, pairs
+
+
 # ---------------------------------------------------------------------------
 # graphs: `v <label>` and `e <a> <b>`
 
@@ -77,37 +116,11 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    vertices: list[str] = []
-    edges: list[tuple[str, str]] = []
-    seen_v: set[str] = set()
-    seen_e: set[frozenset[str]] = set()
-    for no, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) != 2:
-                raise ParseError(no, "expected `v <label>`")
-            if not _RESERVED.isdisjoint(line):
-                _check_labels(no, parts[1:])
-            if parts[1] in seen_v:
-                raise ParseError(no, f"duplicate vertex {parts[1]!r}")
-            seen_v.add(parts[1])
-            vertices.append(parts[1])
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise ParseError(no, "expected `e <label> <label>`")
-            a, b = parts[1], parts[2]
-            if a == b:
-                raise ParseError(no, f"self-loop on {a!r}")
-            if a not in seen_v or b not in seen_v:
-                raise ParseError(no, f"edge {a!r}-{b!r} has an undeclared endpoint")
-            key = frozenset((a, b))
-            if key in seen_e:
-                raise ParseError(no, f"duplicate edge {a!r}-{b!r}")
-            seen_e.add(key)
-            edges.append((a, b))
-        else:
-            raise ParseError(no, f"unknown directive {parts[0]!r}")
-    return Graph.make(vertices, edges)
+    vertices, edges = _parse_declared(text, "v", "e", "vertex", ordered=False)
+    for v, no in vertices.items():
+        if ("[" in v or "]" in v) and _attachment_labels(v) != [v]:
+            raise ParseError(no, f"label {v!r} would not read back whole from an attachment list")
+    return Graph(frozenset(vertices), frozenset(map(frozenset, edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,35 +155,7 @@ def format_poset(p: Poset) -> str:
 
 
 def parse_poset(text: str) -> Poset:
-    elements: list[str] = []
-    covers: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    seen_c: set[tuple[str, str]] = set()
-    for no, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 2:
-                raise ParseError(no, "expected `p <label>`")
-            if not _RESERVED.isdisjoint(line):
-                _check_labels(no, parts[1:])
-            if parts[1] in seen:
-                raise ParseError(no, f"duplicate element {parts[1]!r}")
-            seen.add(parts[1])
-            elements.append(parts[1])
-        elif parts[0] == "<":
-            if len(parts) != 3:
-                raise ParseError(no, "expected `< <a> <b>`")
-            a, b = parts[1], parts[2]
-            if a not in seen or b not in seen:
-                raise ParseError(no, f"cover {a!r} < {b!r} uses an undeclared element")
-            if a == b:
-                raise ParseError(no, f"self-cover {a!r} < {b!r}")
-            if (a, b) in seen_c:
-                raise ParseError(no, f"duplicate cover {a!r} < {b!r}")
-            seen_c.add((a, b))
-            covers.append((a, b))
-        else:
-            raise ParseError(no, f"unknown directive {parts[0]!r}")
+    elements, covers = _parse_declared(text, "p", "<", "element", ordered=True)
     try:
         return Poset.make(elements, covers)
     except PosetError as exc:  # a cycle through several covers
@@ -200,13 +185,7 @@ def _format_witness(order: DismantlingOrder) -> str:
 def format_move_certificate(cert: MoveCertificate) -> str:
     lines = []
     for m in cert.moves:
-        if m.kind is MoveKind.ADD_VERTEX:
-            lines.append(f"+v {m.target} {','.join(sorted(m.attachment))}")
-        elif m.kind is MoveKind.REMOVE_VERTEX:
-            lines.append(f"-v {m.target}")
-        else:
-            a, b = sorted_pair(m.target)
-            lines.append(f"{m.kind.value} {a} {b}")
+        lines.append(m.describe())
         lines.append(("w " + _format_witness(m.witness)).rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -224,8 +203,9 @@ def _parse_witness(no: int, line: str) -> DismantlingOrder:
     return DismantlingOrder(tuple(steps))
 
 
-def _split_attachment(no: int, text: str) -> frozenset[str]:
-    """Comma-separated labels; commas inside square brackets belong to a label."""
+def _attachment_labels(text: str) -> list[str] | None:
+    """Comma-separated labels, where commas inside square brackets belong to a
+    label; None if the brackets do not balance."""
     labels, depth, begin = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "[":
@@ -233,14 +213,11 @@ def _split_attachment(no: int, text: str) -> frozenset[str]:
         elif ch == "]":
             depth -= 1
             if depth < 0:
-                break
+                return None
         elif ch == "," and depth == 0:
             labels.append(text[begin:i])
             begin = i + 1
-    if depth:
-        raise ParseError(no, f"unbalanced brackets in attachment list {text!r}")
-    labels.append(text[begin:])
-    return frozenset(x for x in labels if x)
+    return None if depth else labels + [text[begin:]]
 
 
 def _parse_move_lines(text: str) -> list[tuple[int, GraphMove]]:
@@ -254,8 +231,11 @@ def _parse_move_lines(text: str) -> list[tuple[int, GraphMove]]:
         if parts[0] == "+v":
             if len(parts) != 3:
                 raise ParseError(no, "expected `+v <label> <attach,comma-list>`")
+            attach = _attachment_labels(parts[2])
+            if attach is None:
+                raise ParseError(no, f"unbalanced brackets in attachment list {parts[2]!r}")
             move = GraphMove(MoveKind.ADD_VERTEX, parts[1], witness=witness,
-                             attachment=_split_attachment(no, parts[2]))
+                             attachment=frozenset(x for x in attach if x))
         elif parts[0] == "-v":
             if len(parts) != 2:
                 raise ParseError(no, "expected `-v <label>`")

@@ -83,7 +83,6 @@ NAMED = named_graphs()
 
 
 def assert_matches_full_tree(g: Graph) -> None:
-    graphs._canonical_full.cache_clear()
     assert graphs._canonical_full(g) == naive_canonical_full(g)
 
 
@@ -112,7 +111,6 @@ def test_symmetric_graphs_refine_a_bounded_number_of_times(monkeypatch, g, cap):
         return refine(adj, part, colour, raised)
 
     monkeypatch.setattr(graphs, "_refine", counting)
-    graphs._canonical_full.cache_clear()
     canonical_form(g)
     assert 0 < len(calls) <= cap
 
@@ -234,7 +232,6 @@ def test_refinement_of_a_long_cycle_reads_few_neighbourhoods(monkeypatch):
         return refine(views[-1], part, colour, raised)
 
     monkeypatch.setattr(graphs, "_refine", counting)
-    graphs._canonical_full.cache_clear()
     canonical_form(cycle(200))
     assert 0 < sum(view.reads for view in views) <= 2_500
 

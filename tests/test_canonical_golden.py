@@ -78,7 +78,6 @@ def golden_graphs() -> list[Graph]:
 
 
 def test_canonical_labeling_matches_its_golden_digest():
-    graphs._canonical_full.cache_clear()
     text = repr([graphs._canonical_full(g) for g in golden_graphs()])
     assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_GOLDEN
 
@@ -86,5 +85,4 @@ def test_canonical_labeling_matches_its_golden_digest():
 @pytest.mark.parametrize("i", [i for i, g in enumerate(GNP) if len(g.vertices) <= 12])
 def test_small_draws_match_the_full_tree(i):
     g = GNP[i]
-    graphs._canonical_full.cache_clear()
     assert graphs._canonical_full(g) == naive_canonical_full(g)

@@ -117,7 +117,6 @@ def test_searches_without_a_target_label_no_state(monkeypatch):
     # The memo key of a state is the state itself, so a search that expands
     # many states never computes a canonical form.
     g = dunce_hat_with_tail(random.Random(101))
-    graphs._canonical_full.cache_clear()
     calls = []
     labeling = graphs._canonical
 

@@ -110,7 +110,6 @@ def test_every_obstruction_no_agrees_with_the_exhaustive_search():
                                random_graph(random.Random(1000), 18, 0.5)],
                          ids=["C48", "gnp18"])
 def test_an_obstructed_start_is_answered_without_labeling(monkeypatch, g):
-    graphs._canonical_full.cache_clear()
     calls = []
     labeling = graphs._canonical
 

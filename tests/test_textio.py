@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagcalc import Outcome, complete_graph, s_collapse_search
+from flagcalc import Outcome, complete_graph, realize_edge_deletion, s_collapse_search
 from flagcalc.corpus import s_collapsible_rigid_graph, six_regular_graph
 from flagcalc.identities import random_complex, random_graph, random_poset
 from flagcalc.textio import (
@@ -105,6 +105,51 @@ def test_subset_labels_keep_their_commas():
     g = parse_graph("v [p,q]\nv r\ne [p,q] r\n")
     assert parse_graph(format_graph(g)) == g
     assert parse_complex("[p,q] r\n").vertex_set == {"[p,q]", "r"}
+
+
+@pytest.mark.parametrize("parse,text,line", [
+    (parse_graph, "v a\nv b c\n", 2),             # a unit line holds one label
+    (parse_poset, "p a\np b c\n", 2),
+    (parse_graph, "v a\nv a|b\n", 2),             # a label a text form cannot write back
+    (parse_poset, "p a\np a|b\n", 2),
+    (parse_graph, "v a\nv b\nv a\n", 3),          # a duplicate label
+    (parse_poset, "p a\np b\np a\n", 3),
+    (parse_graph, "v a\nv b\ne a\n", 3),          # a pair line holds two labels
+    (parse_poset, "p a\np b\n< a b c\n", 3),
+    (parse_graph, "v a\ne a b\n", 2),             # an undeclared label
+    (parse_poset, "p a\n< b a\n", 2),
+    (parse_graph, "v b\ne a a\n", 2),             # undeclared comes before paired with itself
+    (parse_poset, "p b\n< a a\n", 2),
+    (parse_graph, "v a\nv b\ne b b\n", 3),        # a label paired with itself
+    (parse_poset, "p a\np b\n< b b\n", 3),
+    (parse_graph, "v a\nv b\ne a b\ne a b\n", 4),  # a duplicate pair
+    (parse_poset, "p a\np b\n< a b\n< a b\n", 4),
+    (parse_graph, "v a\nv b\ne a b\ne b a\n", 4),  # an edge is unordered
+    (parse_poset, "p a\np b\n< a b\n< b a\n", None),  # a cover is ordered: a cycle
+    (parse_graph, "v a\np b\n", 2),               # an unknown directive
+    (parse_poset, "p a\nv b\n", 2),
+])
+def test_graph_and_poset_readers_locate_the_same_errors(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line_no == line
+
+
+@pytest.mark.parametrize("label", ["[a],[b]", "[a,b", "a]"])
+def test_graph_labels_an_attachment_list_would_misread_are_rejected(label):
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"v [a]\nv [b]\nv {label}\ne [a] [b]\n")
+    assert err.value.line_no == 3
+
+
+def test_bracketed_graph_labels_that_read_back_whole_still_parse():
+    g = parse_graph("v [p,q]\nv a[1]\nv [[a],[a,b]]\n"
+                    "e [p,q] a[1]\ne [p,q] [[a],[a,b]]\ne a[1] [[a],[a,b]]\n")
+    assert g.vertices == {"[p,q]", "a[1]", "[[a],[a,b]]"}
+    cert = realize_edge_deletion(g, ("[p,q]", "a[1]"))
+    text = format_move_certificate(cert)
+    assert text.startswith("+v _x1 ")
+    assert parse_move_certificate(text, g) == cert
 
 
 def test_reduce_rejects_a_label_its_certificate_cannot_hold(tmp_path, capsys):
