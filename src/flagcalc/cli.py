@@ -151,12 +151,15 @@ _BD = {"graph": barycentric_graph, "complex": barycentric_complex,
 
 def cmd_map(args) -> int:
     if args.functor == "bd":
-        kind = _kind_of(args.file, args.kind)
-        result = _BD[kind](_load(kind, args.file))
-        _emit(textio.TEXT_FORMS[kind].format(result), args.out)
-        return EXIT_YES
-    src, dst, fn = _MAPS[args.functor]
+        src = dst = _kind_of(args.file, args.kind)
+        fn = _BD[src]
+    else:
+        src, dst, fn = _MAPS[args.functor]
     result = fn(_load(src, args.file))
+    bad = textio.unreadable_label(sorted(result.vertices)) if dst == "graph" else None
+    if bad is not None:  # a complex or poset label that a graph file cannot hold
+        raise GraphError(f"output label {bad!r} would not read back whole from an "
+                         "attachment list; nothing written")
     _emit(textio.TEXT_FORMS[dst].format(result), args.out)
     return EXIT_YES
 

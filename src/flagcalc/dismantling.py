@@ -559,13 +559,10 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
 
     stats = SearchStats(0, DEFAULT_SEARCH_BUDGET)
     if witness is None:
-        verdict = s_collapse_search(nb)
-        stats = verdict.stats
-        if verdict.obstruction:
-            return verdict
+        verdict = _deletions_only(s_collapse_search(nb))
         if verdict.outcome is not Outcome.YES:
-            return SearchVerdict(Outcome.UNKNOWN, None, stats)
-        witness = verdict.certificate
+            return verdict
+        stats, witness = verdict.stats, verdict.certificate
     else:
         if witness.start != nb:
             raise CertificateError("witness does not start at the open neighborhood")
@@ -743,57 +740,64 @@ class SearchVerdict:
     obstruction: tuple[int, ...] | None = None
 
 
-def backtrack(start, key: Callable, moves: Callable, apply: Callable, done: Callable,
+def _deletions_only(verdict: SearchVerdict) -> SearchVerdict:
+    """A NO without an obstruction means only that the deletions ran out; as
+    additions are not searched, it is UNKNOWN, with the same stats."""
+    if verdict.outcome is Outcome.NO and not verdict.obstruction:
+        return SearchVerdict(Outcome.UNKNOWN, None, verdict.stats)
+    return verdict
+
+
+def backtrack(start, moves: Callable, apply: Callable, done: Callable,
               budget: int, certificate: Callable,
               tally: list[int] | None = None) -> SearchVerdict:
     """Budgeted depth-first search for a move sequence from `start` to a `done` state.
 
-    A state whose `key` is on the current path, or was once exhausted, is not
-    expanded again.  `moves` may yield None for a move it could not decide,
-    which counts as a budget cut.  `tally`, a one-item list, holds a node count
-    shared with other searches; the budget bounds it, and `stats.nodes` counts
-    this search's part.  YES carries `certificate(start, moves, end)`; NO means
-    every path was exhausted; UNKNOWN, that the budget or an undecided move cut one.
+    A state is its own memo key: one on the current path, or once exhausted,
+    is not expanded again.  `moves` may yield None for a move it could not
+    decide, which cuts the state as the budget does.  `tally`, a one-item list,
+    holds a node count shared with other searches; the budget bounds it, and
+    `stats.nodes` counts this search's part.  YES carries `certificate(start,
+    moves, end)`; NO means the moves ran out; UNKNOWN, that a cut stopped a path.
     """
     tally = [0] if tally is None else tally
     nodes = 0
     seen: set = set()
-    frames: list = []  # [state, key, moves left, cut below, move that led here]
+    frames: list = []  # [state, moves left, cut below, move that led here]
 
     def enter(state, via) -> Outcome | None:
         """The outcome of a state that is not expanded, or None once it is pushed."""
         nonlocal nodes
         if done(state):
             return Outcome.YES
-        k = key(state)
-        if k in seen:
+        if state in seen:
             return Outcome.NO
         if tally[0] >= budget:
             return Outcome.UNKNOWN
         tally[0] += 1
         nodes += 1
-        seen.add(k)
-        frames.append([state, k, iter(moves(state)), False, via])
+        seen.add(state)
+        frames.append([state, iter(moves(state)), False, via])
         return None
 
     res, end, path = enter(start, None), start, ()
     while frames and res is not Outcome.YES:
         frame = frames[-1]
-        frame[3] = frame[3] or res is Outcome.UNKNOWN
-        for m in frame[2]:  # the next move, if one is left
+        frame[2] = frame[2] or res is Outcome.UNKNOWN
+        for m in frame[1]:  # the next move, if one is left
             if m is None:
                 res = Outcome.UNKNOWN
                 break
             child = apply(frame[0], m)
             res = enter(child, m)
             if res is Outcome.YES:
-                end, path = child, tuple(f[4] for f in frames[1:]) + (m,)
+                end, path = child, tuple(f[3] for f in frames[1:]) + (m,)
             break
         else:
             frames.pop()
-            if frame[3]:
-                seen.discard(frame[1])
-            res = Outcome.UNKNOWN if frame[3] else Outcome.NO
+            if frame[2]:
+                seen.discard(frame[0])
+            res = Outcome.UNKNOWN if frame[2] else Outcome.NO
     cert = certificate(start, path, end) if res is Outcome.YES else None
     return SearchVerdict(res, cert, SearchStats(nodes, budget))
 
@@ -878,8 +882,7 @@ def _graph_search(start: Graph, target: Graph | None, candidates: Callable,
             return vs & (vs - 1) == 0  # one bit: one vertex left
         return vs == aim and graph(state) == target
 
-    return backtrack((sum(closed), frozenset()), lambda s: s, moves, apply, done, budget,
-                     certificate, tally)
+    return backtrack((sum(closed), frozenset()), moves, apply, done, budget, certificate, tally)
 
 
 def _s_vertex_candidates(labels, vs: int, nbr: Callable, order: Callable) -> Iterator[GraphMove]:
@@ -990,30 +993,28 @@ class IContractibility:
         self.node_budget = node_budget
 
     def of(self, g: Graph) -> str:
-        if not g.vertices:
-            raise GraphError("empty graph")
         # Each greedy step deletes a dominated vertex, which `deletions` offers
         # with no question asked, so a greedy dismantling is a deletion sequence.
         if greedy_dismantling(g) is not None:
             return "yes"
-        tally, open_questions = [0], [1]
-        memo: dict[frozenset[str], str] = {}  # a nested question's vertices -> answer
+        tally, open_questions = [0], [0]
+        memo: dict[frozenset[str], str] = {}  # a question's vertices -> answer
 
         def question(vs: frozenset[str]) -> str:
             if vs in memo:
                 return memo[vs]
-            h = g.induced(vs)
+            h = g if vs == g.vertices else g.induced(vs)
             if open_questions[0] >= self.MAX_NESTING:
                 return "no" if _obstruction(h) else "unknown"
             open_questions[0] += 1  # an exception ends the whole `of` call
-            memo[vs] = _graph_search(h, None, deletions, self.node_budget, tally).outcome.value
+            memo[vs] = _deletions_only(
+                _graph_search(h, None, deletions, self.node_budget, tally)).outcome.value
             open_questions[0] -= 1
             return memo[vs]
 
         def deletions(labels, vs: int, nbr: Callable,
                       order: Callable) -> Iterator[GraphMove | None]:
-            """The I-deletions of a state in label order, None for each one left
-            undecided, and a final None for the additions not searched."""
+            """The I-deletions of a state in label order; None for each undecided one."""
             for b in _bits(vs):
                 nb = nbr(b)
                 witness = order(nb)
@@ -1027,9 +1028,8 @@ class IContractibility:
                     yield GraphMove(MoveKind.REMOVE_VERTEX, _label(labels, b), witness=witness)
                 elif answer == "unknown":
                     yield None
-            yield None
 
-        return _graph_search(g, None, deletions, self.node_budget, tally).outcome.value
+        return question(g.vertices)
 
     def vertex(self, g: Graph, v: str) -> str:
         """Is v deletable, i.e. is its open neighborhood reducible?"""

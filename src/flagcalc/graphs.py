@@ -334,12 +334,13 @@ def _clique_levels(closed: Mapping[int, int]) -> Iterator[list[int]]:
 
 def complete_subgraphs(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> list[frozenset[str]]:
     """Every nonempty vertex set inducing a complete subgraph, by size and then
-    lexicographically, decoded from `clique_masks`; raises BudgetExceededError
-    at the level that takes the count past `cap`, before listing a larger one."""
-    labels = g.sorted_vertices()
+    lexicographically, decoded from the `clique_masks` levels of `g._masks`;
+    raises BudgetExceededError at the level that takes the count past `cap`,
+    before listing a larger one."""
+    labels, _, closed = g._masks
     out: list[frozenset[str]] = []
     prefix = {0: frozenset()}  # the last level's members by mask
-    for level in clique_masks(g.adjacency):
+    for level in _clique_levels(closed):
         if len(out) + len(level) > cap:
             raise BudgetExceededError(f"more than {cap} complete subgraphs")
         prefix = {c: prefix[c ^ (1 << top)] | {labels[top]}

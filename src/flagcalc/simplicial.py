@@ -399,9 +399,8 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
     goal = frozenset() if target is None else target.simplices
     if not goal <= k.simplices:
         return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
-    return backtrack(k, lambda c: c.simplices,
-                     lambda c: [(COLLAPSE, p) for p in free_pairs(c)
-                                if goal.isdisjoint((p.sigma, p.tau))],
+    return backtrack(k, lambda c: [(COLLAPSE, p) for p in free_pairs(c)
+                                   if goal.isdisjoint((p.sigma, p.tau))],
                      lambda c, move: apply_pair_unchecked(c, *move),
                      lambda c: len(c.simplices) == 1 if target is None else c.simplices == goal,
                      budget, ComplexCertificate)

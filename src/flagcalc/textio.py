@@ -115,11 +115,23 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def unreadable_label(labels: Iterable[str]) -> str | None:
+    """The first of `labels` that would not read back whole from a `+v`
+    attachment list, or None.  A label with no bracket reads back, and so does
+    a flat one, whose only '[' is first and whose only ']' is last."""
+    for v in labels:
+        if ("[" in v or "]" in v) and not (v.rfind("[") == 0 and v.find("]") == len(v) - 1):
+            if _attachment_labels(v) != [v]:
+                return v
+    return None
+
+
 def parse_graph(text: str) -> Graph:
     vertices, edges = _parse_declared(text, "v", "e", "vertex", ordered=False)
-    for v, no in vertices.items():
-        if ("[" in v or "]" in v) and _attachment_labels(v) != [v]:
-            raise ParseError(no, f"label {v!r} would not read back whole from an attachment list")
+    bad = unreadable_label(vertices)
+    if bad is not None:
+        raise ParseError(vertices[bad],
+                         f"label {bad!r} would not read back whole from an attachment list")
     return Graph(frozenset(vertices), frozenset(map(frozenset, edges)))
 
 

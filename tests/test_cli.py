@@ -288,3 +288,19 @@ def test_bad_suite_size_is_a_usage_error(capsys, option, bad, least):
     assert option in err and "Traceback" not in err
     code, out, _ = run(capsys, "identities", option, least)
     assert code == 0 and "fail=0" in out
+
+
+@pytest.mark.parametrize("functor, name, text, label", [
+    ("comp", "p.poset", "p [a],[b]\np c\n< c [a],[b]\n", "[a],[b]"),
+    ("sk", "k.complex", "[a],[b] c\n", "[a],[b]"),
+    ("gamma", "k.complex", "a] c\n", "[a],c]"),
+])
+def test_map_writes_no_graph_that_check_refuses(tmp_path, capsys, functor, name, text, label):
+    # The input passes its own check, but one of the map's graph labels would
+    # split in an attachment list, so no graph file is written.
+    src, out = tmp_path / name, tmp_path / "out.graph"
+    src.write_text(text)
+    assert run(capsys, "check", name.split(".")[1], str(src))[0] == 0
+    code, _, err = run(capsys, "map", functor, str(src), "--out", str(out))
+    assert code == 3 and repr(label) in err
+    assert not out.exists()
