@@ -21,11 +21,11 @@ from .graphs import (
     IsoWitness,
     _bits,
     _clique_levels,
+    _clique_order,
     _masks_of,
-    _order_graph,
+    barycentric_graph,
     complete_subgraphs,
     fresh_labels,
-    inclusion_order,
     reduced_betti,
     sorted_pair,
 )
@@ -665,7 +665,8 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
 
 
 def subdivision_certificate(g: Graph) -> MoveCertificate:
-    """Vertex moves from g to its barycentric subdivision graph.
+    """Vertex moves from g to its barycentric subdivision graph, ending at
+    `barycentric_graph(g)` itself.
 
     First a hat vertex is added for every complete subgraph, in increasing
     cardinality: the hat of c attaches to the hats of the proper subsets of c,
@@ -674,10 +675,11 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
     removed in label order; the witness removes hats of subgraphs not holding
     the removed vertex (largest first, each dominated by its extension)
     and finishes on the cone over the removed vertex's singleton hat.  Each
-    move is vetted as it is applied to the working state.
+    move is vetted as it is applied to the working state.  The cliques, their
+    inclusion order and the end are the ones kept with g.
     """
     cliques = complete_subgraphs(g)  # by size, then labels
-    labels, pairs = inclusion_order(cliques)
+    labels, pairs = _clique_order(g)
     hats = dict(zip(cliques, labels))
     hat_members = dict(zip(labels, cliques))
     below: dict[str, set[str]] = {hat: set() for hat in labels}
@@ -705,10 +707,10 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
             yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=DismantlingOrder(tuple(steps)))
 
     adj, made = build(adj, moves(), _move_error, _apply_move)
-    cur = _graph_of(adj)
-    if cur != _order_graph(labels, pairs):  # pragma: no cover - construction guarantees this
+    bd = barycentric_graph(g)
+    if adj != _working(bd):  # pragma: no cover - construction guarantees this
         raise CertificateError("subdivision moves did not end at the subdivision graph")
-    return MoveCertificate(g, made, cur)
+    return MoveCertificate(g, made, bd)
 
 
 # ---------------------------------------------------------------------------

@@ -287,22 +287,26 @@ class CliqueFamily:
 
 def maximal_cliques(g: Graph) -> list[frozenset[str]]:
     """All inclusion-maximal complete subgraphs (pivoting branch and bound)."""
-    adj = g.adjacency
-    out: list[frozenset[str]] = []
+    return sorted(_maximal(g), key=lambda c: tuple(sorted(c)))
 
-    def expand(r: set[str], p: set[str], x: set[str]) -> None:
+
+def _maximal(g: Graph) -> Iterator[frozenset[str]]:
+    """The maximal cliques of g, each as it is found, so a caller that stops
+    early builds no more of them."""
+    adj = g.adjacency
+
+    def expand(r: set[str], p: set[str], x: set[str]) -> Iterator[frozenset[str]]:
         if not p and not x:
-            out.append(frozenset(r))
+            yield frozenset(r)
             return
         pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
         for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+            yield from expand(r | {v}, p & adj[v], x & adj[v])
             p.discard(v)
             x.add(v)
 
     if g.vertices:
-        expand(set(), set(g.vertices), set())
-    return sorted(out, key=lambda c: tuple(sorted(c)))
+        yield from expand(set(), set(g.vertices), set())
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -336,25 +340,33 @@ def complete_subgraphs(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> list[frozense
     """Every nonempty vertex set inducing a complete subgraph, by size and then
     lexicographically, decoded from the `clique_masks` levels of `g._masks`;
     raises BudgetExceededError at the level that takes the count past `cap`,
-    before listing a larger one."""
-    labels, _, closed = g._masks
-    out: list[frozenset[str]] = []
-    prefix = {0: frozenset()}  # the last level's members by mask
-    for level in _clique_levels(closed):
-        if len(out) + len(level) > cap:
-            raise BudgetExceededError(f"more than {cap} complete subgraphs")
-        prefix = {c: prefix[c ^ (1 << top)] | {labels[top]}
-                  for c in level for top in (c.bit_length() - 1,)}
-        out.extend(prefix.values())
-    return out
+    before listing a larger one.  The family is listed once per Graph object
+    and kept with it, so a later call returns a fresh list of it, or raises
+    without listing when it has more than `cap` members."""
+    found = g.__dict__.get("_cliques")
+    if found is None:
+        labels, _, closed = g._masks
+        out: list[frozenset[str]] = []
+        prefix = {0: frozenset()}  # the last level's members by mask
+        for level in _clique_levels(closed):
+            if len(out) + len(level) > cap:
+                raise BudgetExceededError(f"more than {cap} complete subgraphs")
+            prefix = {c: prefix[c ^ (1 << top)] | {labels[top]}
+                      for c in level for top in (c.bit_length() - 1,)}
+            out.extend(prefix.values())
+        found = g.__dict__["_cliques"] = tuple(out)
+    elif len(found) > cap:
+        raise BudgetExceededError(f"more than {cap} complete subgraphs")
+    return list(found)
 
 
 def enumerate_complete_subgraphs(g: Graph, mode: str = "all") -> CliqueFamily:
     if mode == "maximal":
-        found = maximal_cliques(g)
+        found = list(itertools.islice(_maximal(g), DEFAULT_CLIQUE_CAP + 1))
         if len(found) > DEFAULT_CLIQUE_CAP:
             raise BudgetExceededError(
                 f"more than {DEFAULT_CLIQUE_CAP} maximal complete subgraphs")
+        found.sort(key=lambda c: tuple(sorted(c)))
     elif mode == "all":
         found = complete_subgraphs(g)
     else:
@@ -390,15 +402,30 @@ def inclusion_order(family: Iterable[frozenset[str]]) -> tuple[list[str], list[t
     return list(label.values()), out
 
 
-def _order_graph(labels: list[str], pairs: list[tuple[str, str]]) -> Graph:
+def _order_graph(labels: Sequence[str], pairs: Sequence[tuple[str, str]]) -> Graph:
     """The graph of an `inclusion_order`, built unvalidated: its pairs join
     distinct labels of the family, since a strict superset's label is longer."""
     return Graph(frozenset(labels), frozenset(map(frozenset, pairs)))
 
 
+def _clique_order(g: Graph) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """`inclusion_order` of g's complete subgraphs, as tuples, computed once
+    per Graph object and kept with it, as its clique family is."""
+    found = g.__dict__.get("_clique_order")
+    if found is None:
+        labels, pairs = inclusion_order(complete_subgraphs(g))
+        found = g.__dict__["_clique_order"] = tuple(labels), tuple(pairs)
+    return found
+
+
 def barycentric_graph(g: Graph) -> Graph:
-    """Vertices are the complete subgraphs of g, edges the strict inclusions."""
-    return _order_graph(*inclusion_order(complete_subgraphs(g)))
+    """Vertices are the complete subgraphs of g, edges the strict inclusions.
+    Built once per Graph object from its `_clique_order` and kept with it, so
+    every call on g returns the same Graph."""
+    found = g.__dict__.get("_barycentric")
+    if found is None:
+        found = g.__dict__["_barycentric"] = _order_graph(*_clique_order(g))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
-from .graphs import Graph, complete_subgraphs, inclusion_order, subset_label
+from .graphs import Graph, _clique_order, complete_subgraphs, inclusion_order, subset_label
 from .dismantling import (
     CheckReport,
     CertificateError,
@@ -363,8 +363,9 @@ def _inclusion_poset(family: Collection[frozenset[str]]) -> Poset:
 
 
 def clique_poset(g: Graph) -> Poset:
-    """Complete subgraphs of g ordered by inclusion."""
-    return _inclusion_poset(complete_subgraphs(g))
+    """Complete subgraphs of g ordered by inclusion, read from g's `_clique_order`."""
+    labels, pairs = _clique_order(g)
+    return Poset(frozenset(labels), frozenset(pairs))
 
 
 def order_complex(p: Poset) -> SimplicialComplex:

@@ -71,7 +71,8 @@ def test_node_budget_bounds_the_whole_cascade(monkeypatch, budget):
 
 def test_an_undecidable_graph_costs_one_node(monkeypatch):
     # The dunce hat is acyclic and has no deletable vertex; additions are not
-    # searched, so its one state yields only the final None: "unknown".
+    # searched, so its one state yields no move and runs out of deletions:
+    # "unknown".
     calls = _counted_searches(monkeypatch)
     assert IContractibility().of(corpus.dunce_hat_graph()) == "unknown"
     assert sum(calls) <= 1
