@@ -6,14 +6,14 @@ vertex whose *open* neighborhood induces a dismantlable graph can be removed
 as an s-move, an edge whose endpoints share a nonempty dismantlable common
 neighborhood as a ws-move.  Certificates record every move together with the
 dismantling order witnessing it, so any claimed reduction can be replayed.
+The dominated-vertex mask kernel lives in `graphs`, beside `Graph._greedy`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Generator, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -21,7 +21,8 @@ from .graphs import (
     IsoWitness,
     _bits,
     _clique_levels,
-    _clique_order,
+    _dominator_mask,
+    _mask_core,
     _masks_of,
     barycentric_graph,
     complete_subgraphs,
@@ -42,7 +43,8 @@ class NormalizationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the working state: a private adjacency dict of sets, updated in place
+# working states: a private adjacency dict of sets, updated in place, and
+# mask states over a Graph's vertex bits, as `graphs` defines them
 
 
 def _working(g: Graph) -> dict[str, set[str]]:
@@ -59,62 +61,6 @@ def _delete(adj: dict[str, set[str]], v: str) -> dict[str, set[str]]:
     for u in adj.pop(v):
         adj[u].discard(v)
     return adj
-
-
-# ---------------------------------------------------------------------------
-# dominated vertices on bitmasks
-#
-# A mask state maps each vertex's bit to its closed neighbourhood's mask, as
-# Graph._masks does, over the sorted labels.  w dominates v, N[v] <= N[w],
-# exactly when w lies in the closed neighbourhood of every vertex of N[v], so
-# v's dominators are the bits of the AND of those masks less v's own, and the
-# least dominator is the lowest of them.
-
-
-def _dominator_mask(cl: dict[int, int], b: int) -> int:
-    """The vertices dominating b in the mask state cl, as a mask."""
-    common = m = cl[b]
-    while m and common != b:
-        low = m & -m
-        common &= cl[low]
-        m ^= low
-    return common ^ b
-
-
-def _mask_step(cl: dict[int, int], b: int) -> tuple[int, int] | None:
-    d = _dominator_mask(cl, b)
-    return (b, d & -d) if d else None
-
-
-def _mask_delete(cl: dict[int, int], step: tuple[int, int]) -> dict[int, int]:
-    b = step[0]
-    m = cl.pop(b) ^ b
-    while m:
-        low = m & -m
-        cl[low] ^= b
-        m ^= low
-    return cl
-
-
-def _mask_core(cl: dict[int, int], keep: int = 0) -> tuple[dict[int, int], tuple]:
-    """Delete the least dominated vertex outside `keep` against its least
-    dominator until none is left, updating the mask state cl: (cl, steps).
-
-    Deleting v changes N[x] only for neighbors x of v, and no other vertex
-    has v in its closed neighborhood, so only N(v) can gain or lose a dominator.
-    """
-    return greedy_core(cl, [b for b in cl if not b & keep], _mask_step, _mask_delete,
-                       lambda c, step: _bits(c[step[0]] & ~(keep | step[0])))
-
-
-def _greedy_of(g: Graph) -> tuple[Mapping[int, int], tuple]:
-    """_mask_core of g: a read-only view of its core and its steps, computed
-    once per Graph object and kept with it, as g._masks is."""
-    found = g.__dict__.get("_greedy")
-    if found is None:
-        core, steps = _mask_core(dict(g._masks.closed))
-        found = g.__dict__["_greedy"] = MappingProxyType(core), steps
-    return found
 
 
 def _sub_masks(closed: dict[int, int], sub: int, cut: Iterable[int] = ()) -> dict[int, int]:
@@ -191,36 +137,12 @@ def dominated_vertices(g: Graph) -> list[tuple[str, str]]:
             for v, b in zip(labels, closed) for w in _bits(_dominator_mask(closed, b))]
 
 
-def greedy_core(state, elements: Iterable, step_of: Callable, remove: Callable,
-                touched: Callable) -> tuple[object, tuple]:
-    """Remove the least element that has a step until none has: (residue, steps).
-
-    `remove` updates the state in place.  A removal can change the step of
-    only the elements `touched(state, step)` names before it, so only those
-    are examined again; every other element keeps the step found earlier.
-    """
-    found = {x: s for x in elements if (s := step_of(state, x)) is not None}
-    steps = []
-    while found:
-        step = found.pop(min(found))
-        steps.append(step)
-        again = touched(state, step)
-        state = remove(state, step)
-        for y in again:
-            s = step_of(state, y)
-            if s is None:
-                found.pop(y, None)
-            else:
-                found[y] = s
-    return state, tuple(steps)
-
-
 def dismantling_core(g: Graph) -> tuple[Graph, DismantlingOrder]:
     """Greedily delete dominated vertices until none remains."""
     if not g.vertices:
         raise GraphError("empty graph has no dismantling core")
-    core, steps = _greedy_of(g)
-    return g.induced(g._masks.label_set(sum(core))), _labelled(g._masks.labels, steps)
+    core, steps = g._greedy
+    return g.induced(g._masks.label_set(core)), _labelled(g._masks.labels, steps)
 
 
 def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
@@ -231,8 +153,8 @@ def greedy_dismantling(g: Graph) -> DismantlingOrder | None:
     """
     if not g.vertices:
         raise GraphError("empty graph")
-    core, steps = _greedy_of(g)
-    return _labelled(g._masks.labels, steps) if len(core) == 1 else None
+    core, steps = g._greedy
+    return None if core & (core - 1) else _labelled(g._masks.labels, steps)
 
 
 def _obstruction(g: Graph) -> tuple[int, ...]:
@@ -243,7 +165,7 @@ def _obstruction(g: Graph) -> tuple[int, ...]:
     collapses", DCG 47, 2012), which keeps the homotopy type, so the cliques
     of a dismantlable graph are never listed.
     """
-    return reduced_betti(_clique_levels(_greedy_of(g)[0]))
+    return reduced_betti(_clique_levels(_sub_masks(g._masks.closed, g._greedy[0])))
 
 
 def is_dismantlable(g: Graph) -> bool:
@@ -679,7 +601,7 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
     inclusion order and the end are the ones kept with g.
     """
     cliques = complete_subgraphs(g)  # by size, then labels
-    labels, pairs = _clique_order(g)
+    labels, pairs = g._clique_order
     hats = dict(zip(cliques, labels))
     hat_members = dict(zip(labels, cliques))
     below: dict[str, set[str]] = {hat: set() for hat in labels}
@@ -912,7 +834,7 @@ def _ws_candidates(*state) -> Iterator[GraphMove]:
 def _greedy_certificate(g: Graph, keep: frozenset[str]) -> tuple[dict[str, set[str]], tuple]:
     """build() the greedy deletions outside `keep`, each with its cone witness."""
     mv = g._masks
-    _, steps = _mask_core(dict(mv.closed), sum(mv.bit[v] for v in keep)) if keep else _greedy_of(g)
+    _, steps = _mask_core(dict(mv.closed), sum(mv.bit[v] for v in keep)) if keep else g._greedy
     adj = _working(g)
     return build(adj, (GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
                        for v, w in _labelled(mv.labels, steps).steps), _move_error, _apply_move)

@@ -1,7 +1,9 @@
 """Finite simple undirected graphs with stable string labels.
 
 Graphs are immutable values: every mutation-like operation returns a new
-graph, so they can be hashed, memoized and shared freely.
+graph, so they can be hashed, memoized and shared freely.  What a graph derives
+is kept as cached properties, its greedy pass over the dominated-vertex mask
+kernel among them, so that kernel lives here too.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -128,6 +130,22 @@ class Graph:
     def _masks(self) -> Masks:
         return _masks_of(self.adjacency, self.vertices)
 
+    @cached_property
+    def _greedy(self) -> tuple[int, tuple]:
+        """`_mask_core` of the graph: its core's vertex mask and the steps."""
+        core, steps = _mask_core(dict(self._masks.closed))
+        return sum(core), steps
+
+    @cached_property
+    def _clique_order(self) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+        """`inclusion_order` of the complete subgraphs, as tuples."""
+        labels, pairs = inclusion_order(complete_subgraphs(self))
+        return tuple(labels), tuple(pairs)
+
+    @cached_property
+    def _barycentric(self) -> "Graph":
+        return _order_graph(*self._clique_order)
+
     def __contains__(self, v: str) -> bool:
         return v in self.vertices
 
@@ -173,7 +191,8 @@ class Graph:
     def without_vertices(self, subset: Iterable[str]) -> "Graph":
         """The graph less the vertices in subset and their edges.  Its
         adjacency is derived from this graph's and cached with it: only the
-        removed vertices' neighbours change, and the rest share their sets."""
+        removed vertices' neighbours change, and the rest share their sets.
+        The slot is written by hand so the child never rebuilds it from edges."""
         gone = frozenset(subset)
         for v in gone:
             self._require(v)
@@ -342,7 +361,8 @@ def complete_subgraphs(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> list[frozense
     raises BudgetExceededError at the level that takes the count past `cap`,
     before listing a larger one.  The family is listed once per Graph object
     and kept with it, so a later call returns a fresh list of it, or raises
-    without listing when it has more than `cap` members."""
+    without listing when it has more than `cap` members.
+    The slot is written by hand because `cap` decides whether a listing is kept."""
     found = g.__dict__.get("_cliques")
     if found is None:
         labels, _, closed = g._masks
@@ -408,24 +428,80 @@ def _order_graph(labels: Sequence[str], pairs: Sequence[tuple[str, str]]) -> Gra
     return Graph(frozenset(labels), frozenset(map(frozenset, pairs)))
 
 
-def _clique_order(g: Graph) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """`inclusion_order` of g's complete subgraphs, as tuples, computed once
-    per Graph object and kept with it, as its clique family is."""
-    found = g.__dict__.get("_clique_order")
-    if found is None:
-        labels, pairs = inclusion_order(complete_subgraphs(g))
-        found = g.__dict__["_clique_order"] = tuple(labels), tuple(pairs)
-    return found
-
-
 def barycentric_graph(g: Graph) -> Graph:
     """Vertices are the complete subgraphs of g, edges the strict inclusions.
-    Built once per Graph object from its `_clique_order` and kept with it, so
-    every call on g returns the same Graph."""
-    found = g.__dict__.get("_barycentric")
-    if found is None:
-        found = g.__dict__["_barycentric"] = _order_graph(*_clique_order(g))
-    return found
+    Kept with g as `g._barycentric`, so every call on g returns the same Graph."""
+    return g._barycentric
+
+
+# ---------------------------------------------------------------------------
+# dominated vertices on bitmasks
+#
+# A mask state maps each vertex's bit to its closed neighbourhood's mask, as
+# Graph._masks does, over the sorted labels.  w dominates v, N[v] <= N[w],
+# exactly when w lies in the closed neighbourhood of every vertex of N[v], so
+# v's dominators are the bits of the AND of those masks less v's own, and the
+# least dominator is the lowest of them.
+
+
+def _dominator_mask(cl: dict[int, int], b: int) -> int:
+    """The vertices dominating b in the mask state cl, as a mask."""
+    common = m = cl[b]
+    while m and common != b:
+        low = m & -m
+        common &= cl[low]
+        m ^= low
+    return common ^ b
+
+
+def _mask_step(cl: dict[int, int], b: int) -> tuple[int, int] | None:
+    d = _dominator_mask(cl, b)
+    return (b, d & -d) if d else None
+
+
+def _mask_delete(cl: dict[int, int], step: tuple[int, int]) -> dict[int, int]:
+    b = step[0]
+    m = cl.pop(b) ^ b
+    while m:
+        low = m & -m
+        cl[low] ^= b
+        m ^= low
+    return cl
+
+
+def _mask_core(cl: dict[int, int], keep: int = 0) -> tuple[dict[int, int], tuple]:
+    """Delete the least dominated vertex outside `keep` against its least
+    dominator until none is left, updating the mask state cl: (cl, steps).
+
+    Deleting v changes N[x] only for neighbors x of v, and no other vertex
+    has v in its closed neighborhood, so only N(v) can gain or lose a dominator.
+    """
+    return greedy_core(cl, [b for b in cl if not b & keep], _mask_step, _mask_delete,
+                       lambda c, step: _bits(c[step[0]] & ~(keep | step[0])))
+
+
+def greedy_core(state, elements: Iterable, step_of: Callable, remove: Callable,
+                touched: Callable) -> tuple[object, tuple]:
+    """Remove the least element that has a step until none has: (residue, steps).
+
+    `remove` updates the state in place.  A removal can change the step of
+    only the elements `touched(state, step)` names before it, so only those
+    are examined again; every other element keeps the step found earlier.
+    """
+    found = {x: s for x in elements if (s := step_of(state, x)) is not None}
+    steps = []
+    while found:
+        step = found.pop(min(found))
+        steps.append(step)
+        again = touched(state, step)
+        state = remove(state, step)
+        for y in again:
+            s = step_of(state, y)
+            if s is None:
+                found.pop(y, None)
+            else:
+                found[y] = s
+    return state, tuple(steps)
 
 
 # ---------------------------------------------------------------------------

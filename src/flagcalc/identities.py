@@ -142,31 +142,54 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
     def record(pid: str, instance: str, ok: bool, detail: str | None = None) -> None:
         reports.append(PropertyReport(pid, instance, "pass" if ok else "fail", detail))
 
-    pid = "clique-complex-collapses-when-vertex-s-removable"
+    def record_replay(pid: str, instance: str, g: Graph, moves, end: Graph) -> None:
+        try:
+            for move in moves:
+                g = apply_move(g, move)
+        except CertificateError as exc:
+            record(pid, instance, False, str(exc))
+        else:
+            record(pid, instance, g == end)
+
+    checker = IContractibility()
     for g in graphs:
         name = _describe(g)
         for v in s_dismantlable_vertices(g):
-            record(pid, f"{name}/{v}", _star_collapses(g, v))
-
-    pid = "collapse-induces-two-inclusion-graph-moves"
-    for k in complexes:
-        name = _describe(k)
-        for pair in free_pairs(k):
-            gam = inclusion_graph(k)
-            first, second = inclusion_graph_moves_for_collapse(k, pair)
-            try:
-                after = apply_move(apply_move(gam, first), second)
-                ok = after == inclusion_graph(apply_pair_unchecked(k, COLLAPSE, pair))
-            except CertificateError as exc:
-                record(pid, name, False, str(exc))
-                continue
+            at = f"{name}/{v}"
+            record("clique-complex-collapses-when-vertex-s-removable", at, _star_collapses(g, v))
+            record("s-removable-vertex-is-i-removable", at, checker.vertex(g, v) == "yes")
+            cert = weak_point_cascade(g, v)
+            record("weak-point-cascade-reaches-reduced-clique-poset", at,
+                   bool(check_poset_certificate(cert))
+                   and cert.end == clique_poset(g.without_vertex(v)))
+        for a, b in g.sorted_edges():
+            if is_s_dismantlable_edge(g, (a, b)):
+                cert = realize_edge_deletion(g, (a, b))
+                record("edge-removal-rewrites-to-vertex-moves", f"{name}/{a}-{b}",
+                       bool(check_certificate(cert))
+                       and are_isomorphic(cert.end, g.without_edge(a, b)) is not None)
+        pid = "s-collapse-transfers-to-complex-collapse"
+        verdict = s_collapse_search(g, budget)
+        if verdict.outcome is Outcome.UNKNOWN:
+            reports.append(PropertyReport(pid, name, "skipped", "budget exhausted"))
+        elif verdict.outcome is Outcome.YES:
+            cur_g, ok = g, True
+            for move in verdict.certificate.moves:
+                ok = _star_collapses(cur_g, move.target) and ok
+                cur_g = cur_g.without_vertex(move.target)
             record(pid, name, ok)
+        cert = subdivision_certificate(g)
+        record("subdivision-is-reachable-by-vertex-moves", name,
+               bool(check_certificate(cert)) and cert.end == barycentric_graph(g))
 
-    pid = "collapse-induces-skeleton-move"
     for k in complexes:
         name = _describe(k)
+        gam, skel = inclusion_graph(k), one_skeleton(k)
         for pair in free_pairs(k):
-            skel = one_skeleton(k)
+            after = apply_pair_unchecked(k, COLLAPSE, pair)
+            record_replay("collapse-induces-two-inclusion-graph-moves", name, gam,
+                          inclusion_graph_moves_for_collapse(k, pair), inclusion_graph(after))
+            pid = "collapse-induces-skeleton-move"
             try:
                 move = skeleton_move_for_collapse(k, pair)
             except CertificateError:
@@ -176,81 +199,22 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
                 reports.append(PropertyReport(pid, name, "skipped",
                                               f"not flag: {subset_label(missing)}"))
                 continue
-            after = one_skeleton(apply_pair_unchecked(k, COLLAPSE, pair))
-            try:
-                ok = (after == skel) if move is None else (apply_move(skel, move) == after)
-            except CertificateError as exc:
-                record(pid, name, False, str(exc))
-                continue
-            record(pid, name, ok)
+            record_replay(pid, name, skel, () if move is None else (move,), one_skeleton(after))
 
-    pid = "edge-removal-rewrites-to-vertex-moves"
-    for g in graphs:
-        name = _describe(g)
-        for a, b in g.sorted_edges():
-            if not is_s_dismantlable_edge(g, (a, b)):
-                continue
-            cert = realize_edge_deletion(g, (a, b))
-            ok = bool(check_certificate(cert)) and \
-                are_isomorphic(cert.end, g.without_edge(a, b)) is not None
-            record(pid, f"{name}/{a}-{b}", ok)
-
-    pid = "s-collapse-transfers-to-complex-collapse"
-    for g in graphs:
-        name = _describe(g)
-        verdict = s_collapse_search(g, budget)
-        if verdict.outcome is Outcome.UNKNOWN:
-            reports.append(PropertyReport(pid, name, "skipped", "budget exhausted"))
-            continue
-        if verdict.outcome is Outcome.NO:
-            continue
-        cur_g = g
-        ok = True
-        for move in verdict.certificate.moves:
-            ok = _star_collapses(cur_g, move.target) and ok
-            cur_g = cur_g.without_vertex(move.target)
-        record(pid, name, ok)
-
-    pid = "s-removable-vertex-is-i-removable"
-    checker = IContractibility()
-    for g in graphs:
-        name = _describe(g)
-        for v in s_dismantlable_vertices(g):
-            record(pid, f"{name}/{v}", checker.vertex(g, v) == "yes")
-
-    pid = "weak-points-agree-three-ways"
     for p in posets:
-        name = _describe(p)
         direct = weak_points(p)
         via_join = weak_points_via_join(p)
         comp = comparability_graph(p)
         via_graph = [x for x in p.sorted_elements()
                      if is_s_dismantlable_vertex(comp, x)]
-        record(pid, name, direct == via_join == via_graph)
+        record("weak-points-agree-three-ways", _describe(p), direct == via_join == via_graph)
 
-    pid = "weak-point-cascade-reaches-reduced-clique-poset"
-    for g in graphs:
-        name = _describe(g)
-        for v in s_dismantlable_vertices(g):
-            cert = weak_point_cascade(g, v)
-            ok = bool(check_poset_certificate(cert)) and \
-                cert.end == clique_poset(g.without_vertex(v))
-            record(pid, f"{name}/{v}", ok)
-
-    pid = "subdivision-is-reachable-by-vertex-moves"
-    for g in graphs:
-        name = _describe(g)
-        cert = subdivision_certificate(g)
-        ok = bool(check_certificate(cert)) and cert.end == barycentric_graph(g)
-        record(pid, name, ok)
-
-    pid = "stuck-graph-still-collapses-as-complex"
     g, h = stuck_graph(), stuck_graph_reduced()
     no_moves = not s_dismantlable_vertices(g)
     kk, ll = clique_complex(g), clique_complex(h)
     diff = sorted(kk.simplices - ll.simplices, key=len, reverse=True)
     pair = CollapsePair(diff[0], diff[1])
     ok = no_moves and len(diff) == 2 and collapse_pair_error(kk, pair) is None
-    record(pid, "stuck-7-vertex", ok)
+    record("stuck-graph-still-collapses-as-complex", "stuck-7-vertex", ok)
 
     return sorted(reports, key=lambda r: (r.property_id, r.instance))

@@ -11,13 +11,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
-from .graphs import Graph, _clique_order, complete_subgraphs, inclusion_order, subset_label
+from .graphs import Graph, complete_subgraphs, greedy_core, inclusion_order, subset_label
 from .dismantling import (
     CheckReport,
     CertificateError,
     build,
     check_replay,
-    greedy_core,
     is_s_dismantlable_vertex,
 )
 from .simplicial import SimplicialComplex, chains
@@ -364,7 +363,7 @@ def _inclusion_poset(family: Collection[frozenset[str]]) -> Poset:
 
 def clique_poset(g: Graph) -> Poset:
     """Complete subgraphs of g ordered by inclusion, read from g's `_clique_order`."""
-    labels, pairs = _clique_order(g)
+    labels, pairs = g._clique_order
     return Poset(frozenset(labels), frozenset(pairs))
 
 

@@ -386,6 +386,10 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
     with its Betti vector as the obstruction: collapses keep the homotopy type.
     With one, no pair that meets the target is offered.
     """
+    for c in (k,) if target is None else (k, target):
+        bad = _unclosed(c.simplices)
+        if bad is not None:
+            raise ComplexError(f"family not closed under deletion at {subset_label(bad)}")
     if not k.simplices:
         raise ComplexError("empty complex")
     if target is None:

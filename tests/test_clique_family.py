@@ -1,21 +1,30 @@
 """A graph's clique family, its inclusion order and its barycentric graph are
-computed once per Graph object and kept with it; the caps still hold."""
+computed once per Graph object and kept with it; the caps still hold, and a
+graph that keeps them still pickles and deep-copies."""
+
+import copy
+import pickle
 
 import pytest
 
 from flagcalc import (
     BudgetExceededError,
     Graph,
+    IContractibility,
     barycentric_graph,
     check_certificate,
     clique_complex,
     clique_poset,
     complete_subgraphs,
+    cycle_graph,
     enumerate_complete_subgraphs,
     maximal_cliques,
+    s_collapse_search,
     subdivision_certificate,
+    ws_reduction_search,
 )
 from flagcalc import graphs
+from flagcalc.dismantling import greedy_dismantling
 
 
 def _sample() -> Graph:
@@ -128,3 +137,15 @@ def test_the_maximal_family_under_the_cap_is_unchanged():
     assert list(family.cliques) == maximal_cliques(g)
     assert list(family.cliques) == sorted(family.cliques, key=sorted)
     assert family.validate() is None
+
+
+@pytest.mark.parametrize("g", [_sample(), cycle_graph("abcde")], ids=["cop-win", "C5"])
+def test_a_graph_with_kept_values_pickles_and_deep_copies(g):
+    def answers(h):
+        return (greedy_dismantling(h), s_collapse_search(h), ws_reduction_search(h),
+                complete_subgraphs(h), barycentric_graph(h), IContractibility().of(h))
+
+    before = answers(g)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert twin == g and twin._greedy == g._greedy
+        assert answers(twin) == before

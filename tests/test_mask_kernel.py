@@ -142,6 +142,7 @@ def test_one_greedy_pass_per_graph_serves_every_whole_graph_question(monkeypatch
         return mask_core(cl, keep)
 
     monkeypatch.setattr(dismantling, "_mask_core", counting)
+    monkeypatch.setattr(graphs, "_mask_core", counting)
     if kind == "obstructed":
         g = mixed_width_relabel(cycle_graph("abcdefghijkl"), random.Random(3), range(1000))
     else:
@@ -157,6 +158,5 @@ def test_one_greedy_pass_per_graph_serves_every_whole_graph_question(monkeypatch
         assert (verdict.outcome, verdict.stats.nodes) == (Outcome.NO, 0) and calls == [12]
     else:
         assert verdict.outcome is Outcome.YES and verdict.stats.nodes > 0
-    core, _ = dismantling._greedy_of(g)
-    with pytest.raises(TypeError):
-        core[1] = 1  # the kept core is a read-only view
+    core, steps = g._greedy
+    assert isinstance(core, int) and isinstance(steps, tuple)

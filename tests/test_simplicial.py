@@ -224,6 +224,17 @@ def test_collapse_search_with_target():
     assert verdict.certificate.end == target
 
 
+def test_collapse_search_refuses_a_family_not_closed_under_deletion():
+    # Unvalidated families: the Betti vector, the free pairs and the replayed
+    # certificate all assume every facet of a member is a member.
+    edge = SimplicialComplex(frozenset({frozenset("ab")}))
+    half = SimplicialComplex(frozenset(map(frozenset, ("ab", "a"))))
+    point = SimplicialComplex.from_maximal([("a",)])
+    for k, target in ((edge, None), (half, None), (half, point), (point, half)):
+        with pytest.raises(ComplexError, match=r"not closed under deletion at \[a,b\]"):
+            collapse_search(k, target)
+
+
 def test_barycentric_complex_small():
     edge = SimplicialComplex.from_maximal([("a", "b")])
     bd = barycentric_complex(edge)
