@@ -16,7 +16,6 @@ from .dismantling import (
     DEFAULT_SEARCH_BUDGET,
     Outcome,
     dismantles_onto,
-    greedy_dismantling_certificate,
     replay_moves,
     s_collapse_search,
     ws_reduction_search,
@@ -110,14 +109,8 @@ def cmd_reduce(args) -> int:
     target = _load("graph", args.target) if args.target else None
     budget = args.budget
     if args.mode == "dismantle":
-        if target is None:
-            cert = greedy_dismantling_certificate(g)
-            if cert is None:
-                print("no")
-                return EXIT_NO
-            print("yes")
-            _emit(textio.format_move_certificate(cert), args.out)
-            return EXIT_YES
+        if target is None:  # the greedy core's least vertex, which no greedy step deletes
+            target = g.induced(sorted(g._masks.label_set(g._greedy[0]))[:1])
         verdict = dismantles_onto(g, target, budget)
     elif args.mode == "s":
         if target is not None:

@@ -137,9 +137,25 @@ class Graph:
         return sum(core), steps
 
     @cached_property
+    def _cliques(self) -> tuple[frozenset[str], ...]:
+        """Every complete subgraph, by size and then labels, decoded from the
+        `clique_masks` levels of `_masks`; raises BudgetExceededError at the
+        level that takes the count past DEFAULT_CLIQUE_CAP, and keeps nothing."""
+        labels, _, closed = self._masks
+        out: list[frozenset[str]] = []
+        prefix = {0: frozenset()}  # the last level's members by mask
+        for level in _clique_levels(closed):
+            if len(out) + len(level) > DEFAULT_CLIQUE_CAP:
+                raise BudgetExceededError(f"more than {DEFAULT_CLIQUE_CAP} complete subgraphs")
+            prefix = {c: prefix[c ^ (1 << top)] | {labels[top]}
+                      for c in level for top in (c.bit_length() - 1,)}
+            out.extend(prefix.values())
+        return tuple(out)
+
+    @cached_property
     def _clique_order(self) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
         """`inclusion_order` of the complete subgraphs, as tuples."""
-        labels, pairs = inclusion_order(complete_subgraphs(self))
+        labels, pairs = inclusion_order(self._cliques)
         return tuple(labels), tuple(pairs)
 
     @cached_property
@@ -305,8 +321,12 @@ class CliqueFamily:
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[str]]:
-    """All inclusion-maximal complete subgraphs (pivoting branch and bound)."""
-    return sorted(_maximal(g), key=lambda c: tuple(sorted(c)))
+    """All inclusion-maximal complete subgraphs (pivoting branch and bound);
+    raises BudgetExceededError after building at most DEFAULT_CLIQUE_CAP + 1."""
+    found = list(itertools.islice(_maximal(g), DEFAULT_CLIQUE_CAP + 1))
+    if len(found) > DEFAULT_CLIQUE_CAP:
+        raise BudgetExceededError(f"more than {DEFAULT_CLIQUE_CAP} maximal complete subgraphs")
+    return sorted(found, key=lambda c: tuple(sorted(c)))
 
 
 def _maximal(g: Graph) -> Iterator[frozenset[str]]:
@@ -355,43 +375,16 @@ def _clique_levels(closed: Mapping[int, int]) -> Iterator[list[int]]:
         level = [(c | b, grow & later[b]) for c, grow in level for b in _bits(grow)]
 
 
-def complete_subgraphs(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> list[frozenset[str]]:
-    """Every nonempty vertex set inducing a complete subgraph, by size and then
-    lexicographically, decoded from the `clique_masks` levels of `g._masks`;
-    raises BudgetExceededError at the level that takes the count past `cap`,
-    before listing a larger one.  The family is listed once per Graph object
-    and kept with it, so a later call returns a fresh list of it, or raises
-    without listing when it has more than `cap` members.
-    The slot is written by hand because `cap` decides whether a listing is kept."""
-    found = g.__dict__.get("_cliques")
-    if found is None:
-        labels, _, closed = g._masks
-        out: list[frozenset[str]] = []
-        prefix = {0: frozenset()}  # the last level's members by mask
-        for level in _clique_levels(closed):
-            if len(out) + len(level) > cap:
-                raise BudgetExceededError(f"more than {cap} complete subgraphs")
-            prefix = {c: prefix[c ^ (1 << top)] | {labels[top]}
-                      for c in level for top in (c.bit_length() - 1,)}
-            out.extend(prefix.values())
-        found = g.__dict__["_cliques"] = tuple(out)
-    elif len(found) > cap:
-        raise BudgetExceededError(f"more than {cap} complete subgraphs")
-    return list(found)
+def complete_subgraphs(g: Graph) -> list[frozenset[str]]:
+    """A fresh list of `g._cliques`, the clique family g lists once and keeps."""
+    return list(g._cliques)
 
 
 def enumerate_complete_subgraphs(g: Graph, mode: str = "all") -> CliqueFamily:
-    if mode == "maximal":
-        found = list(itertools.islice(_maximal(g), DEFAULT_CLIQUE_CAP + 1))
-        if len(found) > DEFAULT_CLIQUE_CAP:
-            raise BudgetExceededError(
-                f"more than {DEFAULT_CLIQUE_CAP} maximal complete subgraphs")
-        found.sort(key=lambda c: tuple(sorted(c)))
-    elif mode == "all":
-        found = complete_subgraphs(g)
-    else:
+    listing = {"all": complete_subgraphs, "maximal": maximal_cliques}.get(mode)
+    if listing is None:
         raise GraphError(f"unknown enumeration mode {mode!r}")
-    return CliqueFamily(g, mode, tuple(found))
+    return CliqueFamily(g, mode, tuple(listing(g)))
 
 
 def inclusion_order(family: Iterable[frozenset[str]]) -> tuple[list[str], list[tuple[str, str]]]:
@@ -752,10 +745,11 @@ def canonical_form(g: Graph) -> tuple:
     return _canonical_full(g)[0]
 
 
-def are_isomorphic(g1: Graph, g2: Graph, cap: int = DEFAULT_ISO_CAP) -> IsoWitness | None:
-    """A witness bijection if one exists, else None. Deterministic."""
-    if max(len(g1.vertices), len(g2.vertices)) > cap:
-        raise BudgetExceededError(f"isomorphism test capped at {cap} vertices")
+def are_isomorphic(g1: Graph, g2: Graph) -> IsoWitness | None:
+    """A witness bijection if one exists, else None. Deterministic; raises
+    BudgetExceededError past DEFAULT_ISO_CAP vertices."""
+    if max(len(g1.vertices), len(g2.vertices)) > DEFAULT_ISO_CAP:
+        raise BudgetExceededError(f"isomorphism test capped at {DEFAULT_ISO_CAP} vertices")
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
     if sorted(len(g1.adjacency[v]) for v in g1.vertices) != \

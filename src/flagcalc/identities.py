@@ -20,11 +20,10 @@ from .dismantling import (
     CertificateError,
     IContractibility,
     Outcome,
-    apply_move,
     check_certificate,
     is_s_dismantlable_edge,
-    is_s_dismantlable_vertex,
     realize_edge_deletion,
+    replay_moves,
     s_collapse_search,
     s_dismantlable_vertices,
     subdivision_certificate,
@@ -143,13 +142,8 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
         reports.append(PropertyReport(pid, instance, "pass" if ok else "fail", detail))
 
     def record_replay(pid: str, instance: str, g: Graph, moves, end: Graph) -> None:
-        try:
-            for move in moves:
-                g = apply_move(g, move)
-        except CertificateError as exc:
-            record(pid, instance, False, str(exc))
-        else:
-            record(pid, instance, g == end)
+        reached, report = replay_moves(g, moves)
+        record(pid, instance, report.ok and reached == end, report.reason)
 
     checker = IContractibility()
     for g in graphs:
@@ -205,9 +199,8 @@ def run_property_suite(seed: int = 0, max_size: int = 6,
         direct = weak_points(p)
         via_join = weak_points_via_join(p)
         comp = comparability_graph(p)
-        via_graph = [x for x in p.sorted_elements()
-                     if is_s_dismantlable_vertex(comp, x)]
-        record("weak-points-agree-three-ways", _describe(p), direct == via_join == via_graph)
+        record("weak-points-agree-three-ways", _describe(p),
+               direct == via_join == s_dismantlable_vertices(comp))
 
     g, h = stuck_graph(), stuck_graph_reduced()
     no_moves = not s_dismantlable_vertices(g)

@@ -12,7 +12,6 @@ from functools import cached_property
 from typing import Iterable
 
 from .graphs import (
-    DEFAULT_CLIQUE_CAP,
     Graph,
     GraphError,
     _order_graph,
@@ -94,13 +93,17 @@ class SimplicialComplex:
         """Each simplex that has cofaces, mapped to those one dimension up.
 
         In a downward closed family a simplex lies in a larger one exactly when
-        it has such an immediate coface.
+        it has such an immediate coface.  The family is closed exactly when
+        every key is a member, so any other family raises ComplexError.
         """
         cofaces: dict[frozenset[str], list[frozenset[str]]] = {}
         for s in self.simplices:
             if len(s) >= 2:
                 for v in s:
                     cofaces.setdefault(s - {v}, []).append(s)
+        if not cofaces.keys() <= self.simplices:
+            raise ComplexError(f"family not closed under deletion at "
+                               f"{subset_label(_unclosed(self.simplices))}")
         return cofaces
 
     def dimension(self) -> int:
@@ -127,9 +130,9 @@ def full_simplex(labels: Iterable[str]) -> SimplicialComplex:
     return SimplicialComplex.from_maximal([frozenset(labels)])
 
 
-def clique_complex(g: Graph, cap: int = DEFAULT_CLIQUE_CAP) -> SimplicialComplex:
+def clique_complex(g: Graph) -> SimplicialComplex:
     """The complex whose simplices are the complete subgraphs of g."""
-    return SimplicialComplex(frozenset(complete_subgraphs(g, cap)))
+    return SimplicialComplex(frozenset(complete_subgraphs(g)))
 
 
 def one_skeleton(k: SimplicialComplex) -> Graph:
@@ -213,10 +216,13 @@ def _coface_counts(k: SimplicialComplex) -> dict[frozenset[str], int]:
 
     In a downward closed family a face lies in a simplex other than sigma
     exactly when it has an immediate coface other than sigma, so a face of
-    sigma is free when its count is 1.
+    sigma is free when its count is 1.  The counts come from `_shift`, not
+    `_cofaces`, so a certificate's unclosed end reads as a mismatch.
     """
-    cofaces = k._cofaces()
-    return {s: len(cofaces.get(s, ())) for s in k.simplices}
+    counts = dict.fromkeys(k.simplices, 0)
+    for s in k.simplices:
+        _shift(counts, s, 1)
+    return counts
 
 
 def _shift(counts: dict[frozenset[str], int], s: frozenset[str], by: int) -> None:

@@ -85,7 +85,7 @@ PUBLIC_SIGNATURES = {
     'apply_move':
         "(g: 'Graph', m: 'GraphMove') -> 'Graph'",
     'are_isomorphic':
-        "(g1: 'Graph', g2: 'Graph', cap: 'int' = 256) -> 'IsoWitness | None'",
+        "(g1: 'Graph', g2: 'Graph') -> 'IsoWitness | None'",
     'barycentric_complex':
         "(k: 'SimplicialComplex') -> 'SimplicialComplex'",
     'barycentric_graph':
@@ -103,7 +103,7 @@ PUBLIC_SIGNATURES = {
     'check_poset_certificate':
         "(c: 'PosetCertificate') -> 'CheckReport'",
     'clique_complex':
-        "(g: 'Graph', cap: 'int' = 1000000) -> 'SimplicialComplex'",
+        "(g: 'Graph') -> 'SimplicialComplex'",
     'clique_poset':
         "(g: 'Graph') -> 'Poset'",
     'collapse_search':
@@ -113,7 +113,7 @@ PUBLIC_SIGNATURES = {
     'complete_graph':
         "(labels: 'Iterable[str]') -> 'Graph'",
     'complete_subgraphs':
-        "(g: 'Graph', cap: 'int' = 1000000) -> 'list[frozenset[str]]'",
+        "(g: 'Graph') -> 'list[frozenset[str]]'",
     'cycle_graph':
         "(labels: 'Iterable[str]') -> 'Graph'",
     'delete_open_star':

@@ -59,6 +59,21 @@ def test_reduce_modes(tmp_path, capsys, k3_file):
     assert code == 0
 
 
+def test_reduce_dismantle_prints_the_head_line_of_every_mode(tmp_path, capsys, k3_file):
+    code, out, _ = run(capsys, "reduce", k3_file, "--mode", "dismantle")
+    assert code == 0 and out == "yes nodes=2 budget=100000\n-v a\nw c:b\n-v b\nw\n"
+
+    prism = tmp_path / "prism.graph"
+    run(capsys, "corpus", "dump", "prism-6", "--out", str(prism))
+    code, out, _ = run(capsys, "reduce", str(prism), "--mode", "dismantle")
+    assert (code, out) == (1, "no nodes=1 budget=100000\n")
+
+    empty = tmp_path / "empty.graph"
+    empty.write_text("")
+    code, out, err = run(capsys, "reduce", str(empty), "--mode", "dismantle")
+    assert (code, out, err) == (3, "", "error: empty graph\n")
+
+
 def test_reduce_with_target(tmp_path, capsys, k3_file):
     target = tmp_path / "k1.graph"
     target.write_text("v a\n")

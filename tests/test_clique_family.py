@@ -3,6 +3,7 @@ computed once per Graph object and kept with it; the caps still hold, and a
 graph that keeps them still pickles and deep-copies."""
 
 import copy
+import functools
 import pickle
 
 import pytest
@@ -66,22 +67,12 @@ def test_one_graph_lists_its_cliques_once(listings):
     assert bd == barycentric_graph(fresh) and cert == subdivision_certificate(fresh)
 
 
-def test_a_kept_family_answers_a_smaller_cap_without_listing(listings):
+def test_a_listing_that_raised_keeps_nothing(monkeypatch):
     g = _sample()
-    n = len(complete_subgraphs(g))
-    message = f"^more than {n - 1} complete subgraphs$"
-    with pytest.raises(BudgetExceededError, match=message):
-        complete_subgraphs(g, cap=n - 1)
-    with pytest.raises(BudgetExceededError, match=message):
-        clique_complex(g, cap=n - 1)
-    assert len(complete_subgraphs(g, cap=n)) == n
-    assert len(listings) == 1
-
-
-def test_a_listing_that_raised_keeps_nothing():
-    g = _sample()
-    with pytest.raises(BudgetExceededError, match="^more than 5 complete subgraphs$"):
-        complete_subgraphs(g, cap=5)
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "DEFAULT_CLIQUE_CAP", 5)
+        with pytest.raises(BudgetExceededError, match="^more than 5 complete subgraphs$"):
+            complete_subgraphs(g)
     assert complete_subgraphs(g) == complete_subgraphs(_fresh(g))
 
 
@@ -114,7 +105,9 @@ def _complement_of_triangles(k: int) -> Graph:
     return Graph.make(vs, [(a, b) for a in vs for b in vs if a < b and a[1] != b[1]])
 
 
-def test_the_maximal_cap_bounds_the_cliques_built(monkeypatch):
+def _cliques_built_past_a_cap_of_100(monkeypatch, listing) -> int:
+    """How many frozensets `listing` builds on 3^10 maximal cliques before it
+    raises at a monkeypatched cap of 100."""
     g = _complement_of_triangles(10)
     g.adjacency  # built before the count starts
     built = []
@@ -126,8 +119,17 @@ def test_the_maximal_cap_bounds_the_cliques_built(monkeypatch):
     monkeypatch.setattr(graphs, "frozenset", counted, raising=False)
     monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_CAP", 100)
     with pytest.raises(BudgetExceededError, match="^more than 100 maximal complete subgraphs$"):
-        enumerate_complete_subgraphs(g, "maximal")
-    assert len(built) <= 101
+        listing(g)
+    return len(built)
+
+
+def test_the_maximal_cap_bounds_the_cliques_built(monkeypatch):
+    listing = functools.partial(enumerate_complete_subgraphs, mode="maximal")
+    assert _cliques_built_past_a_cap_of_100(monkeypatch, listing) <= 101
+
+
+def test_maximal_cliques_stops_past_the_cap(monkeypatch):
+    assert _cliques_built_past_a_cap_of_100(monkeypatch, maximal_cliques) <= 101
 
 
 def test_the_maximal_family_under_the_cap_is_unchanged():

@@ -20,6 +20,7 @@ from flagcalc import (
     path_graph,
     subset_label,
 )
+from flagcalc import graphs as graphs_module
 from flagcalc.graphs import fresh_labels
 
 
@@ -148,14 +149,15 @@ def test_enumerate_examples():
 
 
 @pytest.mark.parametrize("cap,count", [(0, None), (8, None), (36, None), (254, None), (255, 255)])
-def test_enumeration_budget(cap, count):
+def test_enumeration_budget(monkeypatch, cap, count):
     """K8 has 255 complete subgraphs, 8 + 28 = 36 of them with at most two
-    vertices: the cap raises iff there are more than `cap`."""
+    vertices: the cap raises iff there are more than DEFAULT_CLIQUE_CAP."""
+    monkeypatch.setattr(graphs_module, "DEFAULT_CLIQUE_CAP", cap)
     if count is None:
-        with pytest.raises(BudgetExceededError):
-            complete_subgraphs(complete_graph("abcdefgh"), cap=cap)
+        with pytest.raises(BudgetExceededError, match=f"^more than {cap} complete subgraphs$"):
+            complete_subgraphs(complete_graph("abcdefgh"))
     else:
-        assert len(complete_subgraphs(complete_graph("abcdefgh"), cap=cap)) == count
+        assert len(complete_subgraphs(complete_graph("abcdefgh"))) == count
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,10 +185,13 @@ def test_isomorphism_examples():
     assert are_isomorphic(c4, split) is None
 
 
-def test_isomorphism_cap():
+def test_isomorphism_cap(monkeypatch):
+    monkeypatch.setattr(graphs_module, "DEFAULT_ISO_CAP", 8)
+    small = edgeless_graph(str(i) for i in range(8))
+    assert are_isomorphic(small, small) is not None
     big = edgeless_graph(str(i) for i in range(9))
-    with pytest.raises(BudgetExceededError):
-        are_isomorphic(big, big, cap=8)
+    with pytest.raises(BudgetExceededError, match="^isomorphism test capped at 8 vertices$"):
+        are_isomorphic(big, big)
 
 
 @settings(max_examples=30, deadline=None)

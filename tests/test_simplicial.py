@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +45,9 @@ from flagcalc.simplicial import (
     inclusion_graph_moves_for_collapse,
     skeleton_move_for_collapse,
 )
+from flagcalc import graphs
+from flagcalc.dismantling import CheckReport
+from flagcalc.textio import format_complex
 from flagcalc.identities import random_complex, random_graph
 
 from .helpers import brute_force_chains
@@ -68,13 +72,14 @@ def test_clique_complex_examples():
 
 
 @pytest.mark.parametrize("cap,count", [(0, None), (8, None), (36, None), (254, None), (255, 255)])
-def test_clique_complex_budget(cap, count):
+def test_clique_complex_budget(monkeypatch, cap, count):
     """K8 has 255 complete subgraphs: the cap raises iff there are more."""
+    monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_CAP", cap)
     if count is None:
         with pytest.raises(BudgetExceededError):
-            clique_complex(complete_graph("abcdefgh"), cap=cap)
+            clique_complex(complete_graph("abcdefgh"))
     else:
-        assert len(clique_complex(complete_graph("abcdefgh"), cap=cap).simplices) == count
+        assert len(clique_complex(complete_graph("abcdefgh")).simplices) == count
 
 
 def test_is_flag():
@@ -233,6 +238,24 @@ def test_collapse_search_refuses_a_family_not_closed_under_deletion():
     for k, target in ((edge, None), (half, None), (half, point), (point, half)):
         with pytest.raises(ComplexError, match=r"not closed under deletion at \[a,b\]"):
             collapse_search(k, target)
+
+
+@pytest.mark.parametrize("family,least", [
+    (("ab", "a"), "[a,b]"),  # free_pairs offered (ab, b), and b is no member
+    (("abc", "ab", "a", "b", "c"), "[a,b,c]"),  # maximal_simplices listed c
+])
+def test_free_faces_refuse_a_family_not_closed_under_deletion(family, least):
+    k = SimplicialComplex(frozenset(map(frozenset, family)))
+    message = rf"^family not closed under deletion at {re.escape(least)}$"
+    for ask in (free_pairs, SimplicialComplex.maximal_simplices, format_complex):
+        with pytest.raises(ComplexError, match=message):
+            ask(k)
+
+
+def test_a_certificate_ending_in_a_family_not_closed_is_a_mismatch():
+    half = SimplicialComplex(frozenset(map(frozenset, ("ab", "a"))))
+    report = check_complex_certificate(ComplexCertificate(HOLLOW, (), half))
+    assert report == CheckReport(False, 0, "end complex mismatch")
 
 
 def test_barycentric_complex_small():
