@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -391,28 +391,58 @@ def inclusion_order(family: Iterable[frozenset[str]]) -> tuple[list[str], list[t
     """The labels of a family's members, in its order, and the (subset,
     superset) label pairs of every strict inclusion in the family, each once.
 
-    The family must be closed under nonempty subsets.  Each member is labelled
-    once, and members are taken in size order, so a member's strict down-set is
-    the union of its facets' down-sets and the facets' labels: no subset is
-    listed or labelled again.  A member missing one of its facets raises
-    GraphError naming that facet.
+    The family must be closed under nonempty subsets.  Each label gets one bit
+    and each member the mask of its labels' bits, so a member's strict
+    down-set is the nonempty proper submasks of its mask, walked as
+    `sub = (sub - 1) & m`, and nothing is built per subset but its pair.  A
+    submask outside the family raises GraphError naming the least member (by
+    size, then labels) missing a facet and its least missing facet; two
+    members with one label raise GraphError naming both.
     """
-    label = {s: subset_label(s) for s in family}
-    below: dict[frozenset[str], set[str]] = {}
+    bit: dict[str, int] = {}
+    member: dict[int, frozenset[str]] = {}
+    for s in family:
+        m = 0
+        for v in s:
+            b = bit.get(v)
+            if b is None:
+                b = bit[v] = 1 << len(bit)
+            m |= b
+        member[m] = s
+    label = {m: subset_label(s) for m, s in member.items()}
+    if len(set(label.values())) < len(label):
+        seen: dict[str, frozenset[str]] = {}
+        for s in sorted(member.values(), key=_size_then_labels):
+            first = seen.setdefault(subset_label(s), s)
+            if first is not s:
+                raise GraphError(f"members {sorted(first)} and {sorted(s)} share the "
+                                 f"label {subset_label(s)}")
     out = []
-    for top in sorted(label, key=len):
-        down = below[top] = set()
-        if len(top) > 1:
-            for v in top:
-                facet = top - {v}
-                if facet not in label:
-                    raise GraphError(f"{label[top]} is in the family but its facet "
-                                     f"{subset_label(facet)} is not")
-                down.add(label[facet])
-                down |= below[facet]
-        hi = label[top]
-        out.extend((lo, hi) for lo in down)
+    append = out.append
+    try:
+        for m, hi in label.items():
+            sub = (m - 1) & m
+            while sub:
+                append((label[sub], hi))
+                sub = (sub - 1) & m
+    except KeyError:
+        members = frozenset(member.values())
+        top = _unclosed(members)
+        facet = min((top - {v} for v in top if top - {v} not in members), key=sorted)
+        raise GraphError(f"{subset_label(top)} is in the family but its facet "
+                         f"{subset_label(facet)} is not") from None
     return list(label.values()), out
+
+
+def _size_then_labels(s: frozenset[str]) -> tuple[int, list[str]]:
+    return len(s), sorted(s)
+
+
+def _unclosed(family: Collection[frozenset[str]]) -> frozenset[str] | None:
+    """The least member (by size, then labels) missing one of its facets, or
+    None when the family is downward closed."""
+    bad = [s for s in family if len(s) > 1 and any(s - {v} not in family for v in s)]
+    return min(bad, key=_size_then_labels) if bad else None
 
 
 def _order_graph(labels: Sequence[str], pairs: Sequence[tuple[str, str]]) -> Graph:

@@ -9,9 +9,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .graphs import Graph, complete_subgraphs, greedy_core, inclusion_order, subset_label
+from .graphs import Graph, complete_subgraphs, greedy_core, subset_label
 from .dismantling import (
     CheckReport,
     CertificateError,
@@ -110,9 +110,30 @@ class Poset:
         return self.induced(self.elements - {x})
 
     def covers(self) -> list[tuple[str, str]]:
-        """Hasse diagram: pairs x < y with nothing strictly between."""
-        return sorted((x, y) for x, y in self.relation
-                      if self.above_map[x].isdisjoint(self.below_map[y]))
+        """Hasse diagram: pairs x < y with nothing strictly between, sorted.
+
+        Bit i stands for the i-th sorted element, and up[i] is the mask of the
+        elements above it; y covers x when y is above x and above nothing that
+        is above x, so x's covers are up[x] less the OR of those elements' ups.
+        """
+        els = self.sorted_elements()
+        index = {x: i for i, x in enumerate(els)}
+        up = [0] * len(els)
+        for x, y in self.relation:
+            up[index[x]] |= 1 << index[y]
+        out = []
+        for x, above in zip(els, up):
+            between, rest = 0, above
+            while rest:
+                low = rest & -rest
+                between |= up[low.bit_length() - 1]
+                rest ^= low
+            cov = above & ~between
+            while cov:
+                low = cov & -cov
+                out.append((x, els[low.bit_length() - 1]))
+                cov ^= low
+        return out
 
     def maximum(self) -> str | None:
         for m in self.elements:
@@ -355,16 +376,9 @@ def comparability_graph(p: Poset) -> Graph:
     return Graph.make(p.elements, ((x, y) for x, y in p.relation))
 
 
-def _inclusion_poset(family: Collection[frozenset[str]]) -> Poset:
-    """A family closed under nonempty subsets, ordered by inclusion."""
-    labels, pairs = inclusion_order(family)
-    return Poset(frozenset(labels), frozenset(pairs))
-
-
 def clique_poset(g: Graph) -> Poset:
     """Complete subgraphs of g ordered by inclusion, read from g's `_clique_order`."""
-    labels, pairs = g._clique_order
-    return Poset(frozenset(labels), frozenset(pairs))
+    return Poset(*map(frozenset, g._clique_order))
 
 
 def order_complex(p: Poset) -> SimplicialComplex:
@@ -373,13 +387,13 @@ def order_complex(p: Poset) -> SimplicialComplex:
 
 
 def face_poset(k: SimplicialComplex) -> Poset:
-    """Simplices of k ordered by inclusion."""
-    return _inclusion_poset(k.simplices)
+    """Simplices of k ordered by inclusion, read from k's `_face_order`."""
+    return Poset(*map(frozenset, k._face_order))
 
 
 def barycentric_poset(p: Poset) -> Poset:
     """Nonempty chains of p ordered by inclusion of underlying sets."""
-    return _inclusion_poset(chains(p.above_map))
+    return face_poset(order_complex(p))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +480,9 @@ def weak_point_cascade(g: Graph, v: str) -> PosetCertificate:
     if not is_s_dismantlable_vertex(g, v):
         raise CertificateError(f"open neighborhood of {v!r} is not dismantlable")
     start = clique_poset(g)
-    label_to_clique = {subset_label(c): c
-                       for c in complete_subgraphs(g.open_neighborhood_subgraph(v))}
-    order = greedy_poset_dismantling(_inclusion_poset(label_to_clique.values()))
+    link = g.open_neighborhood_subgraph(v)
+    label_to_clique = {subset_label(c): c for c in complete_subgraphs(link)}
+    order = greedy_poset_dismantling(clique_poset(link))
     assert order is not None  # clique posets of dismantlable graphs dismantle
     removed_labels = [s.removed for s in order.steps]
     (survivor,) = label_to_clique.keys() - set(removed_labels)

@@ -15,6 +15,8 @@ from .graphs import (
     Graph,
     GraphError,
     _order_graph,
+    _size_then_labels,
+    _unclosed,
     complete_subgraphs,
     inclusion_order,
     reduced_betti,
@@ -78,16 +80,22 @@ class SimplicialComplex:
             out.update(s)
         return frozenset(out)
 
+    @cached_property
+    def _face_order(self) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+        """`inclusion_order` of the simplices, as tuples."""
+        labels, pairs = inclusion_order(self.simplices)
+        return tuple(labels), tuple(pairs)
+
     def __contains__(self, simplex: Iterable[str]) -> bool:
         return frozenset(simplex) in self.simplices
 
     def sorted_simplices(self) -> list[frozenset[str]]:
-        return sorted(self.simplices, key=lambda s: (len(s), tuple(sorted(s))))
+        return sorted(self.simplices, key=_size_then_labels)
 
     def maximal_simplices(self) -> list[frozenset[str]]:
         cofaces = self._cofaces()
         out = [s for s in self.simplices if s not in cofaces]
-        return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+        return sorted(out, key=_size_then_labels)
 
     def _cofaces(self) -> dict[frozenset[str], list[frozenset[str]]]:
         """Each simplex that has cofaces, mapped to those one dimension up.
@@ -116,13 +124,6 @@ class SimplicialComplex:
         if s not in self.simplices:
             raise ComplexError(f"unknown simplex {subset_label(s)}")
         return s
-
-
-def _unclosed(simplices) -> frozenset[str] | None:
-    """The least member (by size, then labels) missing one of its facets, or
-    None when the family is downward closed."""
-    bad = [s for s in simplices if len(s) > 1 and any(s - {v} not in simplices for v in s)]
-    return min(bad, key=lambda s: (len(s), tuple(sorted(s)))) if bad else None
 
 
 def full_simplex(labels: Iterable[str]) -> SimplicialComplex:
@@ -189,7 +190,7 @@ def _coface_error(simplices, pair: CollapsePair) -> str | None:
     others = [t for t in simplices if t != pair.sigma and pair.tau < t]
     if not others:
         return None
-    t = min(others, key=lambda s: (len(s), tuple(sorted(s))))
+    t = min(others, key=_size_then_labels)
     return f"{subset_label(pair.tau)} is also a face of {subset_label(t)}"
 
 
@@ -422,7 +423,7 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
 
 def inclusion_graph(k: SimplicialComplex) -> Graph:
     """Graph on the simplices of k, joined when one strictly contains the other."""
-    return _order_graph(*inclusion_order(k.simplices))
+    return _order_graph(*k._face_order)
 
 
 def chains(above: dict[str, Iterable[str]]) -> list[frozenset[str]]:
@@ -443,7 +444,7 @@ def chains(above: dict[str, Iterable[str]]) -> list[frozenset[str]]:
 
 def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
     """Simplices are the chains of simplices of k ordered by inclusion."""
-    labels, pairs = inclusion_order(k.simplices)
+    labels, pairs = k._face_order
     above: dict[str, list[str]] = {label: [] for label in labels}
     for lo, hi in pairs:
         above[lo].append(hi)

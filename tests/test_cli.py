@@ -319,3 +319,19 @@ def test_map_writes_no_graph_that_check_refuses(tmp_path, capsys, functor, name,
     code, _, err = run(capsys, "map", functor, str(src), "--out", str(out))
     assert code == 3 and repr(label) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("functor, name, text", [
+    ("face-poset", "c.complex", "[a b]\n[a,b]\n"),
+    ("gamma", "c.complex", "[a b]\n[a,b]\n"),
+    ("bd", "c.complex", "[a b]\n[a,b]\n"),
+    ("bd", "p.poset", "p [a\np b]\np [a,b]\n< [a b]\n"),
+])
+def test_map_refuses_members_that_share_a_label(tmp_path, capsys, functor, name, text):
+    # {[a, b]} and {[a,b]} are both labelled [[a,b]], which would merge them.
+    src, out = tmp_path / name, tmp_path / "out"
+    src.write_text(text)
+    assert run(capsys, "check", name.split(".")[1], str(src))[0] == 0
+    code, _, err = run(capsys, "map", functor, str(src), "--out", str(out))
+    assert code == 3 and "share the label [[a,b]]" in err
+    assert not out.exists()

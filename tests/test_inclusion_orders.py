@@ -1,11 +1,16 @@
 """Inclusion orders and chain families against pairwise reference builders,
-and pinned digests of every map functor's text output."""
+a complex's kept order, and pinned digests of every map functor's text output."""
 
+import copy
 import functools
 import hashlib
+import itertools
 import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -29,6 +34,7 @@ from flagcalc import (
     subset_label,
     textio,
 )
+from flagcalc import posets, simplicial
 from flagcalc.corpus import dunce_hat_graph, dunce_hat_poset
 from flagcalc.graphs import inclusion_order
 from flagcalc.identities import random_complex, random_graph, random_poset
@@ -79,13 +85,14 @@ def _check_poset(p: Poset) -> None:
 @given(st.integers(0, 100_000))
 def test_graph_inclusion_builders_match_pairwise_reference(seed):
     rng = random.Random(seed)
-    g = random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7)))
-    family = complete_subgraphs(g)
-    _check_pairs(family)
-    labels = [subset_label(c) for c in family]
-    pairs = pairwise_inclusion_pairs(family)
-    assert barycentric_graph(g) == Graph.make(labels, pairs)
-    assert clique_poset(g) == Poset(frozenset(labels), frozenset(pairs))
+    for g in (random_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.5, 0.7))),
+              random_copwin_graph(rng, rng.randint(1, 9), rng.uniform(0.3, 0.9))):
+        family = complete_subgraphs(g)
+        _check_pairs(family)
+        labels = [subset_label(c) for c in family]
+        pairs = pairwise_inclusion_pairs(family)
+        assert barycentric_graph(g) == Graph.make(labels, pairs)
+        assert clique_poset(g) == Poset(frozenset(labels), frozenset(pairs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,6 +107,19 @@ def test_complex_builders_match_pairwise_reference(seed):
 def test_poset_builders_match_pairwise_reference(seed):
     rng = random.Random(seed)
     _check_poset(random_poset(rng, rng.randint(0, 7), rng.choice((0.3, 0.5, 0.7))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 100_000))
+def test_covers_match_pairwise_reference_when_labels_do_not_sort_as_the_order(seed):
+    # random_poset's letters sort as a linear extension; renamed at random they
+    # need not, so an element's up-mask may hold bits below its own.
+    rng = random.Random(seed)
+    p = random_poset(rng, rng.randint(0, 12), rng.choice((0.2, 0.4, 0.6)))
+    names = dict(zip(sorted(p.elements), rng.sample(range(100), len(p.elements))))
+    q = Poset.make((f"e{names[x]}" for x in p.elements),
+                   ((f"e{names[x]}", f"e{names[y]}") for x, y in p.relation))
+    assert q.covers() == pairwise_covers(q)
 
 
 def test_builders_match_pairwise_reference_on_the_dunce_hat():
@@ -144,6 +164,86 @@ def test_inclusion_order_of_long_chain_families_matches_pairwise_reference():
 def test_an_unclosed_family_is_refused_naming_the_missing_facet(family, missing):
     with pytest.raises(GraphError, match=re.escape(missing)):
         inclusion_order(family)
+
+
+UNCLOSED = [frozenset(s) for s in ("abc", "abd", "a", "b", "c", "d")]
+UNCLOSED_MESSAGE = "[a,b,c] is in the family but its facet [a,b] is not"
+
+
+def test_the_missing_facet_is_the_least_in_every_member_order():
+    for order in itertools.permutations(UNCLOSED):
+        with pytest.raises(GraphError) as err:
+            inclusion_order(order)
+        assert str(err.value) == UNCLOSED_MESSAGE
+    for functor in (face_poset, inclusion_graph, barycentric_complex):
+        with pytest.raises(GraphError) as err:
+            functor(SimplicialComplex(frozenset(UNCLOSED)))
+        assert str(err.value) == UNCLOSED_MESSAGE
+
+
+def test_the_missing_facet_does_not_depend_on_the_hash_seed():
+    import flagcalc
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flagcalc.__file__)))
+    script = ("from flagcalc import SimplicialComplex, face_poset, inclusion_graph\n"
+              "k = SimplicialComplex(frozenset(map(frozenset, 'abc abd a b c d'.split())))\n"
+              "for f in (face_poset, inclusion_graph):\n"
+              "    try:\n"
+              "        f(k)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n")
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out == f"{UNCLOSED_MESSAGE}\n" * 2
+
+
+def test_members_sharing_a_label_are_refused_naming_both():
+    message = "members ['[a,b]'] and ['[a', 'b]'] share the label [[a,b]]"
+    family = [frozenset({"[a", "b]"}), frozenset({"[a"}), frozenset({"b]"}),
+              frozenset({"[a,b]"})]
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        inclusion_order(family)
+    k = SimplicialComplex.from_maximal([{"[a", "b]"}, {"[a,b]"}])
+    for functor in (face_poset, inclusion_graph, barycentric_complex):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            functor(k)
+    p = Poset.make(["[a", "b]", "[a,b]"], [("[a", "b]")])
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        barycentric_poset(p)
+
+
+# ---------------------------------------------------------------------------
+# a complex's inclusion order is kept with it
+
+
+def test_a_complex_orders_its_faces_once(monkeypatch):
+    calls = []
+
+    def counting(family):
+        calls.append(family)
+        return inclusion_order(family)
+
+    for module in (simplicial, posets):
+        monkeypatch.setattr(module, "inclusion_order", counting, raising=False)
+    k = clique_complex(random_copwin_graph(random.Random(3), 8))
+    labels = [subset_label(s) for s in k.simplices]
+    pairs = pairwise_inclusion_pairs(k.simplices)
+    assert face_poset(k) == Poset(frozenset(labels), frozenset(pairs))
+    assert inclusion_graph(k) == Graph.make(labels, pairs)
+    assert barycentric_complex(k) == order_complex(face_poset(k))
+    assert len(calls) == 1
+
+
+def test_a_complex_with_its_kept_order_pickles_and_deep_copies():
+    k = clique_complex(dunce_hat_graph())
+    answers = (face_poset(k), inclusion_graph(k), barycentric_complex(k))
+    assert "_face_order" in vars(k)
+    for twin in (pickle.loads(pickle.dumps(k)), copy.deepcopy(k)):
+        assert twin == k and hash(twin) == hash(k)
+        assert twin._face_order == k._face_order
+        assert (face_poset(twin), inclusion_graph(twin), barycentric_complex(twin)) == answers
 
 
 # ---------------------------------------------------------------------------
