@@ -252,6 +252,69 @@ class CheckReport:
         return self.ok
 
 
+@dataclass(frozen=True)
+class Rules:
+    """One structure kind's replay record, read by every builder, checker and
+    parser of its certificates.  `work(x)` is a mutable working state holding
+    the value x, and `value(state)` its value.  `error(state, move)` says why a
+    move cannot be applied, or None; `fit` is the half of it that a parser
+    checks, all but the witness (None when no parser reads the kind).
+    `apply(state, move)` may update the state in place and returns the state to
+    go on from.  `cert(start, moves, end)` is the kind's certificate."""
+
+    noun: str
+    cert: Callable
+    work: Callable
+    value: Callable
+    fit: Callable | None
+    error: Callable
+    apply: Callable
+
+    def replay(self, state, moves: Iterable, vet: Callable) -> tuple[object, CheckReport]:
+        """Apply the moves in turn, each first vetted by `vet(state, move)`, `fit`
+        in a parser and `error` elsewhere: the state reached and a passing report,
+        or the state before the first rejected move and its index and reason."""
+        for i, m in enumerate(moves):
+            err = vet(state, m)
+            if err:
+                return state, CheckReport(False, i, err)
+            state = self.apply(state, m)
+        return state, CheckReport(True)
+
+    def build(self, state, moves: Iterable) -> tuple[object, tuple]:
+        """Replay moves as a producer makes them: (state reached, the moves).
+
+        The producer may read the working state, which holds every earlier move
+        applied by the time the producer is resumed.  So it must compute, before
+        it yields a move, anything that reads the state as it was before that
+        move: `_edge_deletion_moves` builds the removal's witness before it yields
+        the addition, because the addition puts the clone into `adj[renamed]`.
+        The first rejected move raises CertificateError with its reason, and the
+        producer is not advanced past it.
+        """
+        made: list = []
+        end, report = self.replay(state, (made.append(m) or m for m in moves), self.error)
+        if not report:
+            raise CertificateError(report.reason)
+        return end, tuple(made)
+
+    def certificate(self, start, producer: Callable):
+        """The certificate of the moves `producer(state)` makes on `work(start)`,
+        vetted through `build`, ending at the value of the state reached."""
+        state = self.work(start)
+        end, made = self.build(state, producer(state))
+        return self.cert(start, made, self.value(end))
+
+    def check(self, cert) -> CheckReport:
+        """Replay a certificate's moves on `work(start)` and compare with `work(end)`."""
+        end, report = self.replay(self.work(cert.start), cert.moves, self.error)
+        if not report:
+            return report
+        if end != self.work(cert.end):
+            return CheckReport(False, len(cert.moves), f"end {self.noun} mismatch")
+        return CheckReport(True)
+
+
 def _fit_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
     """Why m cannot be applied to the working state at all: the half of
     _move_error that a parser checks, everything but the witness."""
@@ -318,66 +381,22 @@ def _apply_move(adj: dict[str, set[str]], m: GraphMove) -> dict[str, set[str]]:
     return adj
 
 
+GRAPH = Rules("graph", MoveCertificate, _working, _graph_of, _fit_error, _move_error, _apply_move)
+
+
 def apply_move(g: Graph, m: GraphMove) -> Graph:
-    return _graph_of(build(_working(g), (m,), _move_error, _apply_move)[0])
-
-
-def replay(start, moves: Iterable, error: Callable,
-           apply: Callable) -> tuple[object, CheckReport]:
-    """Apply the moves in turn, each first vetted by `error(state, move)`.
-
-    `apply(state, move)` may update the state in place; it returns the state
-    to go on from.  Returns the state reached and a passing report, or the
-    state before the first rejected move and a failed report carrying its
-    index and reason.
-    """
-    cur = start
-    for i, m in enumerate(moves):
-        err = error(cur, m)
-        if err:
-            return cur, CheckReport(False, i, err)
-        cur = apply(cur, m)
-    return cur, CheckReport(True)
-
-
-def build(state, moves: Iterable, error: Callable, apply: Callable) -> tuple[object, tuple]:
-    """Replay moves as a producer makes them: (state reached, the moves).
-
-    The producer may read the working state, which holds every earlier move
-    applied by the time the producer is resumed.  So it must compute, before
-    it yields a move, anything that reads the state as it was before that
-    move: `_edge_deletion_moves` builds the removal's witness before it yields
-    the addition, because the addition puts the clone into `adj[renamed]`.
-    The first rejected move raises CertificateError with its reason, and the
-    producer is not advanced past it.
-    """
-    made: list = []
-    end, report = replay(state, (made.append(m) or m for m in moves), error, apply)
-    if not report:
-        raise CertificateError(report.reason)
-    return end, tuple(made)
-
-
-def check_replay(cert, work: Callable, error: Callable, apply: Callable,
-                 kind: str) -> CheckReport:
-    """Replay a certificate's moves on `work(start)` and compare with `work(end)`."""
-    end, report = replay(work(cert.start), cert.moves, error, apply)
-    if not report:
-        return report
-    if end != work(cert.end):
-        return CheckReport(False, len(cert.moves), f"end {kind} mismatch")
-    return CheckReport(True)
+    return GRAPH.certificate(g, lambda _: (m,)).end
 
 
 def check_certificate(c: MoveCertificate) -> CheckReport:
     """Replay all moves from the start graph, validating every witness."""
-    return check_replay(c, _working, _move_error, _apply_move, "graph")
+    return GRAPH.check(c)
 
 
 def replay_moves(g: Graph, moves: Iterable[GraphMove]) -> tuple[Graph, CheckReport]:
     """Replay moves from g, validating every witness: the graph reached (before
     the first rejected move, if any) and the report."""
-    end, report = replay(_working(g), moves, _move_error, _apply_move)
+    end, report = GRAPH.replay(_working(g), moves, _move_error)
     return _graph_of(end), report
 
 
@@ -431,9 +450,7 @@ def realize_edge_deletion(g: Graph, e: Iterable[str]) -> MoveCertificate:
     the end graph is the edge-deleted graph with the endpoint renamed to x.
     """
     a, b = g._require_edge(e)
-    adj = _working(g)
-    adj, moves = build(adj, _edge_deletion_moves(adj, a, b, ()), _move_error, _apply_move)
-    return MoveCertificate(g, moves, _graph_of(adj))
+    return GRAPH.certificate(g, lambda adj: _edge_deletion_moves(adj, a, b, ()))
 
 
 def _edge_deletion_moves(adj: dict[str, set[str]], renamed: str, other: str,
@@ -497,9 +514,8 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
     if any(m.kind not in VERTEX_MOVES for m in witness.moves):
         raise CertificateError("neighborhood witness must use vertex moves only")
     adds, removals = _additions_first(witness.moves)
-    adj = _working(g)
 
-    def moves() -> Iterator[GraphMove]:
+    def moves(adj) -> Iterator[GraphMove]:
         used, rename = set(g.vertices), {}
         for m in adds:
             label = m.target if m.target not in used else fresh_labels(used, 1)[0]
@@ -519,11 +535,10 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
             yield GraphMove(MoveKind.REMOVE_VERTEX, rename[m.target],
                             witness=_map_order(m.witness, rename))
 
-    adj, made = build(adj, moves(), _move_error, _apply_move)
-    cur = _graph_of(adj)
-    if cur != g.without_vertex(v):  # pragma: no cover - construction guarantees this
+    cert = GRAPH.certificate(g, moves)
+    if cert.end != g.without_vertex(v):  # pragma: no cover - construction guarantees this
         raise CertificateError("cascade did not end at the vertex-deleted graph")
-    return SearchVerdict(Outcome.YES, MoveCertificate(g, made, cur), stats)
+    return SearchVerdict(Outcome.YES, cert, stats)
 
 
 def _map_order(order: DismantlingOrder, mu: dict[str, str]) -> DismantlingOrder:
@@ -544,9 +559,8 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
 
     mu: dict[str, str] = {v: v for v in cert.start.vertices}
     used = set(cert.start.vertices)
-    adj = _working(cert.start)
 
-    def moves() -> Iterator[GraphMove]:
+    def moves(adj) -> Iterator[GraphMove]:
         for m in cert.moves:
             if m.kind is MoveKind.REMOVE_VERTEX:
                 yield GraphMove(MoveKind.REMOVE_VERTEX, mu[m.target],
@@ -577,13 +591,12 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
                 mu[a] = x
                 used.add(x)
 
-    adj, out = build(adj, moves(), _move_error, _apply_move)
-    cur = _graph_of(adj)
+    out = GRAPH.certificate(cert.start, moves)
     mapping = IsoWitness(tuple(sorted((v, mu[v]) for v in cert.end.vertices)))
-    err = mapping.error(cert.end, cur)
+    err = mapping.error(cert.end, out.end)
     if err:  # pragma: no cover - construction guarantees this
         raise CertificateError(f"relabeling is not an isomorphism: {err}")
-    return MoveCertificate(cert.start, out, cur), mapping
+    return out, mapping
 
 
 def subdivision_certificate(g: Graph) -> MoveCertificate:
@@ -628,7 +641,7 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
             steps.extend((u, apex) for u in sorted(adj[v] - set(shrinking)) if u != apex)
             yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=DismantlingOrder(tuple(steps)))
 
-    adj, made = build(adj, moves(), _move_error, _apply_move)
+    adj, made = GRAPH.build(adj, moves())
     bd = barycentric_graph(g)
     if adj != _working(bd):  # pragma: no cover - construction guarantees this
         raise CertificateError("subdivision moves did not end at the subdivision graph")
@@ -831,13 +844,13 @@ def _ws_candidates(*state) -> Iterator[GraphMove]:
     yield from _s_edge_candidates(*state)
 
 
-def _greedy_certificate(g: Graph, keep: frozenset[str]) -> tuple[dict[str, set[str]], tuple]:
-    """build() the greedy deletions outside `keep`, each with its cone witness."""
+def _greedy_certificate(g: Graph, keep: frozenset[str]) -> MoveCertificate:
+    """The certificate of the greedy deletions outside `keep`, each with its cone witness."""
     mv = g._masks
     _, steps = _mask_core(dict(mv.closed), sum(mv.bit[v] for v in keep)) if keep else g._greedy
-    adj = _working(g)
-    return build(adj, (GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
-                       for v, w in _labelled(mv.labels, steps).steps), _move_error, _apply_move)
+    return GRAPH.certificate(g, lambda adj: (
+        GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
+        for v, w in _labelled(mv.labels, steps).steps))
 
 
 def dismantles_onto(g: Graph, h: Graph,
@@ -856,18 +869,18 @@ def dismantles_onto(g: Graph, h: Graph,
         raise GraphError("target is not a label-exact induced subgraph")
     if not g.vertices:
         raise GraphError("empty graph")
-    adj, moves = _greedy_certificate(g, h.vertices)
-    if adj.keys() != h.vertices:
-        return SearchVerdict(Outcome.NO, None, SearchStats(len(moves) + 1, budget))
-    return SearchVerdict(Outcome.YES, MoveCertificate(g, moves, h), SearchStats(len(moves), budget))
+    cert = _greedy_certificate(g, h.vertices)
+    if cert.end.vertices != h.vertices:
+        return SearchVerdict(Outcome.NO, None, SearchStats(len(cert.moves) + 1, budget))
+    return SearchVerdict(Outcome.YES, cert, SearchStats(len(cert.moves), budget))
 
 
 def greedy_dismantling_certificate(g: Graph) -> MoveCertificate | None:
     """The greedy dismantling of g packaged as a replayable move certificate."""
     if not g.vertices:
         raise GraphError("empty graph")
-    adj, moves = _greedy_certificate(g, frozenset())
-    return MoveCertificate(g, moves, _graph_of(adj)) if len(adj) == 1 else None
+    cert = _greedy_certificate(g, frozenset())
+    return cert if len(cert.end.vertices) == 1 else None
 
 
 def s_collapse_search(g: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchVerdict:

@@ -169,6 +169,11 @@ class Graph:
         if v not in self.vertices:
             raise UnknownVertexError(f"unknown vertex {v!r}")
 
+    def _require_all(self, vs: frozenset[str]) -> None:
+        missing = vs - self.vertices
+        if missing:
+            raise UnknownVertexError(f"unknown vertex {min(missing)!r}")
+
     def neighbors(self, v: str) -> frozenset[str]:
         self._require(v)
         return self.adjacency[v]
@@ -197,8 +202,7 @@ class Graph:
 
     def induced(self, subset: Iterable[str]) -> "Graph":
         sub = frozenset(subset)
-        for v in sub:
-            self._require(v)
+        self._require_all(sub)
         return Graph(sub, frozenset(e for e in self.edges if e <= sub))
 
     def open_neighborhood_subgraph(self, v: str) -> "Graph":
@@ -210,8 +214,7 @@ class Graph:
         removed vertices' neighbours change, and the rest share their sets.
         The slot is written by hand so the child never rebuilds it from edges."""
         gone = frozenset(subset)
-        for v in gone:
-            self._require(v)
+        self._require_all(gone)
         adj = self.adjacency
         kept = dict(adj)
         for v in gone:
@@ -236,8 +239,7 @@ class Graph:
         if v in self.vertices:
             raise GraphError(f"vertex {v!r} already present")
         att = frozenset(attachment)
-        for u in att:
-            self._require(u)
+        self._require_all(att)
         return Graph(self.vertices | {v}, self.edges | {edge_key(v, u) for u in att})
 
     def with_edge(self, a: str, b: str) -> "Graph":
@@ -249,9 +251,8 @@ class Graph:
         return Graph(self.vertices, self.edges | {e})
 
     def is_complete_set(self, subset: Iterable[str]) -> bool:
-        sub = sorted(set(subset))
-        for v in sub:
-            self._require(v)
+        sub = frozenset(subset)
+        self._require_all(sub)
         return all(self.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
 
     def suspension(self) -> "Graph":

@@ -12,13 +12,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .graphs import Graph, complete_subgraphs, greedy_core, subset_label
-from .dismantling import (
-    CheckReport,
-    CertificateError,
-    build,
-    check_replay,
-    is_s_dismantlable_vertex,
-)
+from .dismantling import CheckReport, CertificateError, Rules, is_s_dismantlable_vertex
 from .simplicial import SimplicialComplex, chains
 
 
@@ -94,8 +88,9 @@ class Poset:
 
     def induced(self, subset: Iterable[str]) -> "Poset":
         sub = frozenset(subset)
-        for x in sub:
-            self._require(x)
+        missing = sub - self.elements
+        if missing:
+            raise PosetError(f"unknown element {min(missing)!r}")
         return Poset(sub, frozenset((x, y) for x, y in self.relation
                                     if x in sub and y in sub))
 
@@ -431,17 +426,18 @@ def _poset_move_error(state, m: PosetMove) -> str | None:
     else:
         if m.element in up:
             return f"element {m.element!r} already present"
-        for u in m.lower | m.upper:
-            if u not in up:
-                return f"relation endpoint {u!r} not present"
-        for l in m.lower:
+        absent = (m.lower | m.upper).difference(up)  # looks each endpoint up in up
+        if absent:
+            return f"relation endpoint {min(absent)!r} not present"
+        lower, upper = sorted(m.lower), sorted(m.upper)  # so each names its least offender
+        for l in lower:
             if not down[l] <= m.lower:
                 return f"lower set not downward closed at {l!r}"
-        for u in m.upper:
+        for u in upper:
             if not up[u] <= m.upper:
                 return f"upper set not upward closed at {u!r}"
-        for l in m.lower:
-            for u in m.upper:
+        for l in lower:
+            for u in upper:
                 if u not in up[l]:
                     return f"{l!r} < {u!r} would be forced between old elements"
         local = m.lower if m.witness_side == "below" else m.upper
@@ -467,8 +463,12 @@ def _apply_poset_move(state, m: PosetMove):
     return state
 
 
+POSET = Rules("poset", PosetCertificate, _order_sets, _poset_of, None,
+              _poset_move_error, _apply_poset_move)
+
+
 def check_poset_certificate(c: PosetCertificate) -> CheckReport:
-    return check_replay(c, _order_sets, _poset_move_error, _apply_poset_move, "poset")
+    return POSET.check(c)
 
 
 def weak_point_cascade(g: Graph, v: str) -> PosetCertificate:
@@ -490,17 +490,14 @@ def weak_point_cascade(g: Graph, v: str) -> PosetCertificate:
     targets = [subset_label({v})]
     targets.extend(subset_label(label_to_clique[l] | {v}) for l in removed_labels + [survivor])
 
-    state = _order_sets(start)
-
-    def moves() -> Iterator[PosetMove]:
+    def moves(state) -> Iterator[PosetMove]:
         for t in targets:
             wit = _weak_point_witness(state, t)
             if wit is None:  # pragma: no cover - the cascade order guarantees a witness
                 raise CertificateError(f"{t!r} is not a weak point during the cascade")
             yield PosetMove(PosetMoveKind.REMOVE, t, *wit)
 
-    state, made = build(state, moves(), _poset_move_error, _apply_poset_move)
-    end = clique_poset(g.without_vertex(v))
-    if _poset_of(state) != end:  # pragma: no cover - construction guarantees this
+    cert = POSET.certificate(start, moves)
+    if cert.end != clique_poset(g.without_vertex(v)):  # pragma: no cover - by construction
         raise CertificateError("cascade did not end at the vertex-deleted clique poset")
-    return PosetCertificate(start, made, end)
+    return cert

@@ -30,12 +30,11 @@ from .dismantling import (
     GraphMove,
     MoveKind,
     Outcome,
+    Rules,
     SearchStats,
     SearchVerdict,
     _s_witness,
     backtrack,
-    build,
-    check_replay,
     cone_order,
     greedy_dismantling,
 )
@@ -264,7 +263,9 @@ def _pair_fit_error(counts: dict[frozenset[str], int],
         return "pair members already present"
     if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
         return "pair is not a facet pair"
-    for v in pair.sigma:
+    # Dropping a later label leaves a lesser facet by sorted labels, so this
+    # names the least missing facet, as `inclusion_order` does.
+    for v in sorted(pair.sigma, reverse=True):
         face = pair.sigma - {v}
         if face != pair.tau and face and face not in counts:
             return f"facet {subset_label(face)} missing"
@@ -294,12 +295,17 @@ def _apply_pair_move(counts: dict[frozenset[str], int],
     return counts
 
 
+COMPLEX = Rules("complex", ComplexCertificate, _coface_counts,
+                lambda counts: SimplicialComplex(frozenset(counts)),
+                _pair_fit_error, _pair_move_error, _apply_pair_move)
+
+
 def check_complex_certificate(c: ComplexCertificate) -> CheckReport:
     # The coface counts decide freeness only for a downward closed start.
     bad = _unclosed(c.start.simplices)
     if bad is not None:
         return CheckReport(False, 0, f"start not closed under deletion at {subset_label(bad)}")
-    return check_replay(c, _coface_counts, _pair_move_error, _apply_pair_move, "complex")
+    return COMPLEX.check(c)
 
 
 def collapse(k: SimplicialComplex, pair: CollapsePair) -> SimplicialComplex:
@@ -336,21 +342,19 @@ def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],
              for _, p in link_certificate.moves]
     survivor = next(iter(link_certificate.end.simplices))
     moves.append((COLLAPSE, CollapsePair(s | survivor, s)))
-    counts, made = build(_coface_counts(k), moves, _pair_move_error, _apply_pair_move)
-    return ComplexCertificate(k, made, SimplicialComplex(frozenset(counts)))
+    return COMPLEX.certificate(k, lambda _: moves)
 
 
-def _collapse_dominated(start: SimplicialComplex, steps) -> tuple[dict, tuple]:
+def _collapse_dominated(start: SimplicialComplex, steps) -> ComplexCertificate:
     """Collapse start along domination steps (v, w), pairing each simplex through
-    v avoiding w with its extension by w, largest first: (coface counts, moves)."""
-    counts = _coface_counts(start)
+    v avoiding w with its extension by w, largest first."""
 
-    def moves():
+    def moves(counts):
         for v, w in steps:
             carriers = sorted((s for s in counts if v in s and w not in s),
                               key=lambda s: (-len(s), tuple(sorted(s))))
             yield from ((COLLAPSE, CollapsePair(s | {w}, s)) for s in carriers)
-    return build(counts, moves(), _pair_move_error, _apply_pair_move)
+    return COMPLEX.certificate(start, moves)
 
 
 def domination_collapse(g: Graph, v: str, w: str) -> ComplexCertificate:
@@ -363,12 +367,10 @@ def domination_collapse(g: Graph, v: str, w: str) -> ComplexCertificate:
         raise GraphError(f"bad domination pair ({v!r}, {w!r})")
     if not g.closed_neighborhood(v) <= g.closed_neighborhood(w):
         raise CertificateError(f"{w!r} does not dominate {v!r}")
-    start = clique_complex(g)
-    counts, moves = _collapse_dominated(start, ((v, w),))
-    end = clique_complex(g.without_vertex(v))
-    if counts.keys() != end.simplices:  # pragma: no cover - construction guarantees this
+    cert = _collapse_dominated(clique_complex(g), ((v, w),))
+    if cert.end != clique_complex(g.without_vertex(v)):  # pragma: no cover - by construction
         raise CertificateError("collapse did not end at the clique complex of g minus v")
-    return ComplexCertificate(start, moves, end)
+    return cert
 
 
 def collapse_certificate_for_dismantlable(g: Graph) -> ComplexCertificate:
@@ -380,9 +382,7 @@ def collapse_certificate_for_dismantlable(g: Graph) -> ComplexCertificate:
     order = greedy_dismantling(g)
     if order is None:
         raise CertificateError("graph is not greedily dismantlable")
-    start = clique_complex(g)
-    counts, moves = _collapse_dominated(start, order.steps)
-    return ComplexCertificate(start, moves, SimplicialComplex(frozenset(counts)))
+    return _collapse_dominated(clique_complex(g), order.steps)
 
 
 def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = None,

@@ -15,26 +15,14 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph
-from .dismantling import (
-    DismantlingOrder,
-    GraphMove,
-    MoveCertificate,
-    MoveKind,
-    _apply_move,
-    _fit_error,
-    _graph_of,
-    _working,
-    replay,
-)
+from .dismantling import GRAPH, DismantlingOrder, GraphMove, MoveCertificate, MoveKind, Rules
 from .simplicial import (
     ANTICOLLAPSE,
     COLLAPSE,
+    COMPLEX,
     CollapsePair,
     ComplexCertificate,
     SimplicialComplex,
-    _apply_pair_move,
-    _coface_counts,
-    _pair_fit_error,
 )
 from .posets import Poset, PosetError
 
@@ -269,21 +257,19 @@ def parse_moves(text: str) -> tuple[GraphMove, ...]:
     return tuple(m for _, m in _parse_move_lines(text))
 
 
-def _replay_rows(rows: list[tuple[int, object]], state, error: Callable, apply: Callable,
-                 kind: str):
-    """The state that parsed (line, move) rows reach, each vetted by `error`
-    for fit only; the first move that does not fit is a ParseError at its line."""
-    end, report = replay(state, (m for _, m in rows), error, apply)
+def _replay_rows(rows: list[tuple[int, object]], rules: Rules, start):
+    """The value that parsed (line, move) rows reach from start, each vetted
+    by `rules.fit`; the first move that does not fit is a ParseError at its line."""
+    end, report = rules.replay(rules.work(start), (m for _, m in rows), rules.fit)
     if not report:
         raise ParseError(rows[report.failed_at][0],
-                         f"moves do not replay on the start {kind}: {report.reason}")
-    return end
+                         f"moves do not replay on the start {rules.noun}: {report.reason}")
+    return rules.value(end)
 
 
 def parse_move_certificate(text: str, start: Graph) -> MoveCertificate:
     rows = _parse_move_lines(text)
-    end = _replay_rows(rows, _working(start), _fit_error, _apply_move, "graph")
-    return MoveCertificate(start, tuple(m for _, m in rows), _graph_of(end))
+    return MoveCertificate(start, tuple(m for _, m in rows), _replay_rows(rows, GRAPH, start))
 
 
 # ---------------------------------------------------------------------------
@@ -311,5 +297,4 @@ def parse_complex_certificate(text: str, start: SimplicialComplex) -> ComplexCer
         if not sigma or not tauset:
             raise ParseError(no, "empty simplex in pair")
         rows.append((no, (op, CollapsePair(sigma, tauset))))
-    end = _replay_rows(rows, _coface_counts(start), _pair_fit_error, _apply_pair_move, "complex")
-    return ComplexCertificate(start, tuple(m for _, m in rows), SimplicialComplex(frozenset(end)))
+    return ComplexCertificate(start, tuple(m for _, m in rows), _replay_rows(rows, COMPLEX, start))

@@ -581,10 +581,10 @@ def _naive_anticollapse_error(k, pair) -> str | None:
         return "pair members already present"
     if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
         return "pair is not a facet pair"
-    for v in pair.sigma:
-        face = pair.sigma - {v}
-        if face != pair.tau and face and face not in k.simplices:
-            return f"facet {subset_label(face)} missing"
+    missing = [f for f in (pair.sigma - {v} for v in pair.sigma)
+               if f != pair.tau and f and f not in k.simplices]
+    if missing:
+        return f"facet {subset_label(min(missing, key=sorted))} missing"
     for t in k.simplices:
         if pair.tau < t:
             return f"{subset_label(pair.tau)} would not be free ({subset_label(t)} present)"
@@ -636,17 +636,17 @@ def _naive_poset_move_error(p: Poset, m) -> str | None:
     else:
         if m.element in p.elements:
             return f"element {m.element!r} already present"
-        for u in m.lower | m.upper:
+        for u in sorted(m.lower | m.upper):
             if u not in p.elements:
                 return f"relation endpoint {u!r} not present"
-        for l in m.lower:
+        for l in sorted(m.lower):
             if not p.below(l) <= m.lower:
                 return f"lower set not downward closed at {l!r}"
-        for u in m.upper:
+        for u in sorted(m.upper):
             if not p.above(u) <= m.upper:
                 return f"upper set not upward closed at {u!r}"
-        for l in m.lower:
-            for u in m.upper:
+        for l in sorted(m.lower):
+            for u in sorted(m.upper):
                 if not p.less(l, u):
                     return f"{l!r} < {u!r} would be forced between old elements"
         local = p.induced(m.lower) if m.witness_side == "below" else p.induced(m.upper)

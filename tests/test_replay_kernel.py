@@ -31,20 +31,26 @@ from flagcalc import (
     check_complex_certificate,
     check_poset_certificate,
     complete_graph,
+    dismantles_onto,
     dismantling_core,
+    domination_collapse,
+    dominated_vertices,
+    link,
     realize_edge_deletion,
     realize_s_neighborhood_deletion,
+    rewrite_edge_moves,
     s_dismantlable_edges,
     s_dismantlable_vertices,
+    star_collapse_certificate,
     subdivision_certificate,
     weak_point_cascade,
 )
 from flagcalc import dismantling, simplicial, textio
 from flagcalc.dismantling import (
+    GRAPH,
     _apply_move,
     _move_error,
     _working,
-    build,
     cone_order,
     greedy_dismantling,
     greedy_dismantling_certificate,
@@ -52,12 +58,19 @@ from flagcalc.dismantling import (
 from flagcalc.identities import random_graph, random_poset
 from flagcalc.posets import (
     PosetDismantlingOrder,
+    POSET,
     PosetMoveKind,
     _apply_poset_move,
     _order_sets,
     poset_dismantling_core,
 )
-from flagcalc.simplicial import ANTICOLLAPSE, COLLAPSE, collapse_certificate_for_dismantlable
+from flagcalc.simplicial import (
+    ANTICOLLAPSE,
+    COLLAPSE,
+    COMPLEX,
+    clique_complex,
+    collapse_certificate_for_dismantlable,
+)
 
 from .helpers import (
     naive_check_certificate,
@@ -465,7 +478,7 @@ def test_build_applies_each_move_before_the_producer_resumes():
             seen.append(set(adj))
             yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
 
-    end, moves = build(adj, producer(), _move_error, _apply_move)
+    end, moves = GRAPH.build(adj, producer())
     removed = [m.target for m in moves]
     assert seen == [g.vertices - set(removed[:i]) for i in range(len(removed))]
     assert moves == greedy_dismantling_certificate(g).moves
@@ -485,7 +498,59 @@ def test_build_stops_at_the_first_rejected_move():
             yield m
 
     with pytest.raises(CertificateError) as exc:
-        build(_working(k4), producer(), _move_error, _apply_move)
+        GRAPH.build(_working(k4), producer())
     reason = _move_error(_working(k4.without_vertex("a")), bad)
     assert reason and str(exc.value) == reason
     assert produced == [good, bad]
+
+
+# ---------------------------------------------------------------------------
+# the per-kind replay records
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_graph_record_holds_its_values_and_its_certificates_check(seed):
+    rng = random.Random(seed)
+    g = random_copwin_graph(rng, 9)
+    for h in (g, random_graph(rng, 7, 0.5), random_ws_move_certificate(rng, g, 5).end):
+        assert GRAPH.value(GRAPH.work(h)) == h
+    certs = [greedy_dismantling_certificate(g), rewrite_edge_moves(
+        random_ws_move_certificate(rng, g, 5))[0], subdivision_certificate(g),
+        GRAPH.certificate(g, lambda adj: (GraphMove(MoveKind.REMOVE_VERTEX, v,
+                                                    witness=cone_order(adj[v], w))
+                                          for v, w in dominated_vertices(g)[:1]))]
+    certs.extend(realize_edge_deletion(g, e) for e in s_dismantlable_edges(g))
+    certs.extend(realize_s_neighborhood_deletion(g, v).certificate
+                 for v in s_dismantlable_vertices(g))
+    core, _ = dismantling_core(g)
+    certs.append(dismantles_onto(g, g.induced(core.vertices)).certificate)
+    for cert in certs:
+        assert check_certificate(cert) == CheckReport(True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_complex_record_holds_its_values_and_its_certificates_check(seed):
+    rng = random.Random(seed)
+    g = random_copwin_graph(rng, 9)
+    k = clique_complex(g)
+    assert COMPLEX.value(COMPLEX.work(k)) == k
+    certs = [collapse_certificate_for_dismantlable(g)]
+    certs.extend(domination_collapse(g, v, w) for v, w in dominated_vertices(g))
+    for v in s_dismantlable_vertices(g):
+        link_cert = collapse_certificate_for_dismantlable(g.open_neighborhood_subgraph(v))
+        assert link_cert.start == link(k, {v})
+        certs.append(star_collapse_certificate(k, {v}, link_cert))
+    for cert in certs:
+        assert check_complex_certificate(cert) == CheckReport(True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_poset_record_holds_its_values_and_its_certificates_check(seed):
+    rng = random.Random(seed)
+    p = random_poset(rng, 8, 0.4)
+    assert POSET.value(POSET.work(p)) == p
+    g = random_copwin_graph(rng, 8)
+    certs = [weak_point_cascade(g, v) for v in s_dismantlable_vertices(g)]
+    assert certs
+    for cert in certs:
+        assert check_poset_certificate(cert) == CheckReport(True)
