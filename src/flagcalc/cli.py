@@ -16,6 +16,7 @@ from .dismantling import (
     DEFAULT_SEARCH_BUDGET,
     Outcome,
     dismantles_onto,
+    dismantling_core,
     replay_moves,
     s_collapse_search,
     ws_reduction_search,
@@ -110,7 +111,7 @@ def cmd_reduce(args) -> int:
     budget = args.budget
     if args.mode == "dismantle":
         if target is None:  # the greedy core's least vertex, which no greedy step deletes
-            target = g.induced(sorted(g._masks.label_set(g._greedy[0]))[:1])
+            target = g.induced([min(dismantling_core(g)[0].vertices)]) if g.vertices else g
         verdict = dismantles_onto(g, target, budget)
     elif args.mode == "s":
         if target is not None:
@@ -193,7 +194,9 @@ def cmd_corpus(args) -> int:
             print(f"{name} ({fix.kind}{', optional' if fix.optional else ''})")
         return EXIT_YES
     if args.action == "dump":
-        if not args.name or args.name not in corpus.FIXTURES:
+        if args.name is None:
+            raise GraphError("corpus dump needs a fixture name; `flagcalc corpus list` lists them")
+        if args.name not in corpus.FIXTURES:
             raise GraphError(f"unknown fixture {args.name!r}")
         _emit(corpus.FIXTURES[args.name].payload(), args.out)
         return EXIT_YES

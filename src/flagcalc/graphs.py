@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -395,9 +395,7 @@ def inclusion_order(family: Iterable[frozenset[str]]) -> tuple[list[str], list[t
     The family must be closed under nonempty subsets.  Each label gets one bit
     and each member the mask of its labels' bits, so a member's strict
     down-set is the nonempty proper submasks of its mask, walked as
-    `sub = (sub - 1) & m`, and nothing is built per subset but its pair.  A
-    submask outside the family raises GraphError naming the least member (by
-    size, then labels) missing a facet and its least missing facet; two
+    `sub = (sub - 1) & m`, and nothing is built per subset but its pair.  Two
     members with one label raise GraphError naming both.
     """
     bit: dict[str, int] = {}
@@ -420,30 +418,16 @@ def inclusion_order(family: Iterable[frozenset[str]]) -> tuple[list[str], list[t
                                  f"label {subset_label(s)}")
     out = []
     append = out.append
-    try:
-        for m, hi in label.items():
-            sub = (m - 1) & m
-            while sub:
-                append((label[sub], hi))
-                sub = (sub - 1) & m
-    except KeyError:
-        members = frozenset(member.values())
-        top = _unclosed(members)
-        facet = min((top - {v} for v in top if top - {v} not in members), key=sorted)
-        raise GraphError(f"{subset_label(top)} is in the family but its facet "
-                         f"{subset_label(facet)} is not") from None
+    for m, hi in label.items():
+        sub = (m - 1) & m
+        while sub:
+            append((label[sub], hi))
+            sub = (sub - 1) & m
     return list(label.values()), out
 
 
 def _size_then_labels(s: frozenset[str]) -> tuple[int, list[str]]:
     return len(s), sorted(s)
-
-
-def _unclosed(family: Collection[frozenset[str]]) -> frozenset[str] | None:
-    """The least member (by size, then labels) missing one of its facets, or
-    None when the family is downward closed."""
-    bad = [s for s in family if len(s) > 1 and any(s - {v} not in family for v in s)]
-    return min(bad, key=_size_then_labels) if bad else None
 
 
 def _order_graph(labels: Sequence[str], pairs: Sequence[tuple[str, str]]) -> Graph:

@@ -378,7 +378,7 @@ def clique_poset(g: Graph) -> Poset:
 
 def order_complex(p: Poset) -> SimplicialComplex:
     """Chains of p as simplices over the element labels."""
-    return SimplicialComplex(frozenset(chains(p.above_map)))
+    return SimplicialComplex._closed(frozenset(chains(p.above_map)))
 
 
 def face_poset(k: SimplicialComplex) -> Poset:

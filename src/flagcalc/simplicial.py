@@ -9,14 +9,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .graphs import (
     Graph,
     GraphError,
     _order_graph,
     _size_then_labels,
-    _unclosed,
     complete_subgraphs,
     inclusion_order,
     reduced_betti,
@@ -44,20 +43,37 @@ class ComplexError(ValueError):
     """Structurally invalid complex data or an unknown simplex."""
 
 
+def _unclosed(family: Collection[frozenset[str]]) -> frozenset[str] | None:
+    """The least member (by size, then labels) missing one of its facets, or
+    None when the family is downward closed."""
+    bad = [s for s in family if len(s) > 1 and any(s - {v} not in family for v in s)]
+    return min(bad, key=_size_then_labels) if bad else None
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
+    """A family of nonempty simplices closed under deletion.  The constructor
+    refuses any other family; `_closed` skips the check for the builders whose
+    output is closed by construction."""
+
     simplices: frozenset[frozenset[str]]
+
+    def __post_init__(self) -> None:
+        if frozenset() in self.simplices:
+            raise ComplexError("empty member set")
+        bad = _unclosed(self.simplices)
+        if bad is not None:
+            raise ComplexError(f"family not closed under deletion at {subset_label(bad)}")
+
+    @staticmethod
+    def _closed(simplices: frozenset[frozenset[str]]) -> "SimplicialComplex":
+        k = object.__new__(SimplicialComplex)
+        object.__setattr__(k, "simplices", simplices)
+        return k
 
     @staticmethod
     def from_simplices(simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
-        """Validated constructor; the family must be downward closed."""
-        sims = frozenset(frozenset(s) for s in simplices)
-        if frozenset() in sims:
-            raise ComplexError("empty member set")
-        bad = _unclosed(sims)
-        if bad is not None:
-            raise ComplexError(f"family not closed under deletion at {subset_label(bad)}")
-        return SimplicialComplex(sims)
+        return SimplicialComplex(frozenset(frozenset(s) for s in simplices))
 
     @staticmethod
     def from_maximal(simplices: Iterable[Iterable[str]]) -> "SimplicialComplex":
@@ -70,7 +86,7 @@ class SimplicialComplex:
             members = sorted(top)
             for k in range(1, len(members) + 1):
                 sims.update(frozenset(c) for c in itertools.combinations(members, k))
-        return SimplicialComplex(frozenset(sims))
+        return SimplicialComplex._closed(frozenset(sims))
 
     @cached_property
     def vertex_set(self) -> frozenset[str]:
@@ -100,17 +116,13 @@ class SimplicialComplex:
         """Each simplex that has cofaces, mapped to those one dimension up.
 
         In a downward closed family a simplex lies in a larger one exactly when
-        it has such an immediate coface.  The family is closed exactly when
-        every key is a member, so any other family raises ComplexError.
+        it has such an immediate coface.
         """
         cofaces: dict[frozenset[str], list[frozenset[str]]] = {}
         for s in self.simplices:
             if len(s) >= 2:
                 for v in s:
                     cofaces.setdefault(s - {v}, []).append(s)
-        if not cofaces.keys() <= self.simplices:
-            raise ComplexError(f"family not closed under deletion at "
-                               f"{subset_label(_unclosed(self.simplices))}")
         return cofaces
 
     def dimension(self) -> int:
@@ -132,7 +144,7 @@ def full_simplex(labels: Iterable[str]) -> SimplicialComplex:
 
 def clique_complex(g: Graph) -> SimplicialComplex:
     """The complex whose simplices are the complete subgraphs of g."""
-    return SimplicialComplex(frozenset(complete_subgraphs(g)))
+    return SimplicialComplex._closed(frozenset(complete_subgraphs(g)))
 
 
 def one_skeleton(k: SimplicialComplex) -> Graph:
@@ -155,13 +167,13 @@ def is_flag(k: SimplicialComplex) -> tuple[bool, frozenset[str] | None]:
 
 def link(k: SimplicialComplex, sigma: Iterable[str]) -> SimplicialComplex:
     s = k._require(sigma)
-    return SimplicialComplex(frozenset(
+    return SimplicialComplex._closed(frozenset(
         t for t in k.simplices if not (t & s) and (t | s) in k.simplices))
 
 
 def delete_open_star(k: SimplicialComplex, sigma: Iterable[str]) -> SimplicialComplex:
     s = k._require(sigma)
-    return SimplicialComplex(frozenset(t for t in k.simplices if not (s <= t)))
+    return SimplicialComplex._closed(frozenset(t for t in k.simplices if not (s <= t)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +228,7 @@ def _coface_counts(k: SimplicialComplex) -> dict[frozenset[str], int]:
 
     In a downward closed family a face lies in a simplex other than sigma
     exactly when it has an immediate coface other than sigma, so a face of
-    sigma is free when its count is 1.  The counts come from `_shift`, not
-    `_cofaces`, so a certificate's unclosed end reads as a mismatch.
+    sigma is free when its count is 1.
     """
     counts = dict.fromkeys(k.simplices, 0)
     for s in k.simplices:
@@ -228,9 +239,7 @@ def _coface_counts(k: SimplicialComplex) -> dict[frozenset[str], int]:
 def _shift(counts: dict[frozenset[str], int], s: frozenset[str], by: int) -> None:
     if len(s) >= 2:
         for v in s:
-            face = s - {v}
-            if face in counts:
-                counts[face] += by
+            counts[s - {v}] += by
 
 
 COLLAPSE, ANTICOLLAPSE = "-", "+"
@@ -250,35 +259,30 @@ def apply_pair_unchecked(k: SimplicialComplex, op: str,
     return SimplicialComplex(k.simplices | {pair.sigma, pair.tau})
 
 
-def _pair_fit_error(counts: dict[frozenset[str], int],
-                    move: tuple[str, CollapsePair]) -> str | None:
-    """_pair_move_error without the check that a collapse's face is free."""
+def _pair_move_error(counts: dict[frozenset[str], int],
+                     move: tuple[str, CollapsePair]) -> str | None:
+    """Why a move does not apply.  A parser checks freeness too: an unfree
+    collapse leaves a family that is not a complex."""
     op, pair = move
     if op == COLLAPSE:
-        return _pair_shape_error(counts, pair)
+        err = _pair_shape_error(counts, pair)
+        if err or counts[pair.tau] == 1:
+            return err
+        return _coface_error(counts, pair)  # only to name the other coface
     if op != ANTICOLLAPSE:
         return f"unknown operation {op!r}"
     # tau is absent, so in a downward closed family nothing contains it yet
     if pair.sigma in counts or pair.tau in counts:
         return "pair members already present"
-    if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
+    if not (pair.tau and pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
         return "pair is not a facet pair"
     # Dropping a later label leaves a lesser facet by sorted labels, so this
-    # names the least missing facet, as `inclusion_order` does.
+    # names the least missing facet.
     for v in sorted(pair.sigma, reverse=True):
         face = pair.sigma - {v}
-        if face != pair.tau and face and face not in counts:
+        if face != pair.tau and face not in counts:
             return f"facet {subset_label(face)} missing"
     return None
-
-
-def _pair_move_error(counts: dict[frozenset[str], int],
-                     move: tuple[str, CollapsePair]) -> str | None:
-    op, pair = move
-    err = _pair_fit_error(counts, move)
-    if err or op != COLLAPSE or counts[pair.tau] == 1:
-        return err
-    return _coface_error(counts, pair)  # only to name the other coface
 
 
 def _apply_pair_move(counts: dict[frozenset[str], int],
@@ -296,15 +300,11 @@ def _apply_pair_move(counts: dict[frozenset[str], int],
 
 
 COMPLEX = Rules("complex", ComplexCertificate, _coface_counts,
-                lambda counts: SimplicialComplex(frozenset(counts)),
-                _pair_fit_error, _pair_move_error, _apply_pair_move)
+                lambda counts: SimplicialComplex._closed(frozenset(counts)),
+                _pair_move_error, _pair_move_error, _apply_pair_move)
 
 
 def check_complex_certificate(c: ComplexCertificate) -> CheckReport:
-    # The coface counts decide freeness only for a downward closed start.
-    bad = _unclosed(c.start.simplices)
-    if bad is not None:
-        return CheckReport(False, 0, f"start not closed under deletion at {subset_label(bad)}")
     return COMPLEX.check(c)
 
 
@@ -323,10 +323,6 @@ def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],
     pair is (sigma plus the surviving link vertex, sigma).
     """
     s = k._require(sigma)
-    # The coface counts that build replays on decide freeness only when closed.
-    bad = _unclosed(k.simplices)
-    if bad is not None:
-        raise CertificateError(f"start not closed under deletion at {subset_label(bad)}")
     lk = link(k, s)
     if link_certificate.start != lk:
         raise CertificateError("link certificate does not start at the link")
@@ -393,10 +389,6 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
     with its Betti vector as the obstruction: collapses keep the homotopy type.
     With one, no pair that meets the target is offered.
     """
-    for c in (k,) if target is None else (k, target):
-        bad = _unclosed(c.simplices)
-        if bad is not None:
-            raise ComplexError(f"family not closed under deletion at {subset_label(bad)}")
     if not k.simplices:
         raise ComplexError("empty complex")
     if target is None:
@@ -412,7 +404,8 @@ def collapse_search(k: SimplicialComplex, target: SimplicialComplex | None = Non
         return SearchVerdict(Outcome.NO, None, SearchStats(0, budget))
     return backtrack(k, lambda c: [(COLLAPSE, p) for p in free_pairs(c)
                                    if goal.isdisjoint((p.sigma, p.tau))],
-                     lambda c, move: apply_pair_unchecked(c, *move),
+                     lambda c, move: SimplicialComplex._closed(
+                         c.simplices - {move[1].sigma, move[1].tau}),
                      lambda c: len(c.simplices) == 1 if target is None else c.simplices == goal,
                      budget, ComplexCertificate)
 
@@ -448,7 +441,7 @@ def barycentric_complex(k: SimplicialComplex) -> SimplicialComplex:
     above: dict[str, list[str]] = {label: [] for label in labels}
     for lo, hi in pairs:
         above[lo].append(hi)
-    return SimplicialComplex(frozenset(chains(above)))
+    return SimplicialComplex._closed(frozenset(chains(above)))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,29 @@ def test_certify_round_trip(tmp_path, capsys, k3_file):
     assert code == 1 and "invalid" in out
 
 
+def test_certify_compares_the_end_with_the_given_one(tmp_path, capsys, k3_file):
+    cert = tmp_path / "k3.cert"
+    run(capsys, "reduce", k3_file, "--mode", "s", "--out", str(cert))
+    code, out, _ = run(capsys, "certify", str(cert), "--start", k3_file, "--end", k3_file)
+    assert (code, out) == (1, "invalid: end graph does not match --end\n")
+    point = tmp_path / "c.graph"
+    point.write_text("v c\n")  # the certificate deletes a, then b
+    code, out, _ = run(capsys, "certify", str(cert), "--start", k3_file, "--end", str(point))
+    assert (code, out) == (0, "valid\n")
+
+
+def test_reduce_to_a_point_takes_no_target(capsys, k3_file):
+    code, out, err = run(capsys, "reduce", k3_file, "--mode", "s", "--target", k3_file)
+    assert (code, out) == (3, "") and "drop --target" in err
+
+
+def test_map_bd_needs_a_kind_it_cannot_infer(tmp_path, capsys, k3_file):
+    text = tmp_path / "x.txt"
+    text.write_text(format_graph(complete_graph("abc")))
+    code, out, err = run(capsys, "map", "bd", str(text))
+    assert (code, out) == (3, "") and "cannot infer structure kind" in err
+
+
 def test_certify_reports_an_empty_attachment_as_an_invalid_move(tmp_path, capsys, k3_file):
     cert = tmp_path / "empty.cert"
     cert.write_text("+v x ,\nw\n")
@@ -156,6 +179,12 @@ def test_corpus_commands(tmp_path, capsys):
 
     code, out, _ = run(capsys, "corpus", "verify")
     assert code == 0 and "FAIL" not in out
+
+
+def test_corpus_dump_without_a_name_asks_for_one(capsys):
+    code, out, err = run(capsys, "corpus", "dump")
+    assert (code, out) == (3, "")
+    assert err == "error: corpus dump needs a fixture name; `flagcalc corpus list` lists them\n"
 
 
 def test_identities_command(capsys):

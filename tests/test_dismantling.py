@@ -367,6 +367,12 @@ def test_ws_reduction_search_examples():
     assert ws_reduction_search(c5).outcome is Outcome.NO
 
 
+def test_ws_search_to_a_target_with_an_edge_the_start_lacks_is_no_at_once():
+    # the moves delete vertices and edges only, so no move adds a-c
+    verdict = ws_reduction_search(path_graph("abc"), Graph.make("ac", [("a", "c")]))
+    assert verdict.outcome is Outcome.NO and verdict.stats.nodes == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 100_000))
 def test_dominated_vertices_are_s_dismantlable(seed):

@@ -136,6 +136,14 @@ def test_answers_are_sound():
     assert {"yes", "no"} <= set(answers)
 
 
+def test_a_question_at_the_nesting_cap_is_no_only_with_homology():
+    capped = IContractibility()
+    capped.MAX_NESTING = 0
+    assert capped.of(cycle_graph("abcde")) == "no"  # its clique complex is a circle
+    assert capped.of(corpus.s_collapsible_rigid_graph()) == "unknown"
+    assert IContractibility().of(corpus.s_collapsible_rigid_graph()) == "yes"
+
+
 def test_a_graph_with_homology_is_answered_no_without_search(monkeypatch):
     monkeypatch.setattr(dismantling, "backtrack", None)  # any search would fail
     checker = IContractibility()

@@ -141,6 +141,13 @@ def test_property_suite_has_no_fail_lines():
     assert failed == []
 
 
+def test_property_suite_at_budget_zero_skips_the_searches_it_cannot_finish():
+    lines = [r.line() for r in run_property_suite(seed=0, max_size=5, samples=6, budget=0)]
+    assert sum(line.endswith(" :: budget exhausted") and line.startswith("SKIP ")
+               for line in lines) == 3
+    assert not any(line.startswith("FAIL ") for line in lines)
+
+
 def test_property_suite_skips_skeleton_moves_of_non_flag_complexes():
     skipped = [r.line() for r in run_property_suite(seed=43) if r.verdict == "skipped"]
     assert skipped == ["SKIP collapse-induces-skeleton-move complex<f08be5ac> :: "

@@ -46,8 +46,6 @@ from flagcalc.simplicial import (
     skeleton_move_for_collapse,
 )
 from flagcalc import graphs
-from flagcalc.dismantling import CheckReport
-from flagcalc.textio import format_complex
 from flagcalc.identities import random_complex, random_graph
 
 from .helpers import brute_force_chains
@@ -152,11 +150,10 @@ def test_star_collapse_on_k4():
 
 
 def test_star_collapse_needs_a_closed_start():
-    # abc lacks its facets ac and bc, so the counts would call a free in ab
-    k = SimplicialComplex(frozenset(map(frozenset, ("a", "b", "ab", "abc"))))
-    lk = link(k, ("a",))
-    with pytest.raises(CertificateError, match="not closed under deletion"):
-        star_collapse_certificate(k, ("a",), ComplexCertificate(lk, (), lk))
+    # abc lacks its facets ac and bc, so the counts would call a free in ab;
+    # no complex holds such a family, so no star collapse can start from one
+    with pytest.raises(ComplexError, match=r"not closed under deletion at \[a,b,c\]"):
+        SimplicialComplex(frozenset(map(frozenset, ("a", "b", "ab", "abc"))))
 
 
 def test_domination_collapse_examples():
@@ -229,15 +226,18 @@ def test_collapse_search_with_target():
     assert verdict.certificate.end == target
 
 
+def test_collapse_search_to_a_target_outside_the_start_is_no_at_once():
+    verdict = collapse_search(full_simplex("ab"), SimplicialComplex.from_maximal(["c"]))
+    assert verdict.outcome is Outcome.NO and verdict.stats.nodes == 0
+
+
 def test_collapse_search_refuses_a_family_not_closed_under_deletion():
-    # Unvalidated families: the Betti vector, the free pairs and the replayed
-    # certificate all assume every facet of a member is a member.
-    edge = SimplicialComplex(frozenset({frozenset("ab")}))
-    half = SimplicialComplex(frozenset(map(frozenset, ("ab", "a"))))
-    point = SimplicialComplex.from_maximal([("a",)])
-    for k, target in ((edge, None), (half, None), (half, point), (point, half)):
+    # The Betti vector, the free pairs and the replayed certificate all assume
+    # every facet of a member is a member, so neither a start nor a target can
+    # hold another family.
+    for family in (("ab",), ("ab", "a")):
         with pytest.raises(ComplexError, match=r"not closed under deletion at \[a,b\]"):
-            collapse_search(k, target)
+            SimplicialComplex(frozenset(map(frozenset, family)))
 
 
 @pytest.mark.parametrize("family,least", [
@@ -245,17 +245,27 @@ def test_collapse_search_refuses_a_family_not_closed_under_deletion():
     (("abc", "ab", "a", "b", "c"), "[a,b,c]"),  # maximal_simplices listed c
 ])
 def test_free_faces_refuse_a_family_not_closed_under_deletion(family, least):
-    k = SimplicialComplex(frozenset(map(frozenset, family)))
+    # the refusal is the constructor's, so no complex reaches these functions
     message = rf"^family not closed under deletion at {re.escape(least)}$"
-    for ask in (free_pairs, SimplicialComplex.maximal_simplices, format_complex):
+    for build in (SimplicialComplex, SimplicialComplex.from_simplices):
         with pytest.raises(ComplexError, match=message):
-            ask(k)
+            build(frozenset(map(frozenset, family)))
+
+
+def test_an_anticollapse_onto_the_empty_face_is_refused():
+    # it would put the empty set into the replayed family
+    from flagcalc.simplicial import ANTICOLLAPSE
+
+    point = SimplicialComplex.from_maximal(["a"])
+    move = (ANTICOLLAPSE, CollapsePair(frozenset("x"), frozenset()))
+    report = check_complex_certificate(ComplexCertificate(point, (move,), point))
+    assert (report.ok, report.failed_at, report.reason) == (False, 0, "pair is not a facet pair")
 
 
 def test_a_certificate_ending_in_a_family_not_closed_is_a_mismatch():
-    half = SimplicialComplex(frozenset(map(frozenset, ("ab", "a"))))
-    report = check_complex_certificate(ComplexCertificate(HOLLOW, (), half))
-    assert report == CheckReport(False, 0, "end complex mismatch")
+    # such an end cannot be built, so no certificate holds one
+    with pytest.raises(ComplexError, match=r"^family not closed under deletion at \[a,b\]$"):
+        SimplicialComplex(frozenset(map(frozenset, ("ab", "a"))))
 
 
 def test_barycentric_complex_small():

@@ -230,11 +230,13 @@ def test_complex_certificate_moves_must_fit_the_start():
         assert err.value.line_no == line, text
     cert = parse_complex_certificate("- a b | a\n+ b c | c\n", k)
     assert cert.end == SimplicialComplex.from_maximal(["bc"])
-    # freeness is for the checker: b also lies in b c, so it is not free in a b
+    # b also lies in b c, so it is not free in a b: the collapse would leave a
+    # family that is not a complex, so the parser refuses it at its line
     k = parse_complex("a b\nb c\n")
-    cert = parse_complex_certificate("- a b | b\n", k)
-    assert cert.end.simplices == {frozenset("a"), frozenset("c"), frozenset("bc")}
-    assert not check_complex_certificate(cert)
+    with pytest.raises(ParseError, match=r"^line 1: .*\[b\] is also a face of \[b,c\]$") as err:
+        parse_complex_certificate("- a b | b\n", k)
+    assert err.value.line_no == 1
+    assert check_complex_certificate(parse_complex_certificate("- a b | a\n", k))
 
 
 def test_subdivision_certificates_round_trip():
