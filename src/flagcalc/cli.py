@@ -21,7 +21,7 @@ from .dismantling import (
     s_collapse_search,
     ws_reduction_search,
 )
-from .graphs import GraphError, barycentric_graph
+from .graphs import BudgetExceededError, GraphError, barycentric_graph
 from .posets import (
     PosetError,
     barycentric_poset,
@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
     except (GraphError, ComplexError, PosetError, textio.ParseError,
-            FileNotFoundError, ValueError) as exc:
+            BudgetExceededError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -108,22 +108,8 @@ class SimplicialComplex:
         return sorted(self.simplices, key=_size_then_labels)
 
     def maximal_simplices(self) -> list[frozenset[str]]:
-        cofaces = self._cofaces()
-        out = [s for s in self.simplices if s not in cofaces]
+        out = [s for s, n in _coface_counts(self).items() if n == 0]
         return sorted(out, key=_size_then_labels)
-
-    def _cofaces(self) -> dict[frozenset[str], list[frozenset[str]]]:
-        """Each simplex that has cofaces, mapped to those one dimension up.
-
-        In a downward closed family a simplex lies in a larger one exactly when
-        it has such an immediate coface.
-        """
-        cofaces: dict[frozenset[str], list[frozenset[str]]] = {}
-        for s in self.simplices:
-            if len(s) >= 2:
-                for v in s:
-                    cofaces.setdefault(s - {v}, []).append(s)
-        return cofaces
 
     def dimension(self) -> int:
         if not self.simplices:
@@ -196,27 +182,11 @@ def _pair_shape_error(present, pair: CollapsePair) -> str | None:
     return None
 
 
-def _coface_error(simplices, pair: CollapsePair) -> str | None:
-    """The full scan: the least simplex other than sigma that contains tau."""
-    others = [t for t in simplices if t != pair.sigma and pair.tau < t]
-    if not others:
-        return None
-    t = min(others, key=_size_then_labels)
+def _coface_error(simplices, pair: CollapsePair) -> str:
+    """The full scan, for a face tau that lies in a simplex other than sigma:
+    the least such simplex names it."""
+    t = min((t for t in simplices if t != pair.sigma and pair.tau < t), key=_size_then_labels)
     return f"{subset_label(pair.tau)} is also a face of {subset_label(t)}"
-
-
-def collapse_pair_error(k: SimplicialComplex, pair: CollapsePair) -> str | None:
-    return _pair_shape_error(k.simplices, pair) or _coface_error(k.simplices, pair)
-
-
-def free_pairs(k: SimplicialComplex) -> list[CollapsePair]:
-    """All (sigma, tau) with tau a free face of sigma, deterministic order."""
-    out = []
-    for tau, sup in k._cofaces().items():
-        # a unique immediate coface rules out all deeper cofaces too
-        if len(sup) == 1:
-            out.append(CollapsePair(sup[0], tau))
-    return sorted(out, key=lambda p: (tuple(sorted(p.tau)), tuple(sorted(p.sigma))))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +238,7 @@ def _pair_move_error(counts: dict[frozenset[str], int],
         err = _pair_shape_error(counts, pair)
         if err or counts[pair.tau] == 1:
             return err
-        return _coface_error(counts, pair)  # only to name the other coface
+        return _coface_error(counts, pair)  # only to name the least other coface
     if op != ANTICOLLAPSE:
         return f"unknown operation {op!r}"
     # tau is absent, so in a downward closed family nothing contains it yet
@@ -308,11 +278,20 @@ def check_complex_certificate(c: ComplexCertificate) -> CheckReport:
     return COMPLEX.check(c)
 
 
+def collapse_pair_error(k: SimplicialComplex, pair: CollapsePair) -> str | None:
+    return _pair_move_error(_coface_counts(k), (COLLAPSE, pair))
+
+
+def free_pairs(k: SimplicialComplex) -> list[CollapsePair]:
+    """All (sigma, tau) with tau a free face of sigma, deterministic order."""
+    counts = _coface_counts(k)
+    out = [CollapsePair(s, s - {v}) for s in counts if len(s) >= 2
+           for v in s if counts[s - {v}] == 1]
+    return sorted(out, key=lambda p: (tuple(sorted(p.tau)), tuple(sorted(p.sigma))))
+
+
 def collapse(k: SimplicialComplex, pair: CollapsePair) -> SimplicialComplex:
-    err = collapse_pair_error(k, pair)
-    if err:
-        raise CertificateError(err)
-    return apply_pair_unchecked(k, COLLAPSE, pair)
+    return COMPLEX.certificate(k, lambda _: ((COLLAPSE, pair),)).end
 
 
 def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],

@@ -570,19 +570,20 @@ def naive_collapse_pair_error(k, pair) -> str | None:
     if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
         return (f"{subset_label(pair.tau)} is not a proper maximal face of "
                 f"{subset_label(pair.sigma)}")
-    for t in k.simplices:
-        if t != pair.sigma and pair.tau < t:
-            return f"{subset_label(pair.tau)} is also a face of {subset_label(t)}"
+    others = [t for t in k.simplices if t != pair.sigma and pair.tau < t]
+    if others:
+        t = min(others, key=lambda t: (len(t), sorted(t)))
+        return f"{subset_label(pair.tau)} is also a face of {subset_label(t)}"
     return None
 
 
 def _naive_anticollapse_error(k, pair) -> str | None:
     if pair.sigma in k.simplices or pair.tau in k.simplices:
         return "pair members already present"
-    if not (pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
+    if not (pair.tau and pair.tau < pair.sigma and len(pair.sigma) == len(pair.tau) + 1):
         return "pair is not a facet pair"
     missing = [f for f in (pair.sigma - {v} for v in pair.sigma)
-               if f != pair.tau and f and f not in k.simplices]
+               if f != pair.tau and f not in k.simplices]
     if missing:
         return f"facet {subset_label(min(missing, key=sorted))} missing"
     for t in k.simplices:

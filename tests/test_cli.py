@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from flagcalc import graphs
 from flagcalc.cli import build_parser, main
 from flagcalc.textio import format_graph, parse_complex, parse_graph, parse_poset
 from flagcalc import (
@@ -363,4 +364,15 @@ def test_map_refuses_members_that_share_a_label(tmp_path, capsys, functor, name,
     assert run(capsys, "check", name.split(".")[1], str(src))[0] == 0
     code, _, err = run(capsys, "map", functor, str(src), "--out", str(out))
     assert code == 3 and "share the label [[a,b]]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("functor", ["delta-g", "clique-poset", "bd"])
+def test_map_past_the_clique_cap_is_a_data_error(tmp_path, monkeypatch, capsys, functor):
+    # K4 has 15 complete subgraphs, so a cap of 5 stops every clique-built map.
+    monkeypatch.setattr(graphs, "DEFAULT_CLIQUE_CAP", 5)
+    src, out = tmp_path / "k4.graph", tmp_path / "out"
+    src.write_text(format_graph(complete_graph("abcd")))
+    code, _, err = run(capsys, "map", functor, str(src), "--out", str(out))
+    assert (code, err) == (3, "error: more than 5 complete subgraphs\n")
     assert not out.exists()

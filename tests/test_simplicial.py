@@ -48,7 +48,12 @@ from flagcalc.simplicial import (
 from flagcalc import graphs
 from flagcalc.identities import random_complex, random_graph
 
-from .helpers import brute_force_chains
+from .helpers import (
+    brute_force_chains,
+    naive_check_complex_certificate,
+    naive_collapse_pair_error,
+    pairwise_maximal,
+)
 
 HOLLOW = SimplicialComplex.from_maximal([("a", "b"), ("b", "c"), ("a", "c")])
 
@@ -258,8 +263,10 @@ def test_an_anticollapse_onto_the_empty_face_is_refused():
 
     point = SimplicialComplex.from_maximal(["a"])
     move = (ANTICOLLAPSE, CollapsePair(frozenset("x"), frozenset()))
-    report = check_complex_certificate(ComplexCertificate(point, (move,), point))
+    cert = ComplexCertificate(point, (move,), point)
+    report = check_complex_certificate(cert)
     assert (report.ok, report.failed_at, report.reason) == (False, 0, "pair is not a facet pair")
+    assert naive_check_complex_certificate(cert) == report
 
 
 def test_a_certificate_ending_in_a_family_not_closed_is_a_mismatch():
@@ -396,6 +403,17 @@ def test_free_pairs_match_definition(seed):
                        and all(not (tau < other) for other in k.simplices
                                if other != sigma))
             assert ((sigma, tau) in found) == is_free
+            pair = CollapsePair(sigma, tau)
+            err = naive_collapse_pair_error(k, pair)
+            assert collapse_pair_error(k, pair) == err
+            if err:
+                with pytest.raises(CertificateError) as exc:
+                    collapse(k, pair)
+                assert str(exc.value) == err
+            else:
+                assert collapse(k, pair) == apply_pair_unchecked(k, COLLAPSE, pair)
+    assert k.maximal_simplices() == sorted(pairwise_maximal(k.simplices),
+                                           key=lambda s: (len(s), sorted(s)))
 
 
 @settings(max_examples=30, deadline=None)
