@@ -281,8 +281,9 @@ class Rules:
             state = self.apply(state, m)
         return state, CheckReport(True)
 
-    def build(self, state, moves: Iterable) -> tuple[object, tuple]:
-        """Replay moves as a producer makes them: (state reached, the moves).
+    def certificate(self, start, producer: Callable, end=None):
+        """The certificate of the moves `producer(state)` makes on the working
+        state `work(start)`, each vetted by `error` and applied as it is made.
 
         The producer may read the working state, which holds every earlier move
         applied by the time the producer is resumed.  So it must compute, before
@@ -290,20 +291,28 @@ class Rules:
         move: `_edge_deletion_moves` builds the removal's witness before it yields
         the addition, because the addition puts the clone into `adj[renamed]`.
         The first rejected move raises CertificateError with its reason, and the
-        producer is not advanced past it.
+        producer is not advanced past it.  The certificate ends at the value of
+        the state reached or, when `end` is given, at `end` itself, once the
+        state reached is found equal to `work(end)`.
         """
+        state = self.work(start)
         made: list = []
-        end, report = self.replay(state, (made.append(m) or m for m in moves), self.error)
+        state, report = self.replay(state, (made.append(m) or m for m in producer(state)),
+                                    self.error)
         if not report:
             raise CertificateError(report.reason)
-        return end, tuple(made)
+        if end is None:
+            end = self.value(state)
+        elif state != self.work(end):
+            raise CertificateError(f"moves did not end at the given {self.noun}")
+        return self.cert(start, tuple(made), end)
 
-    def certificate(self, start, producer: Callable):
-        """The certificate of the moves `producer(state)` makes on `work(start)`,
-        vetted through `build`, ending at the value of the state reached."""
-        state = self.work(start)
-        end, made = self.build(state, producer(state))
-        return self.cert(start, made, self.value(end))
+    def require(self, cert, what: str, error: type = CertificateError) -> None:
+        """Raise `error` naming `what` and the first failing step unless the
+        certificate checks."""
+        report = self.check(cert)
+        if not report:
+            raise error(f"{what} invalid at step {report.failed_at}: {report.reason}")
 
     def check(self, cert) -> CheckReport:
         """Replay a certificate's moves on `work(start)` and compare with `work(end)`."""
@@ -425,17 +434,9 @@ def _additions_first(moves: Iterable[GraphMove]) -> tuple[list[GraphMove], list[
 
 def normalize_certificate(c: MoveCertificate) -> MoveCertificate:
     """Reorder a valid vertex-move certificate so additions precede removals."""
-    report = check_certificate(c)
-    if not report:
-        raise NormalizationError(
-            f"certificate invalid at step {report.failed_at}: {report.reason}")
+    GRAPH.require(c, "certificate", NormalizationError)
     adds, removals = _additions_first(c.moves)
-    out = MoveCertificate(c.start, tuple(adds + removals), c.end)
-    report = check_certificate(out)
-    if not report:  # pragma: no cover - would indicate a bug above
-        raise NormalizationError(
-            f"reordered certificate failed at step {report.failed_at}: {report.reason}")
-    return out
+    return GRAPH.certificate(c.start, lambda _: adds + removals, c.end)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +508,7 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
             raise CertificateError("witness does not start at the open neighborhood")
         if len(witness.end.vertices) != 1:
             raise CertificateError("witness does not end at a single vertex")
-        rep = check_certificate(witness)
-        if not rep:
-            raise CertificateError(f"witness invalid at step {rep.failed_at}: {rep.reason}")
+        GRAPH.require(witness, "witness")
 
     if any(m.kind not in VERTEX_MOVES for m in witness.moves):
         raise CertificateError("neighborhood witness must use vertex moves only")
@@ -535,10 +534,7 @@ def realize_s_neighborhood_deletion(g: Graph, v: str,
             yield GraphMove(MoveKind.REMOVE_VERTEX, rename[m.target],
                             witness=_map_order(m.witness, rename))
 
-    cert = GRAPH.certificate(g, moves)
-    if cert.end != g.without_vertex(v):  # pragma: no cover - construction guarantees this
-        raise CertificateError("cascade did not end at the vertex-deleted graph")
-    return SearchVerdict(Outcome.YES, cert, stats)
+    return SearchVerdict(Outcome.YES, GRAPH.certificate(g, moves, g.without_vertex(v)), stats)
 
 
 def _map_order(order: DismantlingOrder, mu: dict[str, str]) -> DismantlingOrder:
@@ -553,10 +549,7 @@ def rewrite_edge_moves(cert: MoveCertificate) -> tuple[MoveCertificate, IsoWitne
     at a graph isomorphic to the original end; the witness records the
     relabeling.
     """
-    rep = check_certificate(cert)
-    if not rep:
-        raise CertificateError(f"input invalid at step {rep.failed_at}: {rep.reason}")
-
+    GRAPH.require(cert, "input")
     mu: dict[str, str] = {v: v for v in cert.start.vertices}
     used = set(cert.start.vertices)
 
@@ -624,9 +617,8 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
     for c in cliques:
         if len(c) > 1:  # c extends c - {max(c)} by a later vertex
             extenders[c - {max(c)}].add(max(c))
-    adj = _working(g)
 
-    def moves() -> Iterator[GraphMove]:
+    def moves(adj) -> Iterator[GraphMove]:
         for c in cliques:
             peak = max(c)
             attach = below[hats[c]] | extenders[c] | {peak}
@@ -641,11 +633,7 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
             steps.extend((u, apex) for u in sorted(adj[v] - set(shrinking)) if u != apex)
             yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=DismantlingOrder(tuple(steps)))
 
-    adj, made = GRAPH.build(adj, moves())
-    bd = barycentric_graph(g)
-    if adj != _working(bd):  # pragma: no cover - construction guarantees this
-        raise CertificateError("subdivision moves did not end at the subdivision graph")
-    return MoveCertificate(g, made, bd)
+    return GRAPH.certificate(g, moves, barycentric_graph(g))
 
 
 # ---------------------------------------------------------------------------

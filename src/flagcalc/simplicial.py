@@ -309,9 +309,7 @@ def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],
         raise CertificateError("link certificate must be a pure collapse")
     if len(link_certificate.end.simplices) != 1:
         raise CertificateError("link certificate must end at a single vertex")
-    rep = check_complex_certificate(link_certificate)
-    if not rep:
-        raise CertificateError(f"link certificate invalid at step {rep.failed_at}: {rep.reason}")
+    COMPLEX.require(link_certificate, "link certificate")
 
     moves = [(COLLAPSE, CollapsePair(s | p.sigma, s | p.tau))
              for _, p in link_certificate.moves]
@@ -320,16 +318,17 @@ def star_collapse_certificate(k: SimplicialComplex, sigma: Iterable[str],
     return COMPLEX.certificate(k, lambda _: moves)
 
 
-def _collapse_dominated(start: SimplicialComplex, steps) -> ComplexCertificate:
+def _collapse_dominated(start: SimplicialComplex, steps,
+                        end: SimplicialComplex | None = None) -> ComplexCertificate:
     """Collapse start along domination steps (v, w), pairing each simplex through
-    v avoiding w with its extension by w, largest first."""
+    v avoiding w with its extension by w, largest first, onto `end` if given."""
 
     def moves(counts):
         for v, w in steps:
             carriers = sorted((s for s in counts if v in s and w not in s),
                               key=lambda s: (-len(s), tuple(sorted(s))))
             yield from ((COLLAPSE, CollapsePair(s | {w}, s)) for s in carriers)
-    return COMPLEX.certificate(start, moves)
+    return COMPLEX.certificate(start, moves, end)
 
 
 def domination_collapse(g: Graph, v: str, w: str) -> ComplexCertificate:
@@ -342,10 +341,7 @@ def domination_collapse(g: Graph, v: str, w: str) -> ComplexCertificate:
         raise GraphError(f"bad domination pair ({v!r}, {w!r})")
     if not g.closed_neighborhood(v) <= g.closed_neighborhood(w):
         raise CertificateError(f"{w!r} does not dominate {v!r}")
-    cert = _collapse_dominated(clique_complex(g), ((v, w),))
-    if cert.end != clique_complex(g.without_vertex(v)):  # pragma: no cover - by construction
-        raise CertificateError("collapse did not end at the clique complex of g minus v")
-    return cert
+    return _collapse_dominated(clique_complex(g), ((v, w),), clique_complex(g.without_vertex(v)))
 
 
 def collapse_certificate_for_dismantlable(g: Graph) -> ComplexCertificate:

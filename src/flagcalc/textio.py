@@ -6,15 +6,17 @@ file when no single line is at fault.
 
 Graphs and posets share one line shape, read by `_parse_declared`: lines that
 declare labels (`v`, `p`), and lines that pair two distinct declared labels
-once (`e`, `<`).  An edge is unordered and a cover is ordered.  A graph label
-must also read back whole from a `+v` attachment list.
+once (`e`, `<`).  An edge is unordered and a cover is ordered.  One label rule,
+`_label_error`, serves every reader and writer: a writer raises its kind's
+error on a label its reader would refuse.  A graph label must also read
+back whole from a `+v` attachment list.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
 
-from .graphs import Graph
+from .graphs import Graph, GraphError
 from .dismantling import GRAPH, DismantlingOrder, GraphMove, MoveCertificate, MoveKind, Rules
 from .simplicial import (
     ANTICOLLAPSE,
@@ -22,6 +24,7 @@ from .simplicial import (
     COMPLEX,
     CollapsePair,
     ComplexCertificate,
+    ComplexError,
     SimplicialComplex,
 )
 from .posets import Poset, PosetError
@@ -46,17 +49,40 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
 _RESERVED = frozenset(":|#,")  # a line with none of these needs no _check_labels
 
 
+def _label_error(label: str, attachable: bool = False) -> str | None:
+    """Why a text form could not write `label` back, or None: the one label
+    rule of every reader and writer.  Lines split at whitespace, ':' and '|'
+    split witness steps and collapse pairs, a leading '#' starts a comment, and
+    a comma splits an attachment list outside a subset label.  An `attachable`
+    label, as every graph label is, must also read back whole from a `+v`
+    attachment list."""
+    if label.split() != [label]:
+        return f"label {label!r} is empty or holds whitespace"
+    if ":" in label or "|" in label:
+        return f"label {label!r} holds ':' or '|'"
+    if label[0] == "#":
+        return f"label {label!r} starts with '#'"
+    if label[0] != "[" and "," in label:
+        return f"label {label!r} holds a comma but does not start with '['"
+    if attachable and unreadable_label((label,)) is not None:
+        return f"label {label!r} would not read back whole from an attachment list"
+    return None
+
+
 def _check_labels(no: int, labels: Iterable[str]) -> None:
-    """Raise at line `no` on a label that a text form could not write back:
-    ':' and '|' split witness steps and collapse pairs, a leading '#' starts a
-    comment, and a comma splits an attachment list outside a subset label."""
+    """Raise at line `no` on a label that a text form could not write back."""
     for label in labels:
-        if ":" in label or "|" in label:
-            raise ParseError(no, f"label {label!r} holds ':' or '|'")
-        if label[0] == "#":  # split() gives no empty label
-            raise ParseError(no, f"label {label!r} starts with '#'")
-        if label[0] != "[" and "," in label:
-            raise ParseError(no, f"label {label!r} holds a comma but does not start with '['")
+        err = _label_error(label)
+        if err:
+            raise ParseError(no, err)
+
+
+def _require_writable(labels: Iterable[str], error: type, attachable: bool = False) -> None:
+    """Raise `error` on the least of `labels` that the kind's reader would
+    refuse, so a writer emits nothing that does not read back."""
+    bad = min((label for label in labels if _label_error(label, attachable)), default=None)
+    if bad is not None:
+        raise error(f"{_label_error(bad, attachable)}; nothing written")
 
 
 def _parse_declared(text: str, unit: str, pair: str, noun: str,
@@ -98,6 +124,7 @@ def _parse_declared(text: str, unit: str, pair: str, noun: str,
 
 
 def format_graph(g: Graph) -> str:
+    _require_writable(g.vertices, GraphError, attachable=True)
     lines = [f"v {v}" for v in g.sorted_vertices()]
     lines.extend(f"e {a} {b}" for a, b in g.sorted_edges())
     return "\n".join(lines) + ("\n" if lines else "")
@@ -118,8 +145,7 @@ def parse_graph(text: str) -> Graph:
     vertices, edges = _parse_declared(text, "v", "e", "vertex", ordered=False)
     bad = unreadable_label(vertices)
     if bad is not None:
-        raise ParseError(vertices[bad],
-                         f"label {bad!r} would not read back whole from an attachment list")
+        raise ParseError(vertices[bad], _label_error(bad, attachable=True))
     return Graph(frozenset(vertices), frozenset(map(frozenset, edges)))
 
 
@@ -128,6 +154,7 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_complex(k: SimplicialComplex) -> str:
+    _require_writable(k.vertex_set, ComplexError)
     lines = sorted(" ".join(sorted(s)) for s in k.maximal_simplices())
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -149,6 +176,7 @@ def parse_complex(text: str) -> SimplicialComplex:
 
 
 def format_poset(p: Poset) -> str:
+    _require_writable(p.elements, PosetError)
     lines = [f"p {x}" for x in p.sorted_elements()]
     lines.extend(f"< {a} {b}" for a, b in p.covers())
     return "\n".join(lines) + ("\n" if lines else "")
@@ -258,18 +286,18 @@ def parse_moves(text: str) -> tuple[GraphMove, ...]:
 
 
 def _replay_rows(rows: list[tuple[int, object]], rules: Rules, start):
-    """The value that parsed (line, move) rows reach from start, each vetted
+    """The certificate of parsed (line, move) rows from start, each move vetted
     by `rules.fit`; the first move that does not fit is a ParseError at its line."""
-    end, report = rules.replay(rules.work(start), (m for _, m in rows), rules.fit)
+    moves = tuple(m for _, m in rows)
+    end, report = rules.replay(rules.work(start), moves, rules.fit)
     if not report:
         raise ParseError(rows[report.failed_at][0],
                          f"moves do not replay on the start {rules.noun}: {report.reason}")
-    return rules.value(end)
+    return rules.cert(start, moves, rules.value(end))
 
 
 def parse_move_certificate(text: str, start: Graph) -> MoveCertificate:
-    rows = _parse_move_lines(text)
-    return MoveCertificate(start, tuple(m for _, m in rows), _replay_rows(rows, GRAPH, start))
+    return _replay_rows(_parse_move_lines(text), GRAPH, start)
 
 
 # ---------------------------------------------------------------------------
@@ -297,4 +325,4 @@ def parse_complex_certificate(text: str, start: SimplicialComplex) -> ComplexCer
         if not sigma or not tauset:
             raise ParseError(no, "empty simplex in pair")
         rows.append((no, (op, CollapsePair(sigma, tauset))))
-    return ComplexCertificate(start, tuple(m for _, m in rows), _replay_rows(rows, COMPLEX, start))
+    return _replay_rows(rows, COMPLEX, start)

@@ -142,13 +142,13 @@ def _expansion_witness() -> tuple[Graph, MoveCertificate]:
 
 def test_a_supplied_witness_with_additions_is_replayed_once(monkeypatch):
     calls = []
-    real = flagcalc.dismantling.check_certificate
+    real = flagcalc.dismantling.Rules.check
 
-    def counted(c):
+    def counted(rules, c):
         calls.append(c)
-        return real(c)
+        return real(rules, c)
 
-    monkeypatch.setattr(flagcalc.dismantling, "check_certificate", counted)
+    monkeypatch.setattr(flagcalc.dismantling.Rules, "check", counted)
     host, witness = _expansion_witness()
     verdict = realize_s_neighborhood_deletion(host, "v", witness=witness)
     assert verdict.certificate.end == host.without_vertex("v")

@@ -3,8 +3,8 @@
 Each checker must return the same CheckReport as its immutable reference in
 tests/helpers.py, on valid certificates and on broken ones, and the greedy
 cores must pick the same orders.  The builders drive the same replay
-through `build`, whose order of producing, vetting and applying is checked
-directly.  The cost guards count work instead of timing it.
+through `certificate`, whose order of producing, vetting and applying is
+checked directly.  The cost guards count work instead of timing it.
 """
 
 import dataclasses
@@ -462,19 +462,18 @@ def test_complex_check_rejects_a_start_not_closed_under_faces():
 
 def test_build_applies_each_move_before_the_producer_resumes():
     g = random_copwin_graph(random.Random(5), 10)
-    adj = _working(g)
     seen = []
 
-    def producer():
+    def producer(adj):
         for v, w in greedy_dismantling(g).steps:
             seen.append(set(adj))
             yield GraphMove(MoveKind.REMOVE_VERTEX, v, witness=cone_order(adj[v], w))
 
-    end, moves = GRAPH.build(adj, producer())
-    removed = [m.target for m in moves]
+    cert = GRAPH.certificate(g, producer)
+    removed = [m.target for m in cert.moves]
     assert seen == [g.vertices - set(removed[:i]) for i in range(len(removed))]
-    assert moves == greedy_dismantling_certificate(g).moves
-    assert end == _working(greedy_dismantling_certificate(g).end)
+    assert cert.moves == greedy_dismantling_certificate(g).moves
+    assert cert.end == greedy_dismantling_certificate(g).end
 
 
 def test_build_stops_at_the_first_rejected_move():
@@ -484,13 +483,13 @@ def test_build_stops_at_the_first_rejected_move():
     later = GraphMove(MoveKind.REMOVE_VERTEX, "c", witness=cone_order("d", "d"))
     produced = []
 
-    def producer():
+    def producer(adj):
         for m in (good, bad, later):
             produced.append(m)
             yield m
 
     with pytest.raises(CertificateError) as exc:
-        GRAPH.build(_working(k4), producer())
+        GRAPH.certificate(k4, producer)
     reason = _move_error(_working(k4.without_vertex("a")), bad)
     assert reason and str(exc.value) == reason
     assert produced == [good, bad]

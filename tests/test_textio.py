@@ -5,10 +5,22 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagcalc import Outcome, complete_graph, realize_edge_deletion, s_collapse_search
+from flagcalc import (
+    ComplexError,
+    Graph,
+    GraphError,
+    Outcome,
+    Poset,
+    PosetError,
+    SimplicialComplex,
+    complete_graph,
+    realize_edge_deletion,
+    s_collapse_search,
+)
 from flagcalc.corpus import s_collapsible_rigid_graph, six_regular_graph
 from flagcalc.identities import random_complex, random_graph, random_poset
 from flagcalc.textio import (
+    TEXT_FORMS,
     ParseError,
     format_complex,
     format_complex_certificate,
@@ -150,6 +162,46 @@ def test_bracketed_graph_labels_that_read_back_whole_still_parse():
     text = format_move_certificate(cert)
     assert text.startswith("+v _x1 ")
     assert parse_move_certificate(text, g) == cert
+
+
+_WRITERS = {  # each kind's writer on a value holding label x beside z, and its error
+    "graph": (lambda x: format_graph(Graph.make([x, "z"], [(x, "z")])), GraphError),
+    "complex": (lambda x: format_complex(SimplicialComplex.from_maximal([[x, "z"]])),
+                ComplexError),
+    "poset": (lambda x: format_poset(Poset.make([x, "z"], [(x, "z")])), PosetError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+@pytest.mark.parametrize("label", ["a b", "a\tb", "a\nb", "", "x:y", "x|y", "#a", "a,b"])
+def test_writers_refuse_a_label_their_reader_would_refuse(kind, label):
+    write, error = _WRITERS[kind]
+    with pytest.raises(error) as err:
+        write(label)
+    assert repr(label) in str(err.value)
+
+
+@pytest.mark.parametrize("label", ["[a", "a]", "[a],[b]", "[a,b"])
+def test_graph_writer_refuses_a_label_an_attachment_list_would_misread(label):
+    write, error = _WRITERS["graph"]
+    with pytest.raises(error) as err:
+        write(label)
+    assert str(err.value) == (f"label {label!r} would not read back whole from an "
+                              "attachment list; nothing written")
+    for kind in ("complex", "poset"):  # their readers take the label, so their writers do
+        text = _WRITERS[kind][0](label)
+        assert TEXT_FORMS[kind].format(TEXT_FORMS[kind].parse(text)) == text
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("graph", Graph.make(["x:y", "#b", "z"], [("x:y", "#b")])),
+    ("complex", SimplicialComplex.from_maximal([["x:y", "#b"], ["z"]])),
+    ("poset", Poset.make(["x:y", "#b", "z"], [("x:y", "#b")])),
+])
+def test_writers_name_the_least_bad_label(kind, value):
+    with pytest.raises(_WRITERS[kind][1]) as err:
+        TEXT_FORMS[kind].format(value)
+    assert str(err.value) == "label '#b' starts with '#'; nothing written"
 
 
 def test_reduce_rejects_a_label_its_certificate_cannot_hold(tmp_path, capsys):
