@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
+from itertools import repeat
+from typing import AbstractSet, Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
     Graph,
@@ -99,15 +100,32 @@ class DismantlingOrder:
     steps: tuple[tuple[str, str], ...]
 
 
-def _order_error(adj: dict[str, set[str]], local: Iterable[str],
+def _order_error(adj: dict[str, set[str]], local: AbstractSet[str],
                  order: DismantlingOrder) -> str | None:
     """Why `order` does not dismantle the subgraph that `local` induces in adj.
 
     The subgraph is never copied: `alive` holds its vertices not yet removed,
     and in it w dominates v exactly when (N(v) & alive) - N(w) is {w}.
+
+    A cone, an order whose steps all name one dominator w, is accepted by one
+    subset test.  It passes the loop exactly when w is in L = local, the
+    removed vertices are distinct, differ from w and make up L - {w}, and
+    L - {w} lies in N(w): each step needs w in N(v) and in alive, and the loop
+    must end at {w}; conversely each alive set lies in N[w], so w dominates
+    every removed vertex in turn.  As N(w) omits w, `rest <= adj[apex]` keeps
+    w out of rest.  Every other order, and a cone that fails the test, runs
+    the loop, so each rejection names its step.
     """
+    steps = order.steps
+    if steps and steps[0][1] == steps[-1][1] and len(steps) + 1 == len(local):
+        removed, dominators = zip(*steps)
+        apex = dominators[0]
+        rest = set(removed)
+        if (dominators.count(apex) == len(steps) and len(rest) == len(steps)
+                and apex in local and rest <= local and rest <= adj[apex]):
+            return None
     alive = set(local)
-    for i, (v, w) in enumerate(order.steps):
+    for i, (v, w) in enumerate(steps):
         if v not in alive:
             err = f"removed vertex {v!r} not present"
         elif w not in alive:
@@ -334,9 +352,10 @@ def _fit_error(adj: dict[str, set[str]], m: GraphMove) -> str | None:
             return f"vertex {m.target!r} already present"
         if not m.attachment:
             return "added vertex needs a nonempty attachment"
+        if adj.keys() >= m.attachment:
+            return None
         # difference() looks each member up in adj; `- adj.keys()` scans all of adj
-        missing = set(m.attachment).difference(adj)
-        return f"attachment vertices {sorted(missing)} not present" if missing else None
+        return f"attachment vertices {sorted(set(m.attachment).difference(adj))} not present"
     ends = sorted(m.target)
     if len(ends) != 2 or ends[0] == ends[1]:
         return f"{m.kind.value} needs two distinct endpoints, not {ends}"
@@ -621,8 +640,14 @@ def subdivision_certificate(g: Graph) -> MoveCertificate:
     def moves(adj) -> Iterator[GraphMove]:
         for c in cliques:
             peak = max(c)
-            attach = below[hats[c]] | extenders[c] | {peak}
-            yield GraphMove(MoveKind.ADD_VERTEX, hats[c], witness=cone_order(attach, peak),
+            # neither the hats below c nor c's extenders hold peak, so the
+            # cone's removed vertices are sorted before peak joins them
+            attach = below[hats[c]]
+            attach |= extenders[c]
+            order = sorted(attach)
+            attach.add(peak)
+            yield GraphMove(MoveKind.ADD_VERTEX, hats[c],
+                            witness=DismantlingOrder(tuple(zip(order, repeat(peak)))),
                             attachment=frozenset(attach))
         for v in g.sorted_vertices():
             # N(v) now holds the hats attached to v and the neighbors not yet removed.

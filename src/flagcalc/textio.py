@@ -8,12 +8,14 @@ Graphs and posets share one line shape, read by `_parse_declared`: lines that
 declare labels (`v`, `p`), and lines that pair two distinct declared labels
 once (`e`, `<`).  An edge is unordered and a cover is ordered.  One label rule,
 `_label_error`, serves every reader and writer: a writer raises its kind's
-error on a label its reader would refuse.  A graph label must also read
-back whole from a `+v` attachment list.
+error on a label its reader would refuse; a certificate writer checks the
+start's labels and those its additions introduce.  A graph label must also
+read back whole from a `+v` attachment list.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, GraphError
@@ -207,10 +209,12 @@ TEXT_FORMS = {"graph": TextForm(Graph, parse_graph, format_graph),
 
 
 def _format_witness(order: DismantlingOrder) -> str:
-    return " ".join(f"{v}:{w}" for v, w in order.steps)
+    return " ".join(map(":".join, order.steps))
 
 
 def format_move_certificate(cert: MoveCertificate) -> str:
+    added = (m.target for m in cert.moves if m.kind is MoveKind.ADD_VERTEX)
+    _require_writable(chain(cert.start.vertices, added), GraphError, attachable=True)
     lines = []
     for m in cert.moves:
         lines.append(m.describe())
@@ -305,6 +309,8 @@ def parse_move_certificate(text: str, start: Graph) -> MoveCertificate:
 
 
 def format_complex_certificate(cert: ComplexCertificate) -> str:
+    added = (pair.sigma for op, pair in cert.moves if op == ANTICOLLAPSE)
+    _require_writable(cert.start.vertex_set.union(*added), ComplexError)
     lines = []
     for op, pair in cert.moves:
         lines.append(f"{op} {' '.join(sorted(pair.sigma))} | {' '.join(sorted(pair.tau))}")

@@ -192,6 +192,66 @@ def test_graph_check_matches_immutable_replay(seed, mutation):
     assert check_certificate(cert) == naive_check_certificate(cert)
 
 
+CONE_MUTATIONS = ("drop-step", "repeat-step", "outside-local", "apex-removed",
+                  "second-dominator", "apex-outside", "edge-to-apex")
+
+
+def _mutate_cone(rng, c: MoveCertificate, mutation: str) -> MoveCertificate | None:
+    """c with one cone witness, whose steps all name one dominator, broken by
+    `mutation`; None when c has no cone the mutation applies to."""
+    cones = [i for i, m in enumerate(c.moves)
+             if m.witness.steps and len({w for _, w in m.witness.steps}) == 1]
+    i = _pick(rng, cones)
+    if i is None:
+        return None
+    adj = _working(c.start)
+    for m in c.moves[:i]:
+        adj = _apply_move(adj, m)
+    present, local = _graph_local(adj, c.moves[i])
+    steps = list(c.moves[i].witness.steps)
+    apex, j, start = steps[0][1], rng.randrange(len(steps)), c.start
+    outside = sorted(set(present) - set(local))
+    # removed vertices that the start joins to the apex
+    spokes = sorted(start.adjacency.get(apex, frozenset()) & {v for v, _ in steps})
+    if mutation == "drop-step":
+        del steps[j]
+    elif mutation == "repeat-step" and len(steps) >= 2:
+        steps[j] = steps[j - 1]
+    elif mutation == "outside-local" and outside:
+        steps[j] = (rng.choice(outside), apex)
+    elif mutation == "apex-removed":
+        steps[j] = (apex, apex)
+    elif mutation == "second-dominator" and len(local) >= 3:
+        steps[j] = (steps[j][0], rng.choice(sorted(set(local) - {apex, steps[j][0]})))
+    elif mutation == "apex-outside" and outside:
+        other = rng.choice(outside)
+        steps = [(v, other) for v, _ in steps]
+    elif mutation == "edge-to-apex" and spokes:
+        start = start.without_edge(apex, rng.choice(spokes))
+    else:
+        return None
+    moves = list(c.moves)
+    moves[i] = dataclasses.replace(moves[i], witness=DismantlingOrder(tuple(steps)))
+    return MoveCertificate(start, tuple(moves), c.end)
+
+
+@pytest.mark.parametrize("mutation", CONE_MUTATIONS)
+def test_cone_witness_mutants_match_immutable_replay(mutation):
+    """A cone broken in one way gets the step-by-step reference's report,
+    failing step and reason included, so the subset test lets no bad cone by."""
+    rejected = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_copwin_graph(rng, rng.randint(2, 7))
+        for c in (greedy_dismantling_certificate(g), subdivision_certificate(g)):
+            cert = _mutate_cone(rng, c, mutation)
+            if cert is not None:
+                report = check_certificate(cert)
+                assert report == naive_check_certificate(cert), (seed, mutation)
+                rejected += not report
+    assert rejected >= 10
+
+
 # ---------------------------------------------------------------------------
 # complexes
 

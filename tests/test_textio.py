@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagcalc import (
+    CollapsePair,
     ComplexError,
     Graph,
     GraphError,
+    GraphMove,
+    MoveKind,
     Outcome,
     Poset,
     PosetError,
@@ -18,7 +21,9 @@ from flagcalc import (
     s_collapse_search,
 )
 from flagcalc.corpus import s_collapsible_rigid_graph, six_regular_graph
+from flagcalc.dismantling import GRAPH, cone_order
 from flagcalc.identities import random_complex, random_graph, random_poset
+from flagcalc.simplicial import ANTICOLLAPSE, COLLAPSE, COMPLEX
 from flagcalc.textio import (
     TEXT_FORMS,
     ParseError,
@@ -202,6 +207,40 @@ def test_writers_name_the_least_bad_label(kind, value):
     with pytest.raises(_WRITERS[kind][1]) as err:
         TEXT_FORMS[kind].format(value)
     assert str(err.value) == "label '#b' starts with '#'; nothing written"
+
+
+@pytest.mark.parametrize("start, moves, message", [
+    # a witness step would read back as three fields
+    (complete_graph(["a", "b", "x:y"]),
+     lambda adj: [GraphMove(MoveKind.REMOVE_VERTEX, "a", witness=cone_order(adj["a"], "b"))],
+     "label 'x:y' holds ':' or '|'"),
+    # an added label: `+v #b a` would read back as a comment; '#b' comes before 'x:y'
+    (Graph.make(["a", "x:y"], [("a", "x:y")]),
+     lambda adj: [GraphMove(MoveKind.ADD_VERTEX, "#b", witness=cone_order("a", "a"),
+                            attachment=frozenset("a"))],
+     "label '#b' starts with '#'"),
+], ids=["witness-step", "added-vertex"])
+def test_move_certificate_writer_refuses_a_label_its_parser_refuses(start, moves, message):
+    cert = GRAPH.certificate(start, moves)
+    with pytest.raises(GraphError) as err:
+        format_move_certificate(cert)
+    assert str(err.value) == f"{message}; nothing written"
+
+
+@pytest.mark.parametrize("start, move, message", [
+    # unchecked, this is written `- a b z | z`, which reads back as [a,b,z]
+    (SimplicialComplex.from_maximal([["a b", "z"]]),
+     (COLLAPSE, CollapsePair(frozenset({"a b", "z"}), frozenset({"z"}))),
+     "label 'a b' is empty or holds whitespace"),
+    (SimplicialComplex.from_maximal([["a"]]),
+     (ANTICOLLAPSE, CollapsePair(frozenset({"a", "x|y"}), frozenset({"x|y"}))),
+     "label 'x|y' holds ':' or '|'"),
+], ids=["start-simplex", "anticollapse"])
+def test_complex_certificate_writer_refuses_a_label_its_parser_refuses(start, move, message):
+    cert = COMPLEX.certificate(start, lambda _: [move])
+    with pytest.raises(ComplexError) as err:
+        format_complex_certificate(cert)
+    assert str(err.value) == f"{message}; nothing written"
 
 
 def test_reduce_rejects_a_label_its_certificate_cannot_hold(tmp_path, capsys):
